@@ -7,7 +7,7 @@ high-norm key channels from removal, and quantifies the resulting
 reconstruction error on synthetic or file-loaded matrices.
 """
 
-from .core import ChannelMatrix, IndexSet, column_dot, decomposed_error_sq, reconstruction_error_sq
+from .core import ChannelMatrix, IndexSet, reconstruction_error_sq
 from .errors import (
     CapacityError,
     ConfigError,
@@ -26,6 +26,7 @@ from .graph import (
     restricted_eigenvalues_sampled,
 )
 from .prune import (
+    Problem,
     ProtectionPolicy,
     PruneSelection,
     Selector,
@@ -34,7 +35,6 @@ from .prune import (
     oracle_select,
     protect_channels,
     random_select,
-    select_channels,
     think_scores,
     think_select,
 )
@@ -54,14 +54,13 @@ __all__ = [
     "InteractionGraph",
     "MatrixFormatError",
     "MatrixValidationError",
+    "Problem",
     "ProtectionPolicy",
     "PruneSelection",
     "Selector",
     "SyntheticSpec",
     "build_interaction_graph",
     "clamp_proportion",
-    "column_dot",
-    "decomposed_error_sq",
     "drift_evaluate",
     "generate_instance",
     "jacobi_eigenvalues",
@@ -73,7 +72,6 @@ __all__ = [
     "reconstruction_error_sq",
     "restricted_eigenvalues",
     "restricted_eigenvalues_sampled",
-    "select_channels",
     "think_scores",
     "think_select",
 ]

@@ -14,11 +14,10 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from ..core import ChannelMatrix, reconstruction_error_sq
+from ..core import ChannelMatrix, attention_norm, reconstruction_error_sq
 from ..errors import CapacityError
-from ..prune import Selector, protect_channels, select_channels
+from ..prune import Problem, Selector, protect_channels
+from ..sim import generate_instance
 from .config import ExperimentConfig, format_value, parse_config_lines
 from .matrix_io import load_matrix
 
@@ -26,6 +25,7 @@ __all__ = [
     "CSV_HEADER",
     "ExperimentReport",
     "ReportRow",
+    "load_instance",
     "replay_report",
     "run_experiment",
     "write_report",
@@ -37,6 +37,8 @@ CSV_HEADER = (
 )
 
 ORACLE_SKIPPED = "oracle_skipped"
+
+REPLAYED_COLUMNS = ("error_sq", "relative_error", "error_future", "approx_ratio")
 
 
 @dataclass(frozen=True)
@@ -61,73 +63,72 @@ class ExperimentReport:
     rows: tuple[ReportRow, ...]
 
 
-def _norm_fro(q: ChannelMatrix, k: ChannelMatrix) -> float:
-    return float(np.sqrt(np.sum((q.data @ k.data.T) ** 2)))
-
-
 def _approx_ratio(error_sq: float, optimum: float) -> float:
     if optimum > 0.0:
         return error_sq / optimum
     return 1.0 if error_sq <= 0.0 else math.inf
 
 
-def _load_instance(cfg: ExperimentConfig):
+def load_instance(
+    cfg: ExperimentConfig, seed: int
+) -> tuple[str, ChannelMatrix, ChannelMatrix, ChannelMatrix | None]:
+    """(instance name, q, k, q_future) for one seed of the config.
+
+    Synthetic mode draws the seeded instance; from-files mode reads the
+    configured matrices (q_future is None without q_future_path).
+    """
+    if cfg.mode == "synthetic":
+        q, k, q_future = generate_instance(cfg.synthetic_spec(seed))
+        return f"syn-{seed}", q, k, q_future
     q = load_matrix(cfg.q_path)
     k = load_matrix(cfg.k_path)
     q_future = load_matrix(cfg.q_future_path) if cfg.q_future_path else None
     if q.cols != k.cols or (q_future is not None and q_future.cols != k.cols):
         raise ValueError("loaded matrices disagree on channel count")
-    name = Path(cfg.q_path).stem
-    return f"file-{name}", q, k, q_future
+    return f"file-{Path(cfg.q_path).stem}", q, k, q_future
+
+
+def _oracle_optimum(problem: Problem, lam: float, cap: int) -> float | str:
+    try:
+        return problem.select(Selector.ORACLE, lam, cap=cap).error_sq
+    except CapacityError:
+        return ORACLE_SKIPPED
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run the full sweep described by the config."""
-    cfg.validate()
-    from ..sim import generate_instance  # local import keeps module load light
+    """Run the full sweep described by the config.
 
+    Each seed gets one `Problem`, so W is built at most once and the
+    greedy runs at most once per seed; a cell's wall_time_ms includes
+    whatever of that work it was the first to need. A zero observed or
+    future attention product raises DegenerateInputError before any
+    selector runs on that instance.
+    """
+    cfg.validate()
     policy = cfg.policy()
     rows: list[ReportRow] = []
-    if cfg.mode == "from-files":
-        file_instance = _load_instance(cfg)
-
     for seed in cfg.seeds:
-        if cfg.mode == "synthetic":
-            q, k, q_future = generate_instance(cfg.synthetic_spec(seed))
-            instance = f"syn-{seed}"
-        else:
-            instance, q, k, q_future = file_instance
-
-        protected = protect_channels(k, policy)
-        denom_obs = _norm_fro(q, k)
-        denom_future = _norm_fro(q_future, k) if q_future is not None else None
+        instance, q, k, q_future = load_instance(cfg, seed)
+        denom_obs = attention_norm(q, k, "observed")
+        denom_future = attention_norm(q_future, k, "future") if q_future is not None else None
+        problem = Problem(q, k, protect_channels(k, policy))
 
         for lam in cfg.lambdas:
-            oracle_cache: dict[int, float | str] = {}
+            optimum: float | str | None = None  # every selector at lam shares the budget
             for selector in cfg.selectors:
                 start = time.perf_counter()
-                selection = select_channels(
-                    selector, q, k, lam, protected, seed=seed, cap=cfg.enumeration_cap
-                )
+                selection = problem.select(selector, lam, seed=seed, cap=cfg.enumeration_cap)
                 wall_ms = (time.perf_counter() - start) * 1e3
 
-                relative = math.sqrt(selection.error_sq) / denom_obs if denom_obs > 0.0 else math.inf
                 error_future = None
-                if q_future is not None and denom_future is not None and denom_future > 0.0:
+                if denom_future is not None:
                     future_sq = reconstruction_error_sq(q_future, k, selection.pruned)
                     error_future = math.sqrt(future_sq) / denom_future
 
                 approx: float | str | None = None
                 if cfg.oracle:
-                    key = selection.n_prune
-                    if key not in oracle_cache:
-                        try:
-                            oracle_cache[key] = select_channels(
-                                Selector.ORACLE, q, k, lam, protected, cap=cfg.enumeration_cap
-                            ).error_sq
-                        except CapacityError:
-                            oracle_cache[key] = ORACLE_SKIPPED
-                    optimum = oracle_cache[key]
+                    if optimum is None:
+                        optimum = _oracle_optimum(problem, lam, cfg.enumeration_cap)
                     approx = optimum if isinstance(optimum, str) else _approx_ratio(selection.error_sq, optimum)
 
                 rows.append(
@@ -138,9 +139,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         lam=lam,
                         protection=policy.enabled,
                         n_prune=selection.n_prune,
-                        n_protected=len(protected),
+                        n_protected=len(problem.protected),
                         error_sq=selection.error_sq,
-                        relative_error=relative,
+                        relative_error=math.sqrt(selection.error_sq) / denom_obs,
                         error_future=error_future,
                         approx_ratio=approx,
                         wall_time_ms=wall_ms,
@@ -187,11 +188,24 @@ def write_report(report: ExperimentReport, path: str | Path) -> None:
     Path(path).write_text(render_report(report), encoding="utf-8")
 
 
-def replay_report(path: str | Path, tolerance: float = 1e-9) -> list[str]:
-    """Re-run a report's embedded config and diff the error columns.
+def _reproduces(recorded: str, value: float | str | None, tolerance: float) -> bool:
+    """A recorded field matches a replayed value: same kind, numbers within `tolerance`."""
+    if value is None or isinstance(value, str):
+        return recorded == ("" if value is None else value)
+    try:
+        number = float(recorded)
+    except ValueError:
+        return False
+    return number == value or abs(number - value) <= tolerance * max(1.0, abs(value))
 
-    Returns a list of mismatch descriptions; an empty list means every
-    row was reproduced within `tolerance` relative error.
+
+def replay_report(path: str | Path, tolerance: float = 1e-9) -> list[str]:
+    """Re-run a report's embedded config and diff every numeric result column.
+
+    error_sq, relative_error, error_future and approx_ratio must each be
+    reproduced within `tolerance` relative error; an empty field or the
+    oracle-skip marker must be reproduced as the same kind. Returns a list
+    of mismatch descriptions; an empty list means every row matched.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -206,10 +220,14 @@ def replay_report(path: str | Path, tolerance: float = 1e-9) -> list[str]:
     if len(data_lines) - 1 != len(fresh.rows):
         problems.append(f"row count {len(data_lines) - 1} != replay count {len(fresh.rows)}")
         return problems
+    columns = CSV_HEADER.split(",")
     for lineno, (line, row) in enumerate(zip(data_lines[1:], fresh.rows), start=2):
-        recorded = float(line.split(",")[7])
-        if abs(recorded - row.error_sq) > tolerance * max(1.0, abs(row.error_sq)):
-            problems.append(
-                f"line {lineno}: error_sq {recorded} not reproduced (replay {row.error_sq})"
-            )
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            problems.append(f"line {lineno}: {len(fields)} fields, expected {len(columns)}")
+            continue
+        for name in REPLAYED_COLUMNS:
+            recorded, value = fields[columns.index(name)], getattr(row, name)
+            if not _reproduces(recorded, value, tolerance):
+                problems.append(f"line {lineno}: {name} {recorded!r} not reproduced (replay {value!r})")
     return problems

@@ -23,7 +23,7 @@ from ..errors import (
     MatrixFormatError,
     MatrixValidationError,
 )
-from ..prune import protect_channels, select_channels
+from ..prune import Problem, protect_channels
 from .config import (
     ExperimentConfig,
     format_value,
@@ -32,8 +32,8 @@ from .config import (
     parse_lambdas,
     parse_selectors,
 )
-from .experiment import run_experiment, write_report
-from .matrix_io import load_matrix, save_matrix
+from .experiment import load_instance, run_experiment, write_report
+from .matrix_io import save_matrix
 from .selfcheck import run_verification
 
 __all__ = ["main"]
@@ -82,24 +82,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg.validate()
 
 
-def _instance_for(cfg: ExperimentConfig, seed: int):
-    if cfg.mode == "from-files":
-        q = load_matrix(cfg.q_path)
-        k = load_matrix(cfg.k_path)
-        q_future = load_matrix(cfg.q_future_path) if cfg.q_future_path else None
-        return q, k, q_future
-    from ..sim import generate_instance
-
-    return generate_instance(cfg.synthetic_spec(seed))
-
-
 def cmd_generate(cfg: ExperimentConfig) -> int:
     if cfg.out is None:
         raise ConfigError("generate requires --out DIRECTORY")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
-    q, k, q_future = _instance_for(cfg.with_updates(mode="synthetic"), seed)
+    _, q, k, q_future = load_instance(cfg.with_updates(mode="synthetic"), seed)
     for name, matrix in (("q_obs", q), ("k", k), ("q_future", q_future)):
         path = out_dir / f"{name}.grcm"
         save_matrix(matrix, path)
@@ -109,12 +98,11 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
 def cmd_prune(cfg: ExperimentConfig) -> int:
     seed = cfg.seeds[0]
-    q, k, _ = _instance_for(cfg, seed)
-    policy = cfg.policy()
-    protected = protect_channels(k, policy)
+    _, q, k, _ = load_instance(cfg, seed)
+    protected = protect_channels(k, cfg.policy())
     lam = cfg.lambdas[0]
     selector = cfg.selectors[0]
-    selection = select_channels(selector, q, k, lam, protected, seed=seed, cap=cfg.enumeration_cap)
+    selection = Problem(q, k, protected).select(selector, lam, seed=seed, cap=cfg.enumeration_cap)
     print(
         f"selector={selector.value} lambda={format_value(lam)} "
         f"n_prune={selection.n_prune} clamped={'true' if selection.budget_clamped else 'false'}"

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core import ChannelMatrix
-from ..errors import MatrixFormatError, MatrixValidationError
+from ..errors import MatrixFormatError
 
 __all__ = ["GRCM_MAGIC", "GRCM_VERSION", "load_matrix", "save_matrix"]
 
@@ -28,13 +28,6 @@ GRCM_MAGIC = b"GRCM"
 GRCM_VERSION = 0x01
 _HEADER = struct.Struct("<4sBII")
 _PAYLOAD_OFFSET = _HEADER.size  # 13
-
-
-def _validated(values: np.ndarray) -> ChannelMatrix:
-    if not np.all(np.isfinite(values)):
-        r, c = np.argwhere(~np.isfinite(values))[0]
-        raise MatrixValidationError("non-finite matrix entry", row=int(r), col=int(c))
-    return ChannelMatrix(values)
 
 
 def _load_grcm(raw: bytes) -> ChannelMatrix:
@@ -56,7 +49,7 @@ def _load_grcm(raw: bytes) -> ChannelMatrix:
     if len(raw) > expected:
         raise MatrixFormatError(f"{len(raw) - expected} trailing bytes after GRCM payload", offset=expected)
     values = np.frombuffer(raw, dtype="<f8", offset=_PAYLOAD_OFFSET).reshape(rows, cols)
-    return _validated(values.astype(np.float64))
+    return ChannelMatrix(values)
 
 
 def _load_csv(raw: bytes, path: Path) -> ChannelMatrix:
@@ -79,7 +72,7 @@ def _load_csv(raw: bytes, path: Path) -> ChannelMatrix:
             rows.append([float(f) for f in fields])
         except ValueError as exc:
             raise MatrixFormatError(f"CSV row {i} has a non-numeric field: {exc}") from exc
-    return _validated(np.asarray(rows, dtype=np.float64))
+    return ChannelMatrix(np.asarray(rows, dtype=np.float64))
 
 
 def load_matrix(path: str | Path) -> ChannelMatrix:

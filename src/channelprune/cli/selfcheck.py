@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ChannelMatrix, IndexSet, decomposed_error_sq, reconstruction_error_sq
+from ..core import ChannelMatrix, IndexSet, reconstruction_error_sq
 from ..graph import build_interaction_graph, jacobi_eigenvalues, quadratic_form
 from ..prune import mies_select, oracle_select
 
@@ -73,7 +73,7 @@ def _check_decomposition(rng: np.random.Generator, instances: int) -> SuiteResul
         for _ in range(5):
             s = _random_subset(rng, q.cols)
             direct = reconstruction_error_sq(q, k, s)
-            decomposed = decomposed_error_sq(g, s)
+            decomposed = quadratic_form(g, s)
             result.checks += 1
             if abs(decomposed - direct) > REL_TOL * max(1.0, direct):
                 result.failures.append(f"instance {i}: |{decomposed} - {direct}| above tolerance")
@@ -95,7 +95,7 @@ def _check_score_updates(rng: np.random.Generator, instances: int) -> SuiteResul
                     result.failures.append(
                         f"instance {i} step {step} candidate {c}: score {s} != {expected}"
                     )
-            pruned_so_far.append(selection.score_trace[step][0])
+            pruned_so_far.append(selection.order[step])
     return result
 
 

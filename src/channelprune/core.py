@@ -8,19 +8,20 @@ quantity every selection algorithm in this package tries to minimize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .graph import InteractionGraph
+from .errors import DegenerateInputError, MatrixValidationError
 
 __all__ = [
     "ChannelMatrix",
     "IndexSet",
-    "column_dot",
-    "decomposed_error_sq",
+    "attention_norm",
+    "exact_ceil",
     "reconstruction_error_sq",
 ]
 
@@ -30,7 +31,8 @@ class ChannelMatrix:
     """Immutable 2-d float64 matrix with a column-as-channel view.
 
     The constructor copies and freezes the underlying buffer, so instances
-    are safe to share across threads. Entries must be finite.
+    are safe to share across threads. Entries must be finite; the first
+    non-finite one raises MatrixValidationError naming its position.
     """
 
     data: np.ndarray
@@ -43,7 +45,7 @@ class ChannelMatrix:
             raise ValueError(f"matrix must have at least one row and one column, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             r, c = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"non-finite entry at row {r}, col {c}")
+            raise MatrixValidationError("non-finite matrix entry", row=int(r), col=int(c))
         if arr is self.data:
             arr = arr.copy()  # never alias a caller-owned buffer
         arr.setflags(write=False)
@@ -56,12 +58,6 @@ class ChannelMatrix:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        """Return a writable copy of channel j."""
-        if not 0 <= j < self.cols:
-            raise IndexError(f"channel index {j} out of range for {self.cols} columns")
-        return self.data[:, j].copy()
 
     @classmethod
     def from_columns(cls, columns: Iterable[Iterable[float]]) -> "ChannelMatrix":
@@ -113,50 +109,40 @@ class IndexSet:
                 raise IndexError(f"channel index {i} out of range for dimension {dim}")
 
 
-def _check_channel(m: ChannelMatrix, j: int) -> None:
-    if not 0 <= j < m.cols:
-        raise IndexError(f"channel index {j} out of range for {m.cols} columns")
+def exact_ceil(x: float, d: int) -> int:
+    """ceil(x * d) with x read as the decimal it prints as.
 
-
-def column_dot(m: ChannelMatrix, i: int, j: int) -> float:
-    """Inner product of channels i and j of the same matrix."""
-    _check_channel(m, i)
-    _check_channel(m, j)
-    return float(m.data[:, i] @ m.data[:, j])
+    The float product can land just above an integer (0.55 * 100 is
+    55.00000000000001), which would over-count by one.
+    """
+    return math.ceil(Fraction(str(x)) * d)
 
 
 def reconstruction_error_sq(q: ChannelMatrix, k: ChannelMatrix, pruned: IndexSet) -> float:
     """Squared Frobenius error of the attention product after pruning.
 
-    Computes ||Q K^T - Q S K^T||_F^2 directly from the matrices, where S is
-    the diagonal selector that zeroes the pruned channels. This is the
-    ground-truth evaluation that the graph-based decomposition must match.
+    Zeroing the channels S changes Q K^T by exactly Q_S K_S^T, so the error
+    is ||Q_S K_S^T||_F^2, computed from the pruned columns alone. This is
+    the package's only error evaluator: every selector's error_sq and
+    every relative error come from it, so equal sets always score equal.
     """
     if q.cols != k.cols:
         raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
     pruned.validate_within(q.cols)
     if len(pruned) == 0:
         return 0.0
-    full = q.data @ k.data.T
-    kept_q = q.data.copy()
-    kept_q[:, pruned.as_array()] = 0.0
-    diff = full - kept_q @ k.data.T
-    return float(np.sum(diff * diff))
-
-
-def decomposed_error_sq(g: "InteractionGraph", pruned: IndexSet) -> float:
-    """Pruning error as self-importance plus pairwise interaction terms.
-
-    Sums W_ii over the pruned set, then adds every cross term W_ij (i != j)
-    within the set. Equals `reconstruction_error_sq` on the matrices the
-    graph was built from, up to floating-point roundoff.
-    """
-    pruned.validate_within(g.dim)
-    if len(pruned) == 0:
-        return 0.0
     idx = pruned.as_array()
-    sub = g.w[np.ix_(idx, idx)]
-    self_terms = float(np.trace(sub))
-    cross = sub.copy()
-    np.fill_diagonal(cross, 0.0)
-    return self_terms + float(cross.sum())
+    product = q.data[:, idx] @ k.data[:, idx].T
+    return float(np.vdot(product, product))
+
+
+def attention_norm(q: ChannelMatrix, k: ChannelMatrix, label: str) -> float:
+    """||Q K^T||_F, the denominator of a relative error.
+
+    Raises DegenerateInputError when the product is identically zero;
+    `label` names the queries in the message.
+    """
+    norm = float(np.sqrt(np.sum((q.data @ k.data.T) ** 2)))
+    if norm == 0.0:
+        raise DegenerateInputError(f"attention product of {label} queries is identically zero")
+    return norm

@@ -57,9 +57,6 @@ class InteractionGraph:
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
 
-    def node_weight(self, i: int) -> float:
-        return float(self.w[i, i])
-
 
 @dataclass(frozen=True)
 class EigenCertificate:

@@ -1,26 +1,31 @@
 """Channel selection: greedy minimum-incremental-error, score baselines,
 an exhaustive oracle, and salient-channel protection.
 
-All selectors share the same contract: given query/key matrices, a pruning
-ratio and a protected index set, they return a `PruneSelection` whose
-pruned set is disjoint from the protected set and whose size is the
-requested budget (clamped when protection leaves too few candidates).
+A `Problem` holds one instance (query/key matrices and a protected set).
+Each selector produces a removal order over the unprotected channels;
+the first n_prune entries, n_prune = ceil(lambda * d) clamped to the
+unprotected count, are the pruned set, and its error always comes from
+`reconstruction_error_sq`. The pruned set is therefore disjoint from the
+protected set, its size is the budget, and equal sets score equal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, islice
+from typing import Iterator
 
 import numpy as np
 
-from .core import ChannelMatrix, IndexSet, reconstruction_error_sq
+from .core import ChannelMatrix, IndexSet, exact_ceil, reconstruction_error_sq
 from .errors import CapacityError
-from .graph import DEFAULT_ENUMERATION_CAP, build_interaction_graph, quadratic_form
+from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, build_interaction_graph
 
 __all__ = [
+    "Problem",
     "ProtectionPolicy",
     "PruneSelection",
     "Selector",
@@ -29,7 +34,6 @@ __all__ = [
     "oracle_select",
     "protect_channels",
     "random_select",
-    "select_channels",
     "think_scores",
     "think_select",
 ]
@@ -73,12 +77,9 @@ class ProtectionPolicy:
 class PruneSelection:
     """Result of one selection run.
 
-    score_trace holds one (channel, score) pair per pruned channel, in
-    the order channels were removed. The score semantics depend on the
-    selector: the greedy records its maintained score at selection time
-    (the cumulative error of the set pruned so far), THINK records the
-    static per-channel score, and RANDOM/ORACLE record the cumulative
-    error as the final set is assembled in ascending index order.
+    `order` is the removal order of the pruned channels: greedy steps for
+    mies, ascending static score for think, draw order for random, and
+    ascending index for oracle. `pruned` holds the same channels sorted.
     step_scores, when requested from `mies_select`, snapshots
     (candidates, scores) before every greedy step.
     """
@@ -88,42 +89,19 @@ class PruneSelection:
     n_prune: int
     protected: IndexSet
     pruned: IndexSet
-    score_trace: tuple[tuple[int, float], ...]
+    order: tuple[int, ...]
     error_sq: float
     budget_clamped: bool = False
     step_scores: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
 
 
-def _check_inputs(q: ChannelMatrix, k: ChannelMatrix, lam: float, protected: IndexSet) -> None:
-    if q.cols != k.cols:
-        raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
+def _budget(lam: float, d: int, n_protected: int) -> tuple[int, bool]:
+    """ceil(lam * d), clamped to the number of unprotected channels."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"pruning ratio must be in [0, 1], got {lam}")
-    protected.validate_within(q.cols)
-
-
-def _budget(d: int, lam: float, protected: IndexSet) -> tuple[int, bool]:
-    """ceil(lam * d), clamped to the number of unprotected channels."""
-    requested = math.ceil(lam * d)
-    available = d - len(protected)
+    requested = exact_ceil(lam, d)
+    available = d - n_protected
     return min(requested, available), requested > available
-
-
-def _candidates(d: int, protected: IndexSet) -> np.ndarray:
-    mask = np.ones(d, dtype=bool)
-    if len(protected) > 0:
-        mask[protected.as_array()] = False
-    return np.flatnonzero(mask)
-
-
-def _cumulative_trace(w: np.ndarray, members: np.ndarray) -> tuple[tuple[int, float], ...]:
-    """Cumulative error after each member joins the set in the given order."""
-    trace = []
-    total = 0.0
-    for t, j in enumerate(members):
-        total += w[j, j] + 2.0 * w[j, members[:t]].sum()
-        trace.append((int(j), float(total)))
-    return tuple(trace)
 
 
 def think_scores(q: ChannelMatrix, k: ChannelMatrix) -> np.ndarray:
@@ -139,6 +117,145 @@ def think_scores(q: ChannelMatrix, k: ChannelMatrix) -> np.ndarray:
     return q_norms * k_norms
 
 
+def _greedy(
+    w: np.ndarray, candidates: np.ndarray, steps: list[tuple[np.ndarray, np.ndarray]] | None = None
+) -> Iterator[int]:
+    """Yield the minimum-incremental-error order over `candidates`, one channel per step.
+
+    Each candidate's score is the total error of the pruned set extended
+    by that candidate: scores start at the self-importance W_jj, and
+    after pruning the arg-min channel j* every remaining score picks up
+    the interaction term 2 * W[c, j*] plus the error increment of j*
+    itself. The increment is the same for every candidate, so the order
+    is exactly that of updating with the interaction terms alone;
+    maintaining the full cumulative error keeps the scores directly
+    comparable against fresh quadratic-form evaluation. Ties break toward
+    the lower channel index. No step depends on how many steps are taken,
+    so stopping at any budget gives a prefix of the full order. With a
+    `steps` list, a (candidates, scores) snapshot is appended before each
+    step.
+    """
+    scores = np.diag(w).copy()
+    active = np.zeros(len(scores), dtype=bool)
+    active[candidates] = True
+    accumulated = 0.0  # f(pruned so far)
+    for _ in range(len(candidates)):
+        if steps is not None:
+            steps.append((np.flatnonzero(active), scores[active].copy()))
+        masked = np.where(active, scores, np.inf)
+        j = int(np.argmin(masked))  # first minimum, so the lowest index wins ties
+        chosen = float(scores[j])
+        active[j] = False
+        scores[active] += 2.0 * w[active, j] + (chosen - accumulated)
+        accumulated = chosen
+        yield j
+
+
+class Problem:
+    """One selection instance: query/key matrices and the protected set.
+
+    The inputs are validated once. W, the greedy order over the
+    unprotected channels and the think order are built on first use and
+    kept, so selecting at several ratios builds W once and runs the
+    greedy once; mies and think answer each ratio with a prefix. The
+    greedy is resumed, not restarted, when a larger budget asks for more
+    of its order, so it never runs past the largest budget requested.
+    """
+
+    def __init__(self, q: ChannelMatrix, k: ChannelMatrix, protected: IndexSet = IndexSet.empty()):
+        if q.cols != k.cols:
+            raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
+        protected.validate_within(q.cols)
+        self.q = q
+        self.k = k
+        self.protected = protected
+        mask = np.ones(q.cols, dtype=bool)
+        mask[protected.as_array()] = False
+        self.candidates = np.flatnonzero(mask)
+        self._greedy_order: list[int] = []
+        self._greedy_run: Iterator[int] | None = None
+
+    @cached_property
+    def graph(self) -> InteractionGraph:
+        return build_interaction_graph(self.q, self.k)
+
+    def _greedy_prefix(self, n: int) -> tuple[int, ...]:
+        """First n channels of the greedy order, running the greedy only as far as needed."""
+        if n > len(self._greedy_order):
+            if self._greedy_run is None:
+                self._greedy_run = _greedy(self.graph.w, self.candidates)
+            self._greedy_order.extend(islice(self._greedy_run, n - len(self._greedy_order)))
+        return tuple(self._greedy_order[:n])
+
+    @cached_property
+    def _think_order(self) -> tuple[int, ...]:
+        """Unprotected channels by ascending think score, ties to the lower index."""
+        scores = think_scores(self.q, self.k)[self.candidates]
+        return tuple(int(j) for j in self.candidates[np.argsort(scores, kind="stable")])
+
+    def select(
+        self, selector: Selector, lam: float, seed: int = 0, cap: int = DEFAULT_ENUMERATION_CAP
+    ) -> PruneSelection:
+        """Prune ceil(lam * d) unprotected channels (clamped) with `selector`.
+
+        `seed` drives the random selector; `cap` bounds the oracle's
+        subset count (CapacityError above it).
+        """
+        selector = Selector(selector)
+        n_prune, clamped = _budget(lam, self.q.cols, len(self.protected))
+        if selector is Selector.MIES:
+            order = self._greedy_prefix(n_prune)
+        elif selector is Selector.THINK:
+            order = self._think_order[:n_prune]
+        elif selector is Selector.RANDOM:
+            drawn = np.random.default_rng(seed).choice(self.candidates, size=n_prune, replace=False)
+            order = tuple(int(j) for j in drawn)
+        else:
+            order = self._oracle_order(n_prune, cap)
+        pruned = IndexSet(tuple(sorted(order)))
+        return PruneSelection(
+            selector=selector,
+            lam=lam,
+            n_prune=n_prune,
+            protected=self.protected,
+            pruned=pruned,
+            order=order,
+            error_sq=reconstruction_error_sq(self.q, self.k, pruned),
+            budget_clamped=clamped,
+        )
+
+    def _oracle_order(self, n_prune: int, cap: int) -> tuple[int, ...]:
+        """Lexicographically smallest minimizer of 1_S^T W 1_S over size-n_prune sets."""
+        if n_prune == 0:
+            return ()
+        cand = self.candidates
+        total = math.comb(len(cand), n_prune)
+        if total > cap:
+            raise CapacityError(
+                f"C({len(cand)}, {n_prune}) = {total} subsets exceed the enumeration cap {cap}"
+            )
+        w = self.graph.w
+        best: tuple[int, ...] = ()
+        best_value = math.inf
+        chunk_size = 4096
+        combo_iter = combinations(cand.tolist(), n_prune)
+        while True:
+            chunk = []
+            for combo in combo_iter:
+                chunk.append(combo)
+                if len(chunk) == chunk_size:
+                    break
+            if not chunk:
+                break
+            rows = np.asarray(chunk, dtype=np.intp)
+            values = w[rows[:, :, None], rows[:, None, :]].sum(axis=(1, 2))
+            pos = int(np.argmin(values))
+            if values[pos] < best_value:  # strict: first minimum is lexicographically smallest
+                best_value = float(values[pos])
+                best = chunk[pos]
+        return best
+
+
 def think_select(
     q: ChannelMatrix, k: ChannelMatrix, lam: float, protected: IndexSet = IndexSet.empty()
 ) -> PruneSelection:
@@ -146,25 +263,7 @@ def think_select(
 
     Ties break toward the lower channel index.
     """
-    _check_inputs(q, k, lam, protected)
-    n_prune, clamped = _budget(q.cols, lam, protected)
-    scores = think_scores(q, k)
-    cand = _candidates(q.cols, protected)
-    order = np.argsort(scores[cand], kind="stable")
-    chosen = cand[order[:n_prune]]
-    pruned = IndexSet(tuple(sorted(int(j) for j in chosen)))
-    trace = tuple((int(j), float(scores[j])) for j in chosen)
-    error = reconstruction_error_sq(q, k, pruned)
-    return PruneSelection(
-        selector=Selector.THINK,
-        lam=lam,
-        n_prune=n_prune,
-        protected=protected,
-        pruned=pruned,
-        score_trace=trace,
-        error_sq=error,
-        budget_clamped=clamped,
-    )
+    return Problem(q, k, protected).select(Selector.THINK, lam)
 
 
 def mies_select(
@@ -176,58 +275,19 @@ def mies_select(
 ) -> PruneSelection:
     """Greedy selection that minimizes the cumulative reconstruction error.
 
-    Each candidate's score is the total error of the pruned set extended
-    by that candidate: scores start at the self-importance W_jj, and
-    after pruning the arg-min channel j* every remaining score picks up
-    the interaction term 2 * W[c, j*] plus the error increment of j*
-    itself. The increment is the same for every candidate, so the
-    selection order is exactly that of updating with the interaction
-    terms alone; maintaining the full cumulative error keeps the scores
-    directly comparable against fresh quadratic-form evaluation. Ties
-    break toward the lower channel index. Protected channels never enter
-    the candidate set.
-
-    With `record_steps`, the result carries a (candidates, scores)
-    snapshot taken before each greedy step, which is what the soundness
-    self-check replays against direct quadratic-form evaluation.
+    See `_greedy` for the score maintenance. Protected channels never
+    enter the candidate set. With `record_steps`, the result carries a
+    (candidates, scores) snapshot taken before each greedy step, which is
+    what the soundness self-check replays against direct quadratic-form
+    evaluation.
     """
-    _check_inputs(q, k, lam, protected)
-    d = q.cols
-    n_prune, clamped = _budget(d, lam, protected)
-    g = build_interaction_graph(q, k)
-    scores = np.diag(g.w).copy()
-    active = np.ones(d, dtype=bool)
-    if len(protected) > 0:
-        active[protected.as_array()] = False
-
-    order: list[int] = []
-    trace: list[tuple[int, float]] = []
-    steps: list[tuple[np.ndarray, np.ndarray]] = []
-    accumulated = 0.0  # f(pruned so far)
-    for _ in range(n_prune):
-        if record_steps:
-            steps.append((np.flatnonzero(active), scores[active].copy()))
-        masked = np.where(active, scores, np.inf)
-        j = int(np.argmin(masked))  # first minimum, so the lowest index wins ties
-        chosen = float(scores[j])
-        trace.append((j, chosen))
-        order.append(j)
-        active[j] = False
-        scores[active] += 2.0 * g.w[active, j] + (chosen - accumulated)
-        accumulated = chosen
-
-    pruned = IndexSet(tuple(sorted(order)))
-    return PruneSelection(
-        selector=Selector.MIES,
-        lam=lam,
-        n_prune=n_prune,
-        protected=protected,
-        pruned=pruned,
-        score_trace=tuple(trace),
-        error_sq=quadratic_form(g, pruned),
-        budget_clamped=clamped,
-        step_scores=tuple(steps) if record_steps else None,
-    )
+    problem = Problem(q, k, protected)
+    selection = problem.select(Selector.MIES, lam)
+    if record_steps:
+        steps: list[tuple[np.ndarray, np.ndarray]] = []
+        list(islice(_greedy(problem.graph.w, problem.candidates, steps), selection.n_prune))
+        selection = replace(selection, step_scores=tuple(steps))
+    return selection
 
 
 def oracle_select(
@@ -244,51 +304,7 @@ def oracle_select(
     the lexicographically smallest index set. Raises CapacityError when
     the subset count exceeds `cap`.
     """
-    _check_inputs(q, k, lam, protected)
-    d = q.cols
-    n_prune, clamped = _budget(d, lam, protected)
-    g = build_interaction_graph(q, k)
-    cand = _candidates(d, protected)
-
-    if n_prune == 0:
-        best: tuple[int, ...] = ()
-    else:
-        total = math.comb(len(cand), n_prune)
-        if total > cap:
-            raise CapacityError(
-                f"C({len(cand)}, {n_prune}) = {total} subsets exceed the enumeration cap {cap}"
-            )
-        best = ()
-        best_value = math.inf
-        chunk_size = 4096
-        combo_iter = combinations(cand.tolist(), n_prune)
-        while True:
-            chunk = []
-            for combo in combo_iter:
-                chunk.append(combo)
-                if len(chunk) == chunk_size:
-                    break
-            if not chunk:
-                break
-            rows = np.asarray(chunk, dtype=np.intp)
-            values = g.w[rows[:, :, None], rows[:, None, :]].sum(axis=(1, 2))
-            pos = int(np.argmin(values))
-            if values[pos] < best_value:  # strict: first minimum is lexicographically smallest
-                best_value = float(values[pos])
-                best = chunk[pos]
-
-    pruned = IndexSet(best)
-    members = pruned.as_array()
-    return PruneSelection(
-        selector=Selector.ORACLE,
-        lam=lam,
-        n_prune=n_prune,
-        protected=protected,
-        pruned=pruned,
-        score_trace=_cumulative_trace(g.w, members),
-        error_sq=quadratic_form(g, pruned),
-        budget_clamped=clamped,
-    )
+    return Problem(q, k, protected).select(Selector.ORACLE, lam, cap=cap)
 
 
 def random_select(
@@ -299,28 +315,7 @@ def random_select(
     seed: int = 0,
 ) -> PruneSelection:
     """Uniform random baseline over the unprotected channels."""
-    _check_inputs(q, k, lam, protected)
-    n_prune, clamped = _budget(q.cols, lam, protected)
-    cand = _candidates(q.cols, protected)
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(cand, size=n_prune, replace=False) if n_prune else np.array([], dtype=np.intp)
-    pruned = IndexSet(tuple(sorted(int(j) for j in chosen)))
-    members = pruned.as_array()
-    sub_q = q.data[:, members]
-    sub_k = k.data[:, members]
-    w_sub = (sub_q.T @ sub_q) * (sub_k.T @ sub_k)
-    local = _cumulative_trace(w_sub, np.arange(len(members)))
-    trace = tuple((int(members[i]), total) for i, (_, total) in enumerate(local))
-    return PruneSelection(
-        selector=Selector.RANDOM,
-        lam=lam,
-        n_prune=n_prune,
-        protected=protected,
-        pruned=pruned,
-        score_trace=trace,
-        error_sq=reconstruction_error_sq(q, k, pruned),
-        budget_clamped=clamped,
-    )
+    return Problem(q, k, protected).select(Selector.RANDOM, lam, seed=seed)
 
 
 def clamp_proportion(p: float, a: float, b: float) -> float:
@@ -347,29 +342,9 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     if p_protect == p_raw:
         n_protect = count
     else:
-        n_protect = math.ceil(p_protect * d)
+        n_protect = exact_ceil(p_protect, d)
     if n_protect == 0:
         return IndexSet.empty()
     by_norm_desc = np.lexsort((np.arange(d), -norms))
     return IndexSet(tuple(sorted(int(j) for j in by_norm_desc[:n_protect])))
 
-
-def select_channels(
-    selector: Selector,
-    q: ChannelMatrix,
-    k: ChannelMatrix,
-    lam: float,
-    protected: IndexSet = IndexSet.empty(),
-    seed: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> PruneSelection:
-    """Dispatch to the selector named by `selector`."""
-    if selector == Selector.MIES:
-        return mies_select(q, k, lam, protected)
-    if selector == Selector.THINK:
-        return think_select(q, k, lam, protected)
-    if selector == Selector.RANDOM:
-        return random_select(q, k, lam, protected, seed=seed)
-    if selector == Selector.ORACLE:
-        return oracle_select(q, k, lam, protected, cap=cap)
-    raise ValueError(f"unknown selector {selector!r}")

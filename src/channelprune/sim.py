@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelMatrix, reconstruction_error_sq
-from .errors import DegenerateInputError
-from .prune import ProtectionPolicy, PruneSelection, Selector, protect_channels, select_channels
+from .core import ChannelMatrix, attention_norm, exact_ceil, reconstruction_error_sq
+from .prune import Problem, ProtectionPolicy, PruneSelection, Selector, protect_channels
 
 __all__ = [
     "DriftResult",
@@ -62,7 +61,7 @@ class SyntheticSpec:
 def _channel_scales(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """First two draws of the instance stream: scales, then planted indices."""
     scales = rng.lognormal(LOG_SCALE_MU, LOG_SCALE_SIGMA, spec.d)
-    n_outliers = math.ceil(spec.outlier_fraction * spec.d) if spec.outlier_fraction > 0.0 else 0
+    n_outliers = exact_ceil(spec.outlier_fraction, spec.d)
     planted = (
         rng.choice(spec.d, size=n_outliers, replace=False)
         if n_outliers
@@ -119,13 +118,6 @@ class DriftResult:
     selection: PruneSelection
 
 
-def _relative_error(q: ChannelMatrix, k: ChannelMatrix, pruned, label: str) -> float:
-    denom_sq = float(np.sum((q.data @ k.data.T) ** 2))
-    if denom_sq == 0.0:
-        raise DegenerateInputError(f"attention product of {label} queries is identically zero")
-    return math.sqrt(reconstruction_error_sq(q, k, pruned) / denom_sq)
-
-
 def drift_evaluate(
     q_obs: ChannelMatrix,
     k: ChannelMatrix,
@@ -145,10 +137,11 @@ def drift_evaluate(
         raise ValueError(
             f"channel count mismatch: q_obs {q_obs.cols}, k {k.cols}, q_future {q_future.cols}"
         )
-    protected = protect_channels(k, policy)
-    selection = select_channels(selector, q_obs, k, lam, protected, seed=seed)
-    error_obs = _relative_error(q_obs, k, selection.pruned, "observed")
-    error_future = _relative_error(q_future, k, selection.pruned, "future")
+    denom_obs = attention_norm(q_obs, k, "observed")
+    denom_future = attention_norm(q_future, k, "future")
+    selection = Problem(q_obs, k, protect_channels(k, policy)).select(selector, lam, seed=seed)
+    error_obs = math.sqrt(selection.error_sq) / denom_obs
+    error_future = math.sqrt(reconstruction_error_sq(q_future, k, selection.pruned)) / denom_future
     ratio = error_future / error_obs if error_obs > 0.0 else math.inf
     return DriftResult(
         selector=selector,

@@ -20,7 +20,6 @@ from channelprune import (
     SyntheticSpec,
     build_interaction_graph,
     clamp_proportion,
-    decomposed_error_sq,
     drift_evaluate,
     generate_instance,
     mies_select,
@@ -59,7 +58,7 @@ def test_criterion_1_decomposition_identity():
             size = int(rng.integers(0, d + 1))
             s = IndexSet(tuple(sorted(rng.choice(d, size=size, replace=False).tolist())))
             direct = reconstruction_error_sq(q, k, s)
-            gap = abs(decomposed_error_sq(g, s) - direct)
+            gap = abs(quadratic_form(g, s) - direct)
             assert gap <= 1e-9 * max(1.0, direct)
             worst = max(worst, gap / max(1.0, direct))
             checks += 1
@@ -86,7 +85,7 @@ def test_criterion_2_score_update_soundness():
                 f = quadratic_form(g, IndexSet(tuple(pruned) + (int(c),)))
                 assert abs(s - f) <= 1e-9 * max(1.0, abs(f))
                 checks += 1
-            pruned.append(sel.score_trace[step][0])
+            pruned.append(sel.order[step])
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report("criterion 2 (score-update soundness)", f"{checks} score checks, {elapsed:.1f}s")

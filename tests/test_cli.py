@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,10 +24,25 @@ from channelprune.cli import (
     save_matrix,
     write_report,
 )
+from channelprune import prune
 from channelprune.cli import selfcheck
 from channelprune.cli.main import main as cli_main
 from channelprune.cli.experiment import ORACLE_SKIPPED
 from channelprune.graph import build_interaction_graph as real_build
+
+GOLDEN = Path(__file__).parent / "data" / "criterion8_golden.csv"
+
+
+def tamper_first_row(path, column, value):
+    """Overwrite one field of the first data row of a report in place."""
+    text = path.read_text().splitlines()
+    for i, line in enumerate(text):
+        if not line.startswith("#") and line != CSV_HEADER:
+            fields = line.split(",")
+            fields[column] = value
+            text[i] = ",".join(fields)
+            break
+    path.write_text("\n".join(text) + "\n")
 
 
 class TestGrcmFormat:
@@ -219,7 +235,7 @@ class TestRunExperiment:
         assert len(report.rows) == 2 * 2 * 2
 
     def test_rows_reproducible_by_direct_recomputation(self):
-        from channelprune import protect_channels, reconstruction_error_sq, select_channels
+        from channelprune import Problem, protect_channels, reconstruction_error_sq
         from channelprune.sim import generate_instance
 
         cfg = small_cfg(seeds=(4,))
@@ -227,7 +243,7 @@ class TestRunExperiment:
         q, k, _ = generate_instance(cfg.synthetic_spec(4))
         protected = protect_channels(k, cfg.policy())
         for row in report.rows:
-            sel = select_channels(row.selector, q, k, row.lam, protected, seed=row.seed)
+            sel = Problem(q, k, protected).select(row.selector, row.lam, seed=row.seed)
             assert row.error_sq == pytest.approx(sel.error_sq, rel=1e-12)
             direct = reconstruction_error_sq(q, k, sel.pruned)
             assert abs(row.error_sq - direct) <= 1e-9 * max(1.0, direct)
@@ -266,18 +282,47 @@ class TestRunExperiment:
         write_report(run_experiment(small_cfg(oracle=True)), path)
         assert replay_report(path) == []
 
-    def test_replay_detects_tampering(self, tmp_path):
+    @pytest.mark.parametrize("column", [7, 8, 9, 10])  # error_sq .. approx_ratio
+    def test_replay_detects_tampering(self, tmp_path, column):
         path = tmp_path / "tampered.csv"
         write_report(run_experiment(small_cfg()), path)
-        text = path.read_text().splitlines()
-        for i, line in enumerate(text):
-            if not line.startswith("#") and line != CSV_HEADER:
-                fields = line.split(",")
-                fields[7] = "123.456"
-                text[i] = ",".join(fields)
-                break
-        path.write_text("\n".join(text) + "\n")
+        tamper_first_row(path, column, "123.456")
         assert replay_report(path) != []
+
+    @pytest.mark.parametrize("marker", ["", ORACLE_SKIPPED])
+    def test_replay_checks_approx_ratio_kind(self, tmp_path, marker):
+        path = tmp_path / "kind.csv"
+        write_report(run_experiment(small_cfg(oracle=True)), path)
+        tamper_first_row(path, 10, marker)
+        assert len(replay_report(path)) == 1
+
+    def test_report_matches_golden_bytes(self):
+        # tests/data/criterion8_golden.csv was rendered before the selectors
+        # shared one evaluator and one W per seed; the bytes must not move.
+        cfg = ExperimentConfig(
+            d=12, L=16, L_obs=8, L_future=8, seeds=tuple(range(4)),
+            lambdas=(0.5, 0.6), oracle=True,
+        )
+        assert render_report(run_experiment(cfg)) == GOLDEN.read_text(encoding="utf-8")
+
+    def test_one_w_build_and_one_greedy_run_per_seed(self, monkeypatch):
+        calls = {"w": 0, "greedy": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(prune, "build_interaction_graph", counted("w", prune.build_interaction_graph))
+        monkeypatch.setattr(prune, "_greedy", counted("greedy", prune._greedy))
+        cfg = small_cfg(
+            seeds=(0, 1, 2), lambdas=(0.3, 0.5, 0.7),
+            selectors=(Selector.MIES, Selector.THINK, Selector.RANDOM, Selector.ORACLE), oracle=True,
+        )
+        report = run_experiment(cfg)
+        assert len(report.rows) == 3 * 3 * 4
+        assert calls == {"w": 3, "greedy": 3}
 
     def test_mies_mean_beats_think_over_sweep(self):
         # Direction check through the orchestration layer: 100 default
@@ -396,3 +441,15 @@ class TestCommandLine:
         cfg = tmp_path / "cfg"
         cfg.write_text(f"mode=from-files\nq_path={bad}\nk_path={ok}\n")
         assert cli_main(["prune", "--config", str(cfg)]) == 4
+
+    def test_zero_attention_product_exit_code(self, tmp_path, capsys):
+        zero, ones = tmp_path / "zero.grcm", tmp_path / "ones.grcm"
+        save_matrix(ChannelMatrix(np.zeros((2, 3))), zero)
+        save_matrix(ChannelMatrix(np.ones((2, 3))), ones)
+        out = tmp_path / "r.csv"
+        for q_path, q_future_path in ((zero, ones), (ones, zero)):
+            cfg = tmp_path / "cfg"
+            cfg.write_text(f"mode=from-files\nq_path={q_path}\nk_path={ones}\nq_future_path={q_future_path}\n")
+            assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "identically zero" in capsys.readouterr().err
+        assert not out.exists()

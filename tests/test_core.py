@@ -4,23 +4,18 @@ import pytest
 from channelprune import (
     ChannelMatrix,
     IndexSet,
+    MatrixValidationError,
     build_interaction_graph,
-    column_dot,
-    decomposed_error_sq,
+    quadratic_form,
     reconstruction_error_sq,
 )
-
-
-def naive_column_dot(m, i, j):
-    return sum(m.data[r, i] * m.data[r, j] for r in range(m.rows))
 
 
 class TestChannelMatrix:
     def test_shape_and_accessors(self):
         m = ChannelMatrix(np.arange(6.0).reshape(2, 3))
         assert (m.rows, m.cols) == (2, 3)
-        assert m.column(1).tolist() == [1.0, 4.0]
-        assert len(m.column(2)) == m.rows
+        assert m.data[:, 1].tolist() == [1.0, 4.0]
 
     def test_rejects_empty_and_non_2d(self):
         with pytest.raises(ValueError):
@@ -31,8 +26,9 @@ class TestChannelMatrix:
     def test_rejects_non_finite(self):
         bad = np.ones((2, 2))
         bad[1, 0] = np.nan
-        with pytest.raises(ValueError, match="row 1, col 0"):
+        with pytest.raises(MatrixValidationError, match="row 1, col 0") as err:
             ChannelMatrix(bad)
+        assert (err.value.row, err.value.col) == (1, 0)
 
     def test_immutable_and_decoupled_from_source(self):
         src = np.ones((2, 2))
@@ -41,14 +37,6 @@ class TestChannelMatrix:
         assert m.data[0, 0] == 1.0
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
-        col = m.column(0)
-        col[0] = 7.0  # copies are writable, the matrix is not
-        assert m.data[0, 0] == 1.0
-
-    def test_column_out_of_range(self):
-        m = ChannelMatrix(np.ones((2, 2)))
-        with pytest.raises(IndexError):
-            m.column(2)
 
 
 class TestIndexSet:
@@ -68,37 +56,6 @@ class TestIndexSet:
         IndexSet.of(0, 4).validate_within(5)
         with pytest.raises(IndexError):
             IndexSet.of(0, 5).validate_within(5)
-
-
-class TestColumnDot:
-    def test_orthogonal_columns(self):
-        m = ChannelMatrix.from_columns([(1, 0), (0, 2)])
-        assert column_dot(m, 0, 1) == 0.0
-
-    def test_squared_norm(self):
-        m = ChannelMatrix.from_columns([(3, 4)])
-        assert column_dot(m, 0, 0) == 25.0
-
-    def test_hand_expansion(self):
-        m = ChannelMatrix.from_columns([(1, 1), (1, 0)])
-        assert column_dot(m, 0, 1) == 1.0
-        assert column_dot(m, 0, 1) == naive_column_dot(m, 0, 1)
-
-    def test_symmetry_against_naive_oracle(self):
-        rng = np.random.default_rng(3)
-        m = ChannelMatrix(rng.standard_normal((7, 5)))
-        for i in range(5):
-            for j in range(5):
-                v = column_dot(m, i, j)
-                assert v == column_dot(m, j, i)
-                assert v == pytest.approx(naive_column_dot(m, i, j), rel=1e-12)
-
-    def test_index_errors(self):
-        m = ChannelMatrix(np.ones((2, 2)))
-        with pytest.raises(IndexError):
-            column_dot(m, 0, 2)
-        with pytest.raises(IndexError):
-            column_dot(m, -1, 0)
 
 
 class TestReconstructionError:
@@ -141,10 +98,12 @@ class TestReconstructionError:
 
 
 class TestDecomposedError:
+    """The decomposed error 1_S^T W 1_S, as `quadratic_form` evaluates it."""
+
     def test_empty_sum(self):
         q = ChannelMatrix(np.ones((2, 3)))
         g = build_interaction_graph(q, q)
-        assert decomposed_error_sq(g, IndexSet.empty()) == 0.0
+        assert quadratic_form(g, IndexSet.empty()) == 0.0
 
     def test_singleton_is_outer_product_norm(self):
         rng = np.random.default_rng(11)
@@ -153,7 +112,7 @@ class TestDecomposedError:
         g = build_interaction_graph(q, k)
         for i in range(4):
             outer = np.outer(q.data[:, i], k.data[:, i])
-            assert decomposed_error_sq(g, IndexSet.of(i)) == pytest.approx(
+            assert quadratic_form(g, IndexSet.of(i)) == pytest.approx(
                 float(np.sum(outer * outer)), rel=1e-12
             )
 
@@ -164,13 +123,13 @@ class TestDecomposedError:
         g = build_interaction_graph(q, k)
         s = IndexSet(tuple(sorted(rng.choice(12, size=6, replace=False).tolist())))
         direct = reconstruction_error_sq(q, k, s)
-        assert abs(decomposed_error_sq(g, s) - direct) <= 1e-9 * max(1.0, direct)
+        assert abs(quadratic_form(g, s) - direct) <= 1e-9 * max(1.0, direct)
 
     def test_index_out_of_range(self):
         q = ChannelMatrix(np.ones((2, 3)))
         g = build_interaction_graph(q, q)
         with pytest.raises(IndexError):
-            decomposed_error_sq(g, IndexSet.of(3))
+            quadratic_form(g, IndexSet.of(3))
 
 
 def test_decomposition_identity_property():
@@ -185,7 +144,7 @@ def test_decomposition_identity_property():
             size = int(rng.integers(0, d + 1))
             s = IndexSet(tuple(sorted(rng.choice(d, size=size, replace=False).tolist())))
             direct = reconstruction_error_sq(q, k, s)
-            assert abs(decomposed_error_sq(g, s) - direct) <= 1e-9 * max(1.0, direct)
+            assert abs(quadratic_form(g, s) - direct) <= 1e-9 * max(1.0, direct)
 
 
 def test_superset_error_can_decrease():

@@ -11,7 +11,6 @@ from channelprune import (
     IndexSet,
     InteractionGraph,
     build_interaction_graph,
-    decomposed_error_sq,
     jacobi_eigenvalues,
     quadratic_form,
     restricted_eigenvalues,
@@ -113,7 +112,10 @@ class TestQuadraticForm:
             g = build_interaction_graph(q, k)
             size = int(rng.integers(0, 11))
             s = IndexSet(tuple(sorted(rng.choice(10, size=size, replace=False).tolist())))
-            a, b = quadratic_form(g, s), decomposed_error_sq(g, s)
+            sub = g.w[np.ix_(s.as_array(), s.as_array())]
+            cross = sub.copy()
+            np.fill_diagonal(cross, 0.0)
+            a, b = quadratic_form(g, s), float(np.trace(sub)) + float(cross.sum())  # self + interaction terms
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_nonnegative_up_to_roundoff(self):

@@ -85,6 +85,10 @@ class TestGenerate:
             top = np.sort(energy)[::-1][:n_out]
             assert top.sum() > 0.5 * energy.sum()
 
+    def test_outlier_count_is_exact(self):
+        # A float ceil(0.07 * 100) plants 8: the product is 7.000000000000001.
+        assert len(planted_outliers(SyntheticSpec(d=100, outlier_fraction=0.07))) == 7
+
     def test_no_outliers_tail_mass(self):
         # outlier_scale = 1: the raw exceedance proportion concentrates near
         # the lognormal tail mass (distributional check, not a point value;
