@@ -54,6 +54,12 @@ def format_value(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _embedded(x: float) -> str:
+    """`format_value` when it parses back to x, else the round-trip `repr`."""
+    text = format_value(x)
+    return text if float(text) == x else repr(float(x))
+
+
 def _parse_bool(key: str, value: str) -> bool:
     lowered = value.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -181,18 +187,18 @@ class ExperimentConfig:
             "L": str(self.L),
             "L_obs": str(self.L_obs),
             "L_future": str(self.L_future),
-            "outlier_fraction": format_value(self.outlier_fraction),
-            "outlier_scale": format_value(self.outlier_scale),
-            "drift_gamma": format_value(self.drift_gamma),
+            "outlier_fraction": _embedded(self.outlier_fraction),
+            "outlier_scale": _embedded(self.outlier_scale),
+            "drift_gamma": _embedded(self.drift_gamma),
             "q_path": self.q_path or "",
             "k_path": self.k_path or "",
             "q_future_path": self.q_future_path or "",
-            "lambdas": ",".join(format_value(x) for x in self.lambdas),
+            "lambdas": ",".join(_embedded(x) for x in self.lambdas),
             "selectors": ",".join(s.value for s in self.selectors),
             "seeds": ",".join(str(s) for s in self.seeds),
             "protect": "true" if self.protect else "false",
-            "protect_sigma": format_value(self.protect_sigma),
-            "protect_bounds": ",".join(format_value(x) for x in self.protect_bounds),
+            "protect_sigma": _embedded(self.protect_sigma),
+            "protect_bounds": ",".join(_embedded(x) for x in self.protect_bounds),
             "oracle": "true" if self.oracle else "false",
             "enumeration_cap": str(self.enumeration_cap),
             "timing": "true" if self.timing else "false",

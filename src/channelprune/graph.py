@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +32,9 @@ __all__ = [
 
 # Exhaustive subset enumeration is refused above this count.
 DEFAULT_ENUMERATION_CAP = 2_000_000
+_SUBSET_CHUNK = 4096  # subsets enumerated, gathered and reduced together
+_JACOBI_TOL = 1e-10  # Jacobi rotates entries above this magnitude
+_JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,61 +109,69 @@ def quadratic_form(g: InteractionGraph, s: IndexSet) -> float:
     return float(g.w[np.ix_(idx, idx)].sum())
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, or of a stack (..., n, n) of them, by cyclic Jacobi.
 
     Sweeps the strict upper triangle row by row and annihilates every
-    entry larger than `tol` in magnitude; stops after the first sweep
-    that performs no rotation. The sweep order is fixed, so results are
-    bit-reproducible for a given input. Returns eigenvalues ascending.
+    entry larger than `_JACOBI_TOL` in magnitude, rotating only the
+    matrices where it is, so each matrix gets the bits it gets alone;
+    stops after the first sweep that performs no rotation, and raises
+    RuntimeError when `_JACOBI_MAX_SWEEPS` sweeps do not get there.
+    Returns eigenvalues ascending along the last axis.
     """
-    m = np.array(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n == 1:
-        return m.diagonal().copy()
-
-    for _ in range(max_sweeps):
+    a = np.array(a, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
+    stack = a.reshape(math.prod(a.shape[:-2]), n, n)
+    for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= tol:
+                live = np.flatnonzero(np.abs(stack[:, p, q]) > _JACOBI_TOL)
+                if live.size == 0:
                     continue
                 rotated = True
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = m[:, p].copy()
-                col_q = m[:, q].copy()
-                m[:, p] = c * col_p - s * col_q
-                m[:, q] = s * col_p + c * col_q
-                row_p = m[p, :].copy()
-                row_q = m[q, :].copy()
-                m[p, :] = c * row_p - s * row_q
-                m[q, :] = s * row_p + c * row_q
-                m[p, q] = 0.0
-                m[q, p] = 0.0
+                m = stack[live]  # a c = 1, s = 0 rotation would still flip signed zeros
+                theta = (m[:, q, q] - m[:, p, p]) / (2.0 * m[:, p, q])
+                # -1/x is -(1/x) bit for bit, and theta = -0.0 takes t > 0
+                t = np.where(theta < 0.0, -1.0, 1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = (1.0 / np.sqrt(t * t + 1.0))[:, None]
+                s = t[:, None] * c
+                col_p, col_q = m[:, :, p], m[:, :, q]
+                m[:, :, p], m[:, :, q] = c * col_p - s * col_q, s * col_p + c * col_q
+                row_p, row_q = m[:, p, :], m[:, q, :]
+                m[:, p, :], m[:, q, :] = c * row_p - s * row_q, s * row_p + c * row_q
+                m[:, p, q] = m[:, q, p] = 0.0
+                stack[live] = m
         if not rotated:
-            break
-    return np.sort(m.diagonal())
+            return np.sort(np.diagonal(stack, axis1=1, axis2=2), axis=-1).reshape(a.shape[:-1])
+    raise RuntimeError(f"Jacobi eigenvalues did not converge within {_JACOBI_MAX_SWEEPS} sweeps")
 
 
-def _certificate_from_supports(g: InteractionGraph, k: int, supports) -> tuple[float, float]:
-    w = g.w
-    mu_min = math.inf
-    mu_max = -math.inf
-    for support in supports:
-        idx = np.asarray(support, dtype=np.intp)
-        eig = jacobi_eigenvalues(w[np.ix_(idx, idx)])
-        if eig[0] < mu_min:
-            mu_min = float(eig[0])
-        if eig[-1] > mu_max:
-            mu_max = float(eig[-1])
+def _subsets(pool: np.ndarray, k: int, cap: int, advice: str = "") -> Iterator[np.ndarray]:
+    """Every size-k subset of `pool` in lexicographic order, as (<= 4096, k) index arrays.
+
+    Raises CapacityError, with `advice` appended, before the first chunk
+    when C(len(pool), k) exceeds `cap`.
+    """
+    total = math.comb(len(pool), k)
+    if total > cap:
+        raise CapacityError(f"C({len(pool)}, {k}) = {total} subsets exceed the enumeration cap {cap}{advice}")
+    combos = combinations(pool.tolist(), k)
+    # A chunk's tuples are freed once it is an array, before the next chunk is built.
+    while len(rows := np.asarray(list(islice(combos, _SUBSET_CHUNK)), dtype=np.intp)):
+        yield rows
+
+
+def _eigen_extrema(w: np.ndarray, chunks: Iterable[np.ndarray]) -> tuple[float, float]:
+    """Smallest and largest eigenvalue over the principal submatrices of every chunk of supports."""
+    mu_min, mu_max = math.inf, -math.inf
+    for rows in chunks:
+        eig = jacobi_eigenvalues(w[rows[:, :, None], rows[:, None, :]])
+        # First extremum of the chunk, and an earlier chunk keeps a tie.
+        mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
+        mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))
     return mu_min, mu_max
 
 
@@ -178,13 +190,8 @@ def restricted_eigenvalues(
     """
     if not 1 <= k <= g.dim:
         raise ValueError(f"subset size {k} out of range for dimension {g.dim}")
-    total = math.comb(g.dim, k)
-    if total > cap:
-        raise CapacityError(
-            f"C({g.dim}, {k}) = {total} supports exceed the enumeration cap {cap}; "
-            "use restricted_eigenvalues_sampled for a sampled certificate"
-        )
-    mu_min, mu_max = _certificate_from_supports(g, k, combinations(range(g.dim), k))
+    advice = "; use restricted_eigenvalues_sampled for a sampled certificate"
+    mu_min, mu_max = _eigen_extrema(g.w, _subsets(np.arange(g.dim), k, cap, advice))
     return EigenCertificate(k=k, mu_min=mu_min, mu_max=mu_max, kappa=_kappa(mu_min, mu_max))
 
 
@@ -203,8 +210,8 @@ def restricted_eigenvalues_sampled(
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     n_samples = min(n_samples, math.comb(g.dim, k))
-    supports = (rng.choice(g.dim, size=k, replace=False) for _ in range(n_samples))
-    mu_min, mu_max = _certificate_from_supports(g, k, islice(supports, n_samples))
+    rows = np.stack([rng.choice(g.dim, size=k, replace=False) for _ in range(n_samples)])
+    mu_min, mu_max = _eigen_extrema(g.w, np.split(rows, range(_SUBSET_CHUNK, n_samples, _SUBSET_CHUNK)))
     return EigenCertificate(
         k=k, mu_min=mu_min, mu_max=mu_max, kappa=_kappa(mu_min, mu_max), exact=False
     )

@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from .core import ChannelMatrix, IndexSet, exact_ceil, reconstruction_error_sq
-from .errors import CapacityError
-from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, build_interaction_graph
+from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _subsets, build_interaction_graph
 
 __all__ = [
     "Problem",
@@ -226,33 +225,15 @@ class Problem:
 
     def _oracle_order(self, n_prune: int, cap: int) -> tuple[int, ...]:
         """Lexicographically smallest minimizer of 1_S^T W 1_S over size-n_prune sets."""
-        if n_prune == 0:
-            return ()
-        cand = self.candidates
-        total = math.comb(len(cand), n_prune)
-        if total > cap:
-            raise CapacityError(
-                f"C({len(cand)}, {n_prune}) = {total} subsets exceed the enumeration cap {cap}"
-            )
         w = self.graph.w
         best: tuple[int, ...] = ()
         best_value = math.inf
-        chunk_size = 4096
-        combo_iter = combinations(cand.tolist(), n_prune)
-        while True:
-            chunk = []
-            for combo in combo_iter:
-                chunk.append(combo)
-                if len(chunk) == chunk_size:
-                    break
-            if not chunk:
-                break
-            rows = np.asarray(chunk, dtype=np.intp)
+        for rows in _subsets(self.candidates, n_prune, cap):
             values = w[rows[:, :, None], rows[:, None, :]].sum(axis=(1, 2))
             pos = int(np.argmin(values))
             if values[pos] < best_value:  # strict: first minimum is lexicographically smallest
                 best_value = float(values[pos])
-                best = chunk[pos]
+                best = tuple(int(j) for j in rows[pos])
         return best
 
 

@@ -213,6 +213,16 @@ class TestConfig:
         again = parse_config_lines(lines)
         assert again.validate() == cfg.validate()
 
+    def test_replay_uses_the_exact_ratio(self, tmp_path):
+        # 0.5000000000001 * 64 prunes 33 channels; a 12-digit "0.5" would replay 32.
+        cfg = small_cfg(d=64, L=64, L_obs=32, L_future=32, seeds=(0,), lambdas=(0.5000000000001,))
+        path = tmp_path / "r.csv"
+        report = run_experiment(cfg)
+        write_report(report, path)
+        assert report.rows[0].n_prune == 33
+        assert "# lambdas=0.5000000000001\n" in path.read_text()
+        assert replay_report(path) == []
+
 
 def small_cfg(**overrides):
     base = dict(

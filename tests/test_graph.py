@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from channelprune import graph
 from channelprune import (
     CapacityError,
     ChannelMatrix,
@@ -152,6 +153,52 @@ class TestJacobi:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             jacobi_eigenvalues(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            jacobi_eigenvalues(np.ones(3))
+
+    def test_stack_keeps_leading_shape(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((2, 3, 4, 4))
+        a = a + np.swapaxes(a, -1, -2)
+        eig = jacobi_eigenvalues(a)
+        assert eig.shape == (2, 3, 4)
+        assert np.array_equal(eig[1, 2], jacobi_eigenvalues(a[1, 2]))
+
+    def test_converged_matrix_keeps_its_signed_zero_beside_a_live_one(self):
+        # Only matrices with |a_pq| above the tolerance are rotated: a
+        # c = 1, s = 0 rotation would turn the -0.0 eigenvalue into +0.0.
+        converged = np.array([[-0.0, -1e-11], [-1e-11, 5.0]])
+        live = np.array([[1.0, 2.0], [2.0, 3.0]])
+        eig = jacobi_eigenvalues(np.stack([converged, live]))
+        assert eig[0].tobytes() == np.array([-0.0, 5.0]).tobytes()
+        assert eig[1].tobytes() == jacobi_eigenvalues(live).tobytes()
+
+    def test_non_convergence_raises(self, monkeypatch):
+        # A dense 3 x 3 matrix refills its off-diagonal during the first
+        # sweep, so it needs a second sweep to converge.
+        a = np.array([[2.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 4.0]])
+        jacobi_eigenvalues(a)
+        monkeypatch.setattr(graph, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="within 1 sweeps"):
+            jacobi_eigenvalues(a)
+
+
+class TestSubsets:
+    def test_chunks_enumerate_every_subset_in_order(self):
+        pool = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
+        chunks = list(graph._subsets(pool, 8, cap=math.comb(16, 8)))
+        assert [len(c) for c in chunks] == [4096, 4096, 4096, 582]
+        flat = [tuple(int(j) for j in row) for chunk in chunks for row in chunk]
+        assert flat == list(combinations(pool.tolist(), 8))
+
+    def test_empty_subset_is_one_row(self):
+        (chunk,) = graph._subsets(np.arange(4), 0, cap=1)
+        assert chunk.shape == (1, 0)
+
+    def test_cap_raises_before_the_first_chunk(self):
+        chunks = graph._subsets(np.arange(20), 10, cap=1000)
+        with pytest.raises(CapacityError, match="184756 subsets exceed the enumeration cap 1000"):
+            next(chunks)
 
 
 class TestRestrictedEigenvalues:
@@ -211,6 +258,18 @@ class TestRestrictedEigenvalues:
         assert not sampled.exact
         assert sampled.mu_min >= exact.mu_min - 1e-12
         assert sampled.mu_max <= exact.mu_max + 1e-12
+
+    def test_sampled_mode_spans_chunks(self):
+        # 5000 draws reduce in two stacks of at most 4096 supports.
+        rng = np.random.default_rng(17)
+        q, k = random_pair(rng, 30, rows_q=16, rows_k=16)
+        g = build_interaction_graph(q, k)
+        cert = restricted_eigenvalues_sampled(g, 4, n_samples=5000, seed=2)
+        draws = np.random.default_rng(2)
+        supports = [draws.choice(30, size=4, replace=False) for _ in range(5000)]
+        eigs = [np.linalg.eigvalsh(g.w[np.ix_(s, s)]) for s in supports]
+        assert cert.mu_min == pytest.approx(min(e[0] for e in eigs), rel=1e-9)
+        assert cert.mu_max == pytest.approx(max(e[-1] for e in eigs), rel=1e-9)
 
     def test_sampled_mode_deterministic(self):
         rng = np.random.default_rng(16)

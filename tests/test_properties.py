@@ -1,4 +1,5 @@
-"""Property-based tests for the selection invariants.
+"""Property-based tests for the selection invariants, the stacked Jacobi
+and the configuration and matrix round-trips.
 
 Instances are seeded normal matrices, with about one column in ten scaled
 up as an outlier, and a random protected set. Ratios are two-decimal
@@ -12,15 +13,19 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from channelprune import (
     ChannelMatrix,
     IndexSet,
     Problem,
     Selector,
+    jacobi_eigenvalues,
     mies_select,
     reconstruction_error_sq,
 )
+from channelprune.cli import ExperimentConfig, load_matrix, parse_config_lines, render_report, save_matrix
+from channelprune.cli.experiment import ExperimentReport
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -96,3 +101,94 @@ def test_evaluator_matches_longdouble_reference(instance, data):
     product = q.data[:, idx].astype(np.longdouble) @ k.data[:, idx].astype(np.longdouble).T
     reference = np.sum(product * product)
     assert abs(np.longdouble(reconstruction_error_sq(q, k, pruned)) - reference) <= 1e-12 * reference
+
+
+# Signed zeros, subnormals and the extremes of the finite range, beside ordinary floats.
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308])
+finite_floats = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def scalar_jacobi(a, tol=1e-10, max_sweeps=100):
+    """The one-matrix, one-rotation-at-a-time loop the stacked kernel replaced."""
+    m = np.array(a, dtype=np.float64)
+    n = m.shape[0]
+    for _ in range(max_sweeps):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = m[p, q]
+                if abs(apq) <= tol:
+                    continue
+                rotated = True
+                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p, col_q = m[:, p].copy(), m[:, q].copy()
+                m[:, p], m[:, q] = c * col_p - s * col_q, s * col_p + c * col_q
+                row_p, row_q = m[p, :].copy(), m[q, :].copy()
+                m[p, :], m[q, :] = c * row_p - s * row_q, s * row_p + c * row_q
+                m[p, q] = m[q, p] = 0.0
+        if not rotated:
+            break
+    return np.sort(m.diagonal())
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+def test_stacked_jacobi_equals_each_matrix_alone_bitwise(count, n, equal_diagonal, data):
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e3))
+    raw = data.draw(arrays(np.float64, (count, n, n), elements=entries))
+    if equal_diagonal:  # a negative a_pq then gives theta = -0.0
+        raw[:, np.arange(n), np.arange(n)] = 1.5
+    stack = np.triu(raw) + np.swapaxes(np.triu(raw, 1), 1, 2)  # symmetric, zeros included
+    together = jacobi_eigenvalues(stack)
+    assert together.shape == (count, n)
+    for i in range(count):
+        assert together[i].tobytes() == jacobi_eigenvalues(stack[i]).tobytes()
+        assert together[i].tobytes() == scalar_jacobi(stack[i]).tobytes()
+
+
+@st.composite
+def configs(draw):
+    unit = st.one_of(st.sampled_from([0.0, -0.0, 0.5000000000001, 1.0]), st.floats(0.0, 1.0))
+    big = st.floats(0.0, 1e6)
+    L = draw(st.integers(1, 4096))
+    a = draw(unit)
+    return ExperimentConfig(
+        d=draw(st.integers(1, 4096)),
+        L=L,
+        L_obs=draw(st.integers(1, L)),
+        L_future=draw(st.integers(1, 4096)),
+        outlier_fraction=draw(unit),
+        outlier_scale=draw(st.floats(5e-324, 1e6)),
+        drift_gamma=draw(big),
+        lambdas=tuple(draw(st.lists(unit, min_size=1, max_size=4))),
+        selectors=tuple(draw(st.lists(st.sampled_from(Selector), min_size=1, max_size=4))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4))),
+        protect=draw(st.booleans()),
+        protect_sigma=draw(big),
+        protect_bounds=(a, draw(st.floats(a, 1.0))),
+        oracle=draw(st.booleans()),
+        enumeration_cap=draw(st.integers(0, 2**40)),
+        timing=draw(st.booleans()),
+    ).validate()
+
+
+@PROPERTY
+@given(configs())
+def test_config_survives_its_embedded_lines(cfg):
+    text = render_report(ExperimentReport(config=cfg, rows=()))
+    embedded = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+    again = parse_config_lines(embedded).validate()
+    assert repr(again) == repr(cfg)  # repr tells -0.0 from 0.0 and shows every float digit
+
+
+@PROPERTY
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)), elements=finite_floats))
+def test_grcm_round_trip_is_bit_exact(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "property.grcm"
+    save_matrix(ChannelMatrix(values), path)
+    assert load_matrix(path).data.tobytes() == values.tobytes()
