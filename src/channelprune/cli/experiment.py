@@ -18,7 +18,7 @@ from ..core import ChannelMatrix, attention_norm, reconstruction_error_sq
 from ..errors import CapacityError
 from ..prune import Problem, Selector, protect_channels
 from ..sim import generate_instance
-from .config import ExperimentConfig, format_value, parse_config_lines
+from .config import ExperimentConfig, _embedded, format_value, parse_config_lines
 from .matrix_io import load_matrix
 
 __all__ = [
@@ -163,7 +163,7 @@ def _format_row(row: ReportRow, timing: bool) -> str:
         row.instance,
         str(row.seed),
         row.selector.value,
-        format_value(row.lam),
+        _embedded(row.lam),  # lossless, like the embedded config
         "true" if row.protection else "false",
         str(row.n_prune),
         str(row.n_protected),

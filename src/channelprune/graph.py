@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -153,14 +152,24 @@ def _subsets(pool: np.ndarray, k: int, cap: int, advice: str = "") -> Iterator[n
     """Every size-k subset of `pool` in lexicographic order, as (<= 4096, k) index arrays.
 
     Raises CapacityError, with `advice` appended, before the first chunk
-    when C(len(pool), k) exceeds `cap`.
+    when C(len(pool), k) exceeds `cap`. Each chunk is unranked in numpy:
+    the subset of lexicographic rank r mirrored by i -> n - 1 - i has
+    colex rank C(n, k) - 1 - r, whose combinatorial-number-system digits
+    are found by one searchsorted per position (Knuth, TAOCP 4A 7.2.1.3).
     """
-    total = math.comb(len(pool), k)
+    n = len(pool)
+    total = math.comb(n, k)
     if total > cap:
-        raise CapacityError(f"C({len(pool)}, {k}) = {total} subsets exceed the enumeration cap {cap}{advice}")
-    combos = combinations(pool.tolist(), k)
-    # A chunk's tuples are freed once it is an array, before the next chunk is built.
-    while len(rows := np.asarray(list(islice(combos, _SUBSET_CHUNK)), dtype=np.intp)):
+        raise CapacityError(f"C({n}, {k}) = {total} subsets exceed the enumeration cap {cap}{advice}")
+    # binom[i][c] = C(c, i) for c < n; values past total never decide a digit, so they are clipped
+    binom = [np.array([min(math.comb(c, i), total) for c in range(n)], dtype=np.int64) for i in range(k + 1)]
+    for start in range(0, total, _SUBSET_CHUNK):
+        rest = total - 1 - np.arange(start, min(start + _SUBSET_CHUNK, total), dtype=np.int64)
+        rows = np.empty((len(rest), k), dtype=np.intp)
+        for j in range(k):
+            digit = np.searchsorted(binom[k - j], rest, side="right") - 1  # largest c with C(c, k - j) <= rest
+            rest -= binom[k - j][digit]
+            rows[:, j] = pool[n - 1 - digit]
         yield rows
 
 

@@ -224,11 +224,26 @@ class Problem:
         )
 
     def _oracle_order(self, n_prune: int, cap: int) -> tuple[int, ...]:
-        """Lexicographically smallest minimizer of 1_S^T W 1_S over size-n_prune sets."""
+        """Lexicographically smallest minimizer of 1_S^T W 1_S over size-n_prune sets.
+
+        A chunk is screened by one product over its 0/1 indicator rows, which
+        differs from a subset's gathered sum by at most `slack` in any order:
+        a tie with the chunk's minimum screens within 2 * slack of the screen's
+        minimum, a win within slack of the best. Only those rows (and NaN ones)
+        are gathered and summed, and only the gathered sums decide.
+        """
         w = self.graph.w
+        d = len(w)
+        slack = 2.0 * (2 * d + n_prune**2) * np.finfo(np.float64).eps * float(np.abs(w).sum())
         best: tuple[int, ...] = ()
         best_value = math.inf
         for rows in _subsets(self.candidates, n_prune, cap):
+            indicator = np.zeros((len(rows), d))
+            indicator[np.arange(len(rows))[:, None], rows] = 1.0
+            screen = ((indicator @ w) * indicator).sum(axis=1)
+            rows = rows[~(screen > min(screen.min() + 2.0 * slack, best_value + slack))]
+            if len(rows) == 0:
+                continue
             values = w[rows[:, :, None], rows[:, None, :]].sum(axis=(1, 2))
             pos = int(np.argmin(values))
             if values[pos] < best_value:  # strict: first minimum is lexicographically smallest

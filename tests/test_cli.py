@@ -11,6 +11,7 @@ from channelprune import (
     MatrixFormatError,
     MatrixValidationError,
     Selector,
+    jacobi_eigenvalues,
 )
 from channelprune.cli import (
     CSV_HEADER,
@@ -223,6 +224,18 @@ class TestConfig:
         assert "# lambdas=0.5000000000001\n" in path.read_text()
         assert replay_report(path) == []
 
+    def test_rows_name_the_exact_ratio(self, tmp_path):
+        # Two ratios that agree to 12 digits prune 32 and 33 of 64; each row says which it ran.
+        cfg = small_cfg(d=64, L=64, L_obs=32, L_future=32, seeds=(0,), lambdas=(0.5, 0.5000000000001))
+        path = tmp_path / "r.csv"
+        write_report(run_experiment(cfg), path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[-4:]]
+        columns = CSV_HEADER.split(",")
+        assert [(row[columns.index("lambda")], row[columns.index("n_prune")]) for row in rows] == [
+            ("0.5", "32"), ("0.5", "32"), ("0.5000000000001", "33"), ("0.5000000000001", "33")
+        ]
+        assert replay_report(path) == []
+
 
 def small_cfg(**overrides):
     base = dict(
@@ -385,6 +398,33 @@ class TestVerification:
         assert not summary.passed
         symmetry = next(s for s in summary.suites if s.name == "psd-and-symmetry")
         assert symmetry.failures
+
+    def test_psd_failures_match_one_jacobi_per_instance(self, monkeypatch):
+        # Every third W is negated (not PSD) and every fifth made asymmetric: the suite must
+        # report what a Jacobi call on each W alone reports, in instance order.
+        built = []
+
+        def corrupted(q, k):
+            g = real_build(q, k)
+            w = -g.w if len(built) % 3 == 0 else g.w.copy()
+            if len(built) % 5 == 0:
+                w[0, 1] += 1.0
+            built.append(w)
+            return SimpleNamespace(dim=g.dim, w=w)
+
+        monkeypatch.setattr(selfcheck, "build_interaction_graph", corrupted)
+        result = selfcheck._check_psd(np.random.default_rng(7), 30)
+        expected = []
+        for i, w in enumerate(built):
+            if not np.array_equal(w, w.T):
+                expected.append(f"instance {i}: interaction matrix not symmetric")
+                continue
+            smallest, floor = jacobi_eigenvalues(w)[0], -1e-8 * float(np.linalg.norm(w))
+            if smallest < floor:
+                expected.append(f"instance {i}: eigenvalue {smallest} below PSD floor {floor}")
+        assert result.checks == 30
+        assert len(expected) >= 10
+        assert result.failures == expected
 
 
 class TestCommandLine:

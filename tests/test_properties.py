@@ -1,5 +1,6 @@
-"""Property-based tests for the selection invariants, the stacked Jacobi
-and the configuration and matrix round-trips.
+"""Property-based tests for the selection invariants, the subset
+enumerator, the exhaustive oracle, the stacked Jacobi and the
+configuration and matrix round-trips.
 
 Instances are seeded normal matrices, with about one column in ten scaled
 up as an outlier, and a random protected set. Ratios are two-decimal
@@ -9,6 +10,8 @@ over-counts. Examples are derandomized so the suite is reproducible.
 
 import math
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,10 +23,14 @@ from channelprune import (
     IndexSet,
     Problem,
     Selector,
+    build_interaction_graph,
     jacobi_eigenvalues,
     mies_select,
+    oracle_select,
+    quadratic_form,
     reconstruction_error_sq,
 )
+from channelprune import graph
 from channelprune.cli import ExperimentConfig, load_matrix, parse_config_lines, render_report, save_matrix
 from channelprune.cli.experiment import ExperimentReport
 
@@ -101,6 +108,66 @@ def test_evaluator_matches_longdouble_reference(instance, data):
     product = q.data[:, idx].astype(np.longdouble) @ k.data[:, idx].astype(np.longdouble).T
     reference = np.sum(product * product)
     assert abs(np.longdouble(reconstruction_error_sq(q, k, pruned)) - reference) <= 1e-12 * reference
+
+
+@PROPERTY
+@given(st.integers(0, 14), st.sampled_from([37, graph._SUBSET_CHUNK]), st.data())
+def test_subsets_chunks_equal_itertools(n, chunk, data):
+    # A non-contiguous pool, every size, and a small chunk so that ranks cross chunk boundaries.
+    pool = np.array(sorted(data.draw(st.sets(st.integers(0, 60), min_size=n, max_size=n))), dtype=np.intp)
+    with mock.patch.object(graph, "_SUBSET_CHUNK", chunk):
+        for k in range(n + 1):
+            expected = list(combinations(pool.tolist(), k))
+            chunks = list(graph._subsets(pool, k, cap=len(expected)))
+            assert [len(rows) for rows in chunks] == [min(chunk, len(expected) - s) for s in range(0, len(expected), chunk)]
+            assert all(rows.dtype == np.intp and rows.shape[1:] == (k,) for rows in chunks)
+            assert [tuple(row) for rows in chunks for row in rows.tolist()] == expected
+
+
+def first_minimizer(q, k, protected, size):
+    """Lexicographically first arg-min of the quadratic form over every feasible size-`size` set."""
+    g = build_interaction_graph(q, k)
+    candidates = [j for j in range(q.cols) if j not in set(protected)]
+    best, best_value = (), math.inf
+    for s in combinations(candidates, size):
+        value = quadratic_form(g, IndexSet(s))
+        if value < best_value:
+            best, best_value = s, value
+    return best
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Small instances with duplicated, zeroed and small-integer columns, so many sets tie."""
+    d = draw(st.integers(1, 10))
+    rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q, k = (rng.integers(-2, 3, (rows, d)).astype(np.float64) for _ in range(2))
+    else:
+        q, k = rng.standard_normal((rows, d)), rng.standard_normal((rows, d))
+    copied, source = rng.random(d) < 0.3, rng.integers(0, d, d)
+    q[:, copied], k[:, copied] = q[:, source[copied]], k[:, source[copied]]
+    q[:, rng.random(d) < 0.3] = 0.0
+    protected = IndexSet(tuple(sorted(draw(st.sets(st.integers(0, d - 1), max_size=d // 2)))))
+    return ChannelMatrix(q), ChannelMatrix(k), protected
+
+
+@PROPERTY
+@given(tie_heavy_instances(), ratios)
+def test_oracle_is_the_first_minimizer(instance, lam):
+    q, k, protected = instance
+    sel = oracle_select(q, k, lam, protected)
+    assert tuple(sel.pruned) == first_minimizer(q, k, protected, sel.n_prune)
+
+
+def test_oracle_keeps_subsets_whose_screen_is_nan():
+    # W = v v^T with three channels at v = 1e154: any set holding two of them overflows a
+    # column sum of the screen, which times a 0 indicator is NaN; their gathered sums are inf.
+    v = np.array([1e154, 1e154, 1e154, 1.0, 2.0, -3.0])
+    q, k = ChannelMatrix(v[None, :]), ChannelMatrix(np.ones((1, 6)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert tuple(oracle_select(q, k, 0.5).pruned) == first_minimizer(q, k, (), 3) == (3, 4, 5)
 
 
 # Signed zeros, subnormals and the extremes of the finite range, beside ordinary floats.
