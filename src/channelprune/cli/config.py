@@ -18,36 +18,6 @@ __all__ = ["ExperimentConfig", "format_value", "parse_config_file", "parse_confi
 
 MODES = ("synthetic", "from-files")
 
-# Canonical order for the config file format.
-CONFIG_KEYS = (
-    "mode",
-    "d",
-    "L",
-    "L_obs",
-    "L_future",
-    "outlier_fraction",
-    "outlier_scale",
-    "drift_gamma",
-    "q_path",
-    "k_path",
-    "q_future_path",
-    "lambdas",
-    "selectors",
-    "seeds",
-    "protect",
-    "protect_sigma",
-    "protect_bounds",
-    "oracle",
-    "enumeration_cap",
-    "timing",
-    "out",
-)
-
-# Keys embedded in reports: everything that determines the rows. The output
-# path is where a report landed, not part of the experiment, so rewriting the
-# same experiment to a different file stays byte-identical in content.
-EMBEDDED_KEYS = tuple(key for key in CONFIG_KEYS if key != "out")
-
 
 def format_value(x: float) -> str:
     """Serialize a real number with 12 significant digits."""
@@ -60,8 +30,9 @@ def _embedded(x: float) -> str:
     return text if float(text) == x else repr(float(x))
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.strip().lower()
+# Parsers take (key, text) so that their errors name the key.
+def _bool(key: str, value: str) -> bool:
+    lowered = value.lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
@@ -69,53 +40,98 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def _parse_int(key: str, value: str) -> int:
+def _int(key: str, value: str) -> int:
     try:
         return int(value)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from exc
 
 
-def _parse_float(key: str, value: str) -> float:
+def _float(key: str, value: str) -> float:
     try:
         return float(value)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
 
 
-def parse_seeds(value: str) -> tuple[int, ...]:
-    """Parse 'a:b' (half-open range), 'n', or 'a,b,c'."""
-    value = value.strip()
-    if ":" in value:
-        lo_s, hi_s = value.split(":", 1)
-        lo, hi = _parse_int("seeds", lo_s), _parse_int("seeds", hi_s)
-        if hi <= lo:
-            raise ConfigError(f"seeds: empty range {value!r}")
-        return tuple(range(lo, hi))
-    return tuple(_parse_int("seeds", part) for part in value.split(","))
+def _selector(key: str, value: str) -> Selector:
+    name = value.strip().lower()
+    try:
+        return Selector(name)
+    except ValueError as exc:
+        valid = ", ".join(s.value for s in Selector)
+        raise ConfigError(f"{key}: unknown selector {name!r}, expected one of {valid}") from exc
 
 
-def parse_lambdas(value: str) -> tuple[float, ...]:
-    return tuple(_parse_float("lambdas", part) for part in value.split(","))
+def _each(parse):
+    """Parse a comma-separated list item by item."""
+    return lambda key, value: tuple(parse(key, part) for part in value.split(","))
 
 
-def parse_selectors(value: str) -> tuple[Selector, ...]:
-    out = []
-    for part in value.split(","):
-        name = part.strip().lower()
-        try:
-            out.append(Selector(name))
-        except ValueError as exc:
-            valid = ", ".join(s.value for s in Selector)
-            raise ConfigError(f"selectors: unknown selector {name!r}, expected one of {valid}") from exc
-    return tuple(out)
+def _seeds(key: str, value: str) -> tuple[int, ...]:
+    """'a:b' (half-open range), 'n', or 'a,b,c'."""
+    if ":" not in value:
+        return _each(_int)(key, value)
+    lo, hi = (_int(key, part) for part in value.split(":", 1))
+    if hi <= lo:
+        raise ConfigError(f"{key}: empty range {value!r}")
+    return tuple(range(lo, hi))
 
 
-def parse_bounds(value: str) -> tuple[float, float]:
-    parts = value.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"protect_bounds: expected 'A,B', got {value!r}")
-    return _parse_float("protect_bounds", parts[0]), _parse_float("protect_bounds", parts[1])
+def _bounds(key: str, value: str) -> tuple[float, ...]:
+    if value.count(",") != 1:
+        raise ConfigError(f"{key}: expected 'A,B', got {value!r}")
+    return _each(_float)(key, value)
+
+
+def _joined(write):
+    return lambda values: ",".join(write(x) for x in values)
+
+
+def _path(key: str, value: str) -> str | None:
+    return value or None
+
+
+def _write_bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _write_path(path: str | None) -> str:
+    return path or ""
+
+
+# The one place that knows how each setting is read and written, in the
+# canonical key order of config files and embedded report configs.
+_KEYS = {
+    "mode": (lambda key, value: value, str),
+    "d": (_int, str),
+    "L": (_int, str),
+    "L_obs": (_int, str),
+    "L_future": (_int, str),
+    "outlier_fraction": (_float, _embedded),
+    "outlier_scale": (_float, _embedded),
+    "drift_gamma": (_float, _embedded),
+    "q_path": (_path, _write_path),
+    "k_path": (_path, _write_path),
+    "q_future_path": (_path, _write_path),
+    "lambdas": (_each(_float), _joined(_embedded)),
+    "selectors": (_each(_selector), _joined(lambda s: s.value)),
+    "seeds": (_seeds, _joined(str)),
+    "protect": (_bool, _write_bool),
+    "protect_sigma": (_float, _embedded),
+    "protect_bounds": (_bounds, _joined(_embedded)),
+    "oracle": (_bool, _write_bool),
+    "enumeration_cap": (_int, str),
+    "timing": (_bool, _write_bool),
+    "out": (_path, _write_path),
+}
+
+CONFIG_KEYS = tuple(_KEYS)
+
+# Keys embedded in reports: everything that determines the rows. The output
+# path is where a report landed, not part of the experiment, so rewriting the
+# same experiment to a different file stays byte-identical in content.
+EMBEDDED_KEYS = tuple(key for key in CONFIG_KEYS if key != "out")
 
 
 @dataclass(frozen=True)
@@ -153,6 +169,8 @@ class ExperimentConfig:
             raise ConfigError("at least one selector is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         if self.mode == "from-files" and (self.q_path is None or self.k_path is None):
             raise ConfigError("from-files mode requires q_path and k_path")
         try:
@@ -181,60 +199,22 @@ class ExperimentConfig:
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """(key, value) pairs of row-determining settings, for report embedding."""
-        values = {
-            "mode": self.mode,
-            "d": str(self.d),
-            "L": str(self.L),
-            "L_obs": str(self.L_obs),
-            "L_future": str(self.L_future),
-            "outlier_fraction": _embedded(self.outlier_fraction),
-            "outlier_scale": _embedded(self.outlier_scale),
-            "drift_gamma": _embedded(self.drift_gamma),
-            "q_path": self.q_path or "",
-            "k_path": self.k_path or "",
-            "q_future_path": self.q_future_path or "",
-            "lambdas": ",".join(_embedded(x) for x in self.lambdas),
-            "selectors": ",".join(s.value for s in self.selectors),
-            "seeds": ",".join(str(s) for s in self.seeds),
-            "protect": "true" if self.protect else "false",
-            "protect_sigma": _embedded(self.protect_sigma),
-            "protect_bounds": ",".join(_embedded(x) for x in self.protect_bounds),
-            "oracle": "true" if self.oracle else "false",
-            "enumeration_cap": str(self.enumeration_cap),
-            "timing": "true" if self.timing else "false",
-        }
-        return [(key, values[key]) for key in EMBEDDED_KEYS]
+        return [(key, _KEYS[key][1](getattr(self, key))) for key in EMBEDDED_KEYS]
 
     def with_updates(self, **changes) -> "ExperimentConfig":
         return replace(self, **changes)
 
 
 def _apply_key(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
-    value = value.strip()
-    if key == "mode":
-        return cfg.with_updates(mode=value)
-    if key in ("d", "L", "L_obs", "L_future", "enumeration_cap"):
-        return cfg.with_updates(**{key: _parse_int(key, value)})
-    if key in ("outlier_fraction", "outlier_scale", "drift_gamma", "protect_sigma"):
-        return cfg.with_updates(**{key: _parse_float(key, value)})
-    if key in ("q_path", "k_path", "q_future_path", "out"):
-        return cfg.with_updates(**{key: value or None})
-    if key == "lambdas":
-        return cfg.with_updates(lambdas=parse_lambdas(value))
-    if key == "selectors":
-        return cfg.with_updates(selectors=parse_selectors(value))
-    if key == "seeds":
-        return cfg.with_updates(seeds=parse_seeds(value))
-    if key in ("protect", "oracle", "timing"):
-        return cfg.with_updates(**{key: _parse_bool(key, value)})
-    if key == "protect_bounds":
-        return cfg.with_updates(protect_bounds=parse_bounds(value))
-    raise ConfigError(f"unknown configuration key {key!r}")
+    """`cfg` with setting `key` read from its text form."""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    return cfg.with_updates(**{key: _KEYS[key][0](key, value.strip())})
 
 
-def parse_config_lines(lines, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Fold key=value lines (comments and blanks ignored) into a config."""
-    cfg = base or ExperimentConfig()
+def parse_config_lines(lines) -> ExperimentConfig:
+    """Fold key=value lines (comments and blanks ignored) into the default config."""
+    cfg = ExperimentConfig()
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -246,6 +226,5 @@ def parse_config_lines(lines, base: ExperimentConfig | None = None) -> Experimen
     return cfg
 
 
-def parse_config_file(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_config_lines(text.splitlines(), base=base)
+def parse_config_file(path: str | Path) -> ExperimentConfig:
+    return parse_config_lines(Path(path).read_text(encoding="utf-8").splitlines())

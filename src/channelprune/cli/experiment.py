@@ -18,7 +18,7 @@ from ..core import ChannelMatrix, attention_norm, reconstruction_error_sq
 from ..errors import CapacityError
 from ..prune import Problem, Selector, protect_channels
 from ..sim import generate_instance
-from .config import ExperimentConfig, _embedded, format_value, parse_config_lines
+from .config import _KEYS, ExperimentConfig, format_value, parse_config_lines
 from .matrix_io import load_matrix
 
 __all__ = [
@@ -163,7 +163,7 @@ def _format_row(row: ReportRow, timing: bool) -> str:
         row.instance,
         str(row.seed),
         row.selector.value,
-        _embedded(row.lam),  # lossless, like the embedded config
+        _KEYS["lambdas"][1]((row.lam,)),  # the embedded config's lossless writer
         "true" if row.protection else "false",
         str(row.n_prune),
         str(row.n_protected),

@@ -24,14 +24,7 @@ from ..errors import (
     MatrixValidationError,
 )
 from ..prune import Problem, protect_channels
-from .config import (
-    ExperimentConfig,
-    format_value,
-    parse_bounds,
-    parse_config_file,
-    parse_lambdas,
-    parse_selectors,
-)
+from .config import _KEYS, ExperimentConfig, _apply_key, format_value, parse_config_file
 from .experiment import load_instance, run_experiment, write_report
 from .matrix_io import save_matrix
 from .selfcheck import run_verification
@@ -60,25 +53,22 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = parse_config_file(args.config, base=cfg)
-    if args.seed is not None:
-        cfg = cfg.with_updates(seeds=(args.seed,))
-    if args.lambdas is not None:
-        cfg = cfg.with_updates(lambdas=parse_lambdas(args.lambdas))
-    if args.selector is not None:
-        cfg = cfg.with_updates(selectors=parse_selectors(args.selector))
-    if args.protect is not None:
-        cfg = cfg.with_updates(protect=args.protect)
-    if args.protect_bounds is not None:
-        cfg = cfg.with_updates(protect_bounds=parse_bounds(args.protect_bounds))
-    if args.oracle is not None:
-        cfg = cfg.with_updates(oracle=args.oracle)
-    if args.timing is not None:
-        cfg = cfg.with_updates(timing=args.timing)
-    if args.out is not None:
-        cfg = cfg.with_updates(out=args.out)
+    cfg = parse_config_file(args.config) if args.config else ExperimentConfig()
+    for key, text in (
+        ("lambdas", args.lambdas),
+        ("selectors", args.selector),
+        ("protect_bounds", args.protect_bounds),
+        ("out", args.out),
+    ):
+        if text is not None:
+            cfg = _apply_key(cfg, key, text)
+    typed = {
+        "seeds": None if args.seed is None else (args.seed,),
+        "protect": args.protect,
+        "oracle": args.oracle,
+        "timing": args.timing,
+    }
+    cfg = cfg.with_updates(**{key: value for key, value in typed.items() if value is not None})
     return cfg.validate()
 
 
@@ -104,7 +94,7 @@ def cmd_prune(cfg: ExperimentConfig) -> int:
     selector = cfg.selectors[0]
     selection = Problem(q, k, protected).select(selector, lam, seed=seed, cap=cfg.enumeration_cap)
     print(
-        f"selector={selector.value} lambda={format_value(lam)} "
+        f"selector={selector.value} lambda={_KEYS['lambdas'][1]((lam,))} "
         f"n_prune={selection.n_prune} clamped={'true' if selection.budget_clamped else 'false'}"
     )
     print(f"protected ({len(protected)}):" + "".join(f" {i}" for i in protected))

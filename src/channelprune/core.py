@@ -139,10 +139,12 @@ def reconstruction_error_sq(q: ChannelMatrix, k: ChannelMatrix, pruned: IndexSet
 def attention_norm(q: ChannelMatrix, k: ChannelMatrix, label: str) -> float:
     """||Q K^T||_F, the denominator of a relative error.
 
-    Raises DegenerateInputError when the product is identically zero;
-    `label` names the queries in the message.
+    Raises DegenerateInputError when the product is identically zero or
+    its norm overflows; `label` names the queries in the message.
     """
-    norm = float(np.sqrt(np.sum((q.data @ k.data.T) ** 2)))
-    if norm == 0.0:
-        raise DegenerateInputError(f"attention product of {label} queries is identically zero")
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum((q.data @ k.data.T) ** 2)))
+    if not 0.0 < norm < math.inf:
+        problem = "identically zero" if norm == 0.0 else "too large: its norm overflows float64"
+        raise DegenerateInputError(f"attention product of {label} queries is {problem}")
     return norm

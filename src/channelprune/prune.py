@@ -143,6 +143,8 @@ def _greedy(
             steps.append((np.flatnonzero(active), scores[active].copy()))
         masked = np.where(active, scores, np.inf)
         j = int(np.argmin(masked))  # first minimum, so the lowest index wins ties
+        if not active[j]:  # every active score overflowed to +inf and ties the mask
+            j = int(np.flatnonzero(active)[0])
         chosen = float(scores[j])
         active[j] = False
         scores[active] += 2.0 * w[active, j] + (chosen - accumulated)
@@ -235,7 +237,7 @@ class Problem:
         w = self.graph.w
         d = len(w)
         slack = 2.0 * (2 * d + n_prune**2) * np.finfo(np.float64).eps * float(np.abs(w).sum())
-        best: tuple[int, ...] = ()
+        best: tuple[int, ...] | None = None
         best_value = math.inf
         for rows in _subsets(self.candidates, n_prune, cap):
             indicator = np.zeros((len(rows), d))
@@ -246,7 +248,8 @@ class Problem:
                 continue
             values = w[rows[:, :, None], rows[:, None, :]].sum(axis=(1, 2))
             pos = int(np.argmin(values))
-            if values[pos] < best_value:  # strict: first minimum is lexicographically smallest
+            # strict: the first minimum is lexicographically smallest, even when it is +inf
+            if best is None or values[pos] < best_value:
                 best_value = float(values[pos])
                 best = tuple(int(j) for j in rows[pos])
         return best

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,7 +27,7 @@ from channelprune.cli import (
     write_report,
 )
 from channelprune import prune
-from channelprune.cli import selfcheck
+from channelprune.cli import config, selfcheck
 from channelprune.cli.main import main as cli_main
 from channelprune.cli.experiment import ORACLE_SKIPPED
 from channelprune.graph import build_interaction_graph as real_build
@@ -207,6 +208,31 @@ class TestConfig:
             ExperimentConfig(mode="from-files").validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(selectors=()).validate()
+
+    def test_validate_rejects_negative_seeds(self):
+        with pytest.raises(ConfigError, match="seeds must be non-negative"):
+            ExperimentConfig(seeds=(0, -1)).validate()
+
+    def test_key_table_lists_every_field_in_order(self):
+        assert tuple(config._KEYS) == tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+        assert config.CONFIG_KEYS == tuple(config._KEYS)
+
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            ("--lambda", "lambdas", "0.5,x"),
+            ("--selector", "selectors", "mies,bogus"),
+            ("--protect-bounds", "protect_bounds", "0.1"),
+            ("--protect-bounds", "protect_bounds", "0.1,x"),
+        ],
+    )
+    def test_flag_and_file_share_the_parser(self, tmp_path, capsys, flag, key, value):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert cli_main(["sweep", "--config", str(cfg)]) == 2
+        from_file = capsys.readouterr().err
+        assert cli_main(["sweep", flag, value]) == 2
+        assert capsys.readouterr().err == from_file
 
     def test_resolved_items_round_trip(self):
         cfg = ExperimentConfig(d=9, lambdas=(0.5, 0.6), seeds=(3, 4), protect=False)
@@ -471,6 +497,10 @@ class TestCommandLine:
         assert "selector=think lambda=0.25" in out
         assert "protected (0):" in out
 
+    def test_prune_prints_the_exact_ratio(self, capsys):
+        assert cli_main(["prune", "--seed", "0", "--lambda", "0.5000000000001", "--selector", "think"]) == 0
+        assert "selector=think lambda=0.5000000000001 n_prune=33 " in capsys.readouterr().out
+
     def test_config_error_exit_code(self, capsys):
         assert cli_main(["sweep", "--selector", "bogus"]) == 2
 
@@ -502,4 +532,27 @@ class TestCommandLine:
             cfg.write_text(f"mode=from-files\nq_path={q_path}\nk_path={ones}\nq_future_path={q_future_path}\n")
             assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
         assert "identically zero" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("selectors", ["think,random", "mies", "oracle"])
+    def test_overflowing_attention_product_exit_code(self, tmp_path, capsys, monkeypatch, selectors):
+        # Q K^T has entries 6e154, so its Frobenius norm overflows float64.
+        big, ones = tmp_path / "big.grcm", tmp_path / "ones.grcm"
+        save_matrix(ChannelMatrix(np.full((1, 6), 1e154)), big)
+        save_matrix(ChannelMatrix(np.ones((1, 6))), ones)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"mode=from-files\nq_path={big}\nk_path={ones}\nprotect=false\nselectors={selectors}\n")
+        monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        out = tmp_path / "r.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "norm overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("d=8\nL=8\nL_obs=4\nL_future=4\nseeds=0,-1\n")
+        monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        out = tmp_path / "r.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "seeds must be non-negative" in capsys.readouterr().err
         assert not out.exists()

@@ -9,6 +9,7 @@ over-counts. Examples are derandomized so the suite is reproducible.
 """
 
 import math
+import string
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -222,9 +223,15 @@ def test_stacked_jacobi_equals_each_matrix_alone_bitwise(count, n, equal_diagona
 def configs(draw):
     unit = st.one_of(st.sampled_from([0.0, -0.0, 0.5000000000001, 1.0]), st.floats(0.0, 1.0))
     big = st.floats(0.0, 1e6)
+    names = st.text(string.ascii_letters + string.digits + "._-", min_size=1, max_size=16)
+    files = draw(st.booleans())  # from-files mode needs q_path and k_path; synthetic embeds them too
     L = draw(st.integers(1, 4096))
     a = draw(unit)
     return ExperimentConfig(
+        mode="from-files" if files else "synthetic",
+        q_path=draw(names if files else st.none() | names),
+        k_path=draw(names if files else st.none() | names),
+        q_future_path=draw(st.none() | names),
         d=draw(st.integers(1, 4096)),
         L=L,
         L_obs=draw(st.integers(1, L)),

@@ -190,6 +190,14 @@ class TestMiesSelect:
         assert t.pruned.indices == (0, 2) and t.error_sq == pytest.approx(1.81, rel=1e-12)
         assert o.pruned.indices == (0, 1) and o.error_sq == pytest.approx(0.0, abs=1e-12)
 
+    def test_overflowing_scores_never_repick_a_removed_channel(self):
+        # W is finite (3.6e307 everywhere), but the cumulative scores reach +inf
+        # after one step and tie with the +inf mask on removed channels.
+        with np.errstate(over="ignore"):
+            sel = mies_select(ChannelMatrix(np.full((1, 6), 6e153)), ChannelMatrix(np.ones((1, 6))), 0.5)
+        assert sel.order == (0, 1, 2)
+        assert sel.pruned.indices == (0, 1, 2)
+
 
 class TestOracleSelect:
     def test_lambda_zero(self):
@@ -226,6 +234,14 @@ class TestOracleSelect:
                 random_select(q, k, 0.5, seed=seed),
             ):
                 assert quadratic_form(g, exact.pruned) <= quadratic_form(g, other.pruned)
+
+    def test_every_sum_overflowing_keeps_the_budget(self):
+        # Every gathered sum is +inf: the first subset is the lexicographic minimum.
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in the screen is NaN
+            sel = oracle_select(ChannelMatrix(np.full((1, 6), 1e154)), ChannelMatrix(np.ones((1, 6))), 0.5)
+        assert sel.n_prune == 3
+        assert sel.pruned.indices == (0, 1, 2)
+        assert sel.error_sq == math.inf
 
     def test_capacity_error(self):
         q, k = normal_pair(6, d=10)
