@@ -23,14 +23,12 @@ from .graph import (
     jacobi_eigenvalues,
     quadratic_form,
     restricted_eigenvalues,
-    restricted_eigenvalues_sampled,
 )
 from .prune import (
     Problem,
     ProtectionPolicy,
     PruneSelection,
     Selector,
-    clamp_proportion,
     mies_select,
     oracle_select,
     protect_channels,
@@ -38,7 +36,7 @@ from .prune import (
     think_scores,
     think_select,
 )
-from .sim import DriftResult, SyntheticSpec, drift_evaluate, generate_instance
+from .sim import SyntheticSpec, generate_instance
 
 __version__ = "0.1.0"
 
@@ -48,7 +46,6 @@ __all__ = [
     "ConfigError",
     "DEFAULT_ENUMERATION_CAP",
     "DegenerateInputError",
-    "DriftResult",
     "EigenCertificate",
     "IndexSet",
     "InteractionGraph",
@@ -60,8 +57,6 @@ __all__ = [
     "Selector",
     "SyntheticSpec",
     "build_interaction_graph",
-    "clamp_proportion",
-    "drift_evaluate",
     "generate_instance",
     "jacobi_eigenvalues",
     "mies_select",
@@ -71,7 +66,6 @@ __all__ = [
     "random_select",
     "reconstruction_error_sq",
     "restricted_eigenvalues",
-    "restricted_eigenvalues_sampled",
     "think_scores",
     "think_select",
 ]

@@ -167,6 +167,8 @@ class ExperimentConfig:
             raise ConfigError(f"pruning ratios must lie in [0, 1], got {self.lambdas}")
         if not self.selectors:
             raise ConfigError("at least one selector is required")
+        if any(not isinstance(s, Selector) for s in self.selectors):
+            raise ConfigError(f"selectors must be Selector members, got {self.selectors}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if any(seed < 0 for seed in self.seeds):

@@ -16,6 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from ..core import attention_norm
 from ..errors import (
     CapacityError,
     ConfigError,
@@ -89,6 +90,7 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 def cmd_prune(cfg: ExperimentConfig) -> int:
     seed = cfg.seeds[0]
     _, q, k, _ = load_instance(cfg, seed)
+    attention_norm(q, k, "observed")  # a zero or overflowing product is refused before selecting
     protected = protect_channels(k, cfg.policy())
     lam = cfg.lambdas[0]
     selector = cfg.selectors[0]

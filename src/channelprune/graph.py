@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "jacobi_eigenvalues",
     "quadratic_form",
     "restricted_eigenvalues",
-    "restricted_eigenvalues_sampled",
 ]
 
 # Exhaustive subset enumeration is refused above this count.
@@ -66,15 +65,14 @@ class EigenCertificate:
     """Extremal eigenvalues of all size-k principal submatrices of W.
 
     kappa is mu_max / mu_min, or +inf when mu_min is not strictly
-    positive. `exact` records whether every support was enumerated or the
-    extrema were estimated from a random sample.
+    positive. Every support is enumerated, so kappa bounds the greedy's
+    approximation ratio.
     """
 
     k: int
     mu_min: float
     mu_max: float
     kappa: float
-    exact: bool = True
 
     def __post_init__(self) -> None:
         if self.mu_min > self.mu_max:
@@ -148,19 +146,19 @@ def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"Jacobi eigenvalues did not converge within {_JACOBI_MAX_SWEEPS} sweeps")
 
 
-def _subsets(pool: np.ndarray, k: int, cap: int, advice: str = "") -> Iterator[np.ndarray]:
+def _subsets(pool: np.ndarray, k: int, cap: int) -> Iterator[np.ndarray]:
     """Every size-k subset of `pool` in lexicographic order, as (<= 4096, k) index arrays.
 
-    Raises CapacityError, with `advice` appended, before the first chunk
-    when C(len(pool), k) exceeds `cap`. Each chunk is unranked in numpy:
-    the subset of lexicographic rank r mirrored by i -> n - 1 - i has
-    colex rank C(n, k) - 1 - r, whose combinatorial-number-system digits
-    are found by one searchsorted per position (Knuth, TAOCP 4A 7.2.1.3).
+    Raises CapacityError before the first chunk when C(len(pool), k)
+    exceeds `cap`. Each chunk is unranked in numpy: the subset of
+    lexicographic rank r mirrored by i -> n - 1 - i has colex rank
+    C(n, k) - 1 - r, whose combinatorial-number-system digits are found
+    by one searchsorted per position (Knuth, TAOCP 4A 7.2.1.3).
     """
     n = len(pool)
     total = math.comb(n, k)
     if total > cap:
-        raise CapacityError(f"C({n}, {k}) = {total} subsets exceed the enumeration cap {cap}{advice}")
+        raise CapacityError(f"C({n}, {k}) = {total} subsets exceed the enumeration cap {cap}")
     # binom[i][c] = C(c, i) for c < n; values past total never decide a digit, so they are clipped
     binom = [np.array([min(math.comb(c, i), total) for c in range(n)], dtype=np.int64) for i in range(k + 1)]
     for start in range(0, total, _SUBSET_CHUNK):
@@ -173,54 +171,22 @@ def _subsets(pool: np.ndarray, k: int, cap: int, advice: str = "") -> Iterator[n
         yield rows
 
 
-def _eigen_extrema(w: np.ndarray, chunks: Iterable[np.ndarray]) -> tuple[float, float]:
-    """Smallest and largest eigenvalue over the principal submatrices of every chunk of supports."""
-    mu_min, mu_max = math.inf, -math.inf
-    for rows in chunks:
-        eig = jacobi_eigenvalues(w[rows[:, :, None], rows[:, None, :]])
-        # First extremum of the chunk, and an earlier chunk keeps a tie.
-        mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
-        mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))
-    return mu_min, mu_max
-
-
-def _kappa(mu_min: float, mu_max: float) -> float:
-    return mu_max / mu_min if mu_min > 0.0 else math.inf
-
-
 def restricted_eigenvalues(
     g: InteractionGraph, k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> EigenCertificate:
     """Exact restricted eigenvalues over every support of size exactly k.
 
     mu_min (mu_max) is the smallest (largest) eigenvalue over all k x k
-    principal submatrices of W. Raises CapacityError when C(d, k) exceeds
-    `cap`; use `restricted_eigenvalues_sampled` in that regime.
+    principal submatrices of W. Raises CapacityError, with the same
+    message as the oracle, when C(d, k) exceeds `cap`.
     """
     if not 1 <= k <= g.dim:
         raise ValueError(f"subset size {k} out of range for dimension {g.dim}")
-    advice = "; use restricted_eigenvalues_sampled for a sampled certificate"
-    mu_min, mu_max = _eigen_extrema(g.w, _subsets(np.arange(g.dim), k, cap, advice))
-    return EigenCertificate(k=k, mu_min=mu_min, mu_max=mu_max, kappa=_kappa(mu_min, mu_max))
-
-
-def restricted_eigenvalues_sampled(
-    g: InteractionGraph, k: int, n_samples: int = 1000, seed: int = 0
-) -> EigenCertificate:
-    """Sampled stand-in for `restricted_eigenvalues` beyond the cap.
-
-    Draws uniform random size-k supports with a seeded generator. The
-    result brackets a subset of the true range: mu_min is an upper bound
-    on the exact minimum and mu_max a lower bound on the exact maximum.
-    """
-    if not 1 <= k <= g.dim:
-        raise ValueError(f"subset size {k} out of range for dimension {g.dim}")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    n_samples = min(n_samples, math.comb(g.dim, k))
-    rows = np.stack([rng.choice(g.dim, size=k, replace=False) for _ in range(n_samples)])
-    mu_min, mu_max = _eigen_extrema(g.w, np.split(rows, range(_SUBSET_CHUNK, n_samples, _SUBSET_CHUNK)))
-    return EigenCertificate(
-        k=k, mu_min=mu_min, mu_max=mu_max, kappa=_kappa(mu_min, mu_max), exact=False
-    )
+    mu_min, mu_max = math.inf, -math.inf
+    for rows in _subsets(np.arange(g.dim), k, cap):
+        eig = jacobi_eigenvalues(g.w[rows[:, :, None], rows[:, None, :]])
+        # First extremum of the chunk, and an earlier chunk keeps a tie.
+        mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
+        mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))
+    kappa = mu_max / mu_min if mu_min > 0.0 else math.inf
+    return EigenCertificate(k=k, mu_min=mu_min, mu_max=mu_max, kappa=kappa)

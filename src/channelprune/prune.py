@@ -28,7 +28,6 @@ __all__ = [
     "ProtectionPolicy",
     "PruneSelection",
     "Selector",
-    "clamp_proportion",
     "mies_select",
     "oracle_select",
     "protect_channels",
@@ -317,11 +316,6 @@ def random_select(
     return Problem(q, k, protected).select(Selector.RANDOM, lam, seed=seed)
 
 
-def clamp_proportion(p: float, a: float, b: float) -> float:
-    """Clamp a raw protected proportion to the policy bounds [a, b]."""
-    return min(max(p, a), b)
-
-
 def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     """Channels whose key-column norm is an outlier under the policy.
 
@@ -337,7 +331,7 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     tau = norms.mean() + policy.threshold_sigma * norms.std()
     count = int(np.sum(norms > tau))
     p_raw = count / d
-    p_protect = clamp_proportion(p_raw, policy.a, policy.b)
+    p_protect = min(max(p_raw, policy.a), policy.b)
     if p_protect == p_raw:
         n_protect = count
     else:

@@ -1,30 +1,23 @@
-"""Synthetic query/key generators and a decode-time drift evaluator.
+"""Synthetic query/key generator.
 
 The generator plants a small set of high-energy key channels, couples
 query channel means to key channel scales, and makes per-channel query
 noise proportional to the mean, so channels with larger mean amplitude
 also fluctuate more. Future queries follow the same law with an extra
 mean shift, modeling the gap between the observation window used for
-pruning and the queries seen later during decoding.
+pruning and the queries seen later during decoding; `run_experiment`
+scores each pruned set on both as `relative_error` and `error_future`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelMatrix, attention_norm, exact_ceil, reconstruction_error_sq
-from .prune import Problem, ProtectionPolicy, PruneSelection, Selector, protect_channels
+from .core import ChannelMatrix, exact_ceil
 
-__all__ = [
-    "DriftResult",
-    "SyntheticSpec",
-    "drift_evaluate",
-    "generate_instance",
-    "planted_outliers",
-]
+__all__ = ["SyntheticSpec", "generate_instance", "planted_outliers"]
 
 # Channel scales are lognormal; sigma is kept moderate so that planted
 # outliers dominate the natural tail by a wide margin.
@@ -99,55 +92,3 @@ def generate_instance(spec: SyntheticSpec) -> tuple[ChannelMatrix, ChannelMatrix
     q_future = (means + noise) + rng.standard_normal((spec.L_future, d)) * noise
 
     return ChannelMatrix(q_obs), ChannelMatrix(k_data), ChannelMatrix(q_future)
-
-
-@dataclass(frozen=True, eq=False)
-class DriftResult:
-    """Relative reconstruction error on observed vs. future queries.
-
-    Both errors are computed with the single pruned set chosen on the
-    observed queries; `selection` records it. `ratio` is
-    error_future / error_obs, or +inf when error_obs is zero.
-    """
-
-    selector: Selector
-    protection_enabled: bool
-    error_obs: float
-    error_future: float
-    ratio: float
-    selection: PruneSelection
-
-
-def drift_evaluate(
-    q_obs: ChannelMatrix,
-    k: ChannelMatrix,
-    q_future: ChannelMatrix,
-    selector: Selector,
-    lam: float,
-    policy: ProtectionPolicy,
-    seed: int = 0,
-) -> DriftResult:
-    """Select on observed queries, then score observed and future error.
-
-    The pruned set is chosen once from (q_obs, k) under the policy and
-    reused verbatim for the future queries; errors are Frobenius-relative
-    so the two probe matrices are comparable despite different row counts.
-    """
-    if q_obs.cols != k.cols or q_future.cols != k.cols:
-        raise ValueError(
-            f"channel count mismatch: q_obs {q_obs.cols}, k {k.cols}, q_future {q_future.cols}"
-        )
-    denom_obs = attention_norm(q_obs, k, "observed")
-    denom_future = attention_norm(q_future, k, "future")
-    selection = Problem(q_obs, k, protect_channels(k, policy)).select(selector, lam, seed=seed)
-    error_obs = math.sqrt(selection.error_sq) / denom_obs
-    error_future = math.sqrt(reconstruction_error_sq(q_future, k, selection.pruned)) / denom_future
-    ratio = error_future / error_obs if error_obs > 0.0 else math.inf
-    return DriftResult(
-        selector=selector,
-        protection_enabled=policy.enabled,
-        error_obs=error_obs,
-        error_future=error_future,
-        ratio=ratio,
-        selection=selection,
-    )

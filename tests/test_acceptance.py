@@ -19,8 +19,6 @@ from channelprune import (
     Selector,
     SyntheticSpec,
     build_interaction_graph,
-    clamp_proportion,
-    drift_evaluate,
     generate_instance,
     mies_select,
     oracle_select,
@@ -145,7 +143,7 @@ def test_criterion_4_mies_vs_think_direction():
 
 def test_criterion_5_protection_mechanism():
     # Worked example: norms [1,1,1,1,10] with sigma 1 protect exactly {4}
-    # (mean 2.8, population std 3.6, tau 6.4); clamp formula cases are
+    # (mean 2.8, population std 3.6, tau 6.4); both clamp directions are
     # exact with no tolerance.
     k = ChannelMatrix(np.array([[1.0, 1.0, 1.0, 1.0, 10.0]]))
     norms = np.array([1.0, 1.0, 1.0, 1.0, 10.0])
@@ -153,8 +151,6 @@ def test_criterion_5_protection_mechanism():
     assert norms.std() == 3.6
     protected = protect_channels(k, ProtectionPolicy(threshold_sigma=1.0, a=0.05, b=0.25))
     assert protected.indices == (4,)
-    assert clamp_proportion(0.5, 0.0, 0.1) == 0.1
-    assert clamp_proportion(0.0, 0.25, 0.5) == 0.25
     # end-to-end clamp paths
     high = ChannelMatrix(np.array([[1.0, 1.0, 3.0, 3.0]]))  # p = 0.5 with sigma 0
     assert protect_channels(high, ProtectionPolicy(threshold_sigma=0.0, a=0.0, b=0.1)).indices == (2,)
@@ -167,16 +163,12 @@ def test_criterion_6_drift_benefit():
     # Planted-outlier spec, 200 seeds: mean future relative error with
     # protection enabled <= disabled, one-sided 95% bootstrap; < 2 min.
     start = time.perf_counter()
-    spec_kw = dict(d=128, outlier_fraction=0.05, outlier_scale=10.0, drift_gamma=0.5)
-    enabled = ProtectionPolicy()
-    disabled = ProtectionPolicy.disabled()
-    diffs = []
-    for seed in range(200):
-        q, k, qf = generate_instance(SyntheticSpec(seed=seed, **spec_kw))
-        on = drift_evaluate(q, k, qf, Selector.MIES, 0.6, enabled)
-        off = drift_evaluate(q, k, qf, Selector.MIES, 0.6, disabled)
-        diffs.append(on.error_future - off.error_future)
-    diffs = np.asarray(diffs)
+    cfg = ExperimentConfig(
+        d=128, outlier_fraction=0.05, outlier_scale=10.0, drift_gamma=0.5,
+        lambdas=(0.6,), selectors=(Selector.MIES,), seeds=tuple(range(200)),
+    )
+    on, off = (run_experiment(cfg.with_updates(protect=flag)).rows for flag in (True, False))
+    diffs = np.array([a.error_future - b.error_future for a, b in zip(on, off)])
     assert diffs.mean() <= 0.0
     boot_rng = np.random.default_rng(987654)
     boot_means = np.array(

@@ -213,6 +213,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seeds must be non-negative"):
             ExperimentConfig(seeds=(0, -1)).validate()
 
+    def test_validate_rejects_selector_strings(self, monkeypatch):
+        monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        cfg = ExperimentConfig().with_updates(selectors=("mies", "think"))
+        with pytest.raises(ConfigError, match="Selector members"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="Selector members"):
+            run_experiment(cfg)
+
     def test_key_table_lists_every_field_in_order(self):
         assert tuple(config._KEYS) == tuple(f.name for f in dataclasses.fields(ExperimentConfig))
         assert config.CONFIG_KEYS == tuple(config._KEYS)
@@ -527,15 +535,20 @@ class TestCommandLine:
         save_matrix(ChannelMatrix(np.zeros((2, 3))), zero)
         save_matrix(ChannelMatrix(np.ones((2, 3))), ones)
         out = tmp_path / "r.csv"
-        for q_path, q_future_path in ((zero, ones), (ones, zero)):
+        # prune scores only the observed queries
+        for command, q_path, q_future_path in (("sweep", zero, ones), ("sweep", ones, zero), ("prune", zero, ones)):
             cfg = tmp_path / "cfg"
             cfg.write_text(f"mode=from-files\nq_path={q_path}\nk_path={ones}\nq_future_path={q_future_path}\n")
-            assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
         assert "identically zero" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("selectors", ["think,random", "mies", "oracle"])
-    def test_overflowing_attention_product_exit_code(self, tmp_path, capsys, monkeypatch, selectors):
+    @pytest.mark.parametrize(
+        "command, selectors",
+        [("sweep", "think,random"), ("sweep", "mies"), ("sweep", "oracle"), ("prune", "mies")],
+        ids=["think,random", "mies", "oracle", "prune"],
+    )
+    def test_overflowing_attention_product_exit_code(self, tmp_path, capsys, monkeypatch, command, selectors):
         # Q K^T has entries 6e154, so its Frobenius norm overflows float64.
         big, ones = tmp_path / "big.grcm", tmp_path / "ones.grcm"
         save_matrix(ChannelMatrix(np.full((1, 6), 1e154)), big)
@@ -544,7 +557,7 @@ class TestCommandLine:
         cfg.write_text(f"mode=from-files\nq_path={big}\nk_path={ones}\nprotect=false\nselectors={selectors}\n")
         monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
         out = tmp_path / "r.csv"
-        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
         assert "norm overflows" in capsys.readouterr().err
         assert not out.exists()
 

@@ -13,9 +13,9 @@ from channelprune import (
     InteractionGraph,
     build_interaction_graph,
     jacobi_eigenvalues,
+    oracle_select,
     quadratic_form,
     restricted_eigenvalues,
-    restricted_eigenvalues_sampled,
 )
 
 
@@ -214,7 +214,6 @@ class TestRestrictedEigenvalues:
         g = InteractionGraph(dim=4, w=np.eye(4))
         cert = restricted_eigenvalues(g, 2)
         assert (cert.mu_min, cert.mu_max, cert.kappa) == (1.0, 1.0, 1.0)
-        assert cert.exact
 
     def test_brackets_every_subset(self):
         rng = np.random.default_rng(13)
@@ -244,40 +243,13 @@ class TestRestrictedEigenvalues:
         with pytest.raises(ValueError):
             restricted_eigenvalues(g, 4)
 
-    def test_capacity_error_mentions_sampled_mode(self):
-        g = InteractionGraph(dim=20, w=np.eye(20))
-        with pytest.raises(CapacityError, match="sampled"):
-            restricted_eigenvalues(g, 10, cap=1000)
-
-    def test_sampled_mode_brackets_exact(self):
-        rng = np.random.default_rng(15)
-        q, k = random_pair(rng, 9, rows_q=16, rows_k=16)
-        g = build_interaction_graph(q, k)
-        exact = restricted_eigenvalues(g, 4)
-        sampled = restricted_eigenvalues_sampled(g, 4, n_samples=40, seed=3)
-        assert not sampled.exact
-        assert sampled.mu_min >= exact.mu_min - 1e-12
-        assert sampled.mu_max <= exact.mu_max + 1e-12
-
-    def test_sampled_mode_spans_chunks(self):
-        # 5000 draws reduce in two stacks of at most 4096 supports.
-        rng = np.random.default_rng(17)
-        q, k = random_pair(rng, 30, rows_q=16, rows_k=16)
-        g = build_interaction_graph(q, k)
-        cert = restricted_eigenvalues_sampled(g, 4, n_samples=5000, seed=2)
-        draws = np.random.default_rng(2)
-        supports = [draws.choice(30, size=4, replace=False) for _ in range(5000)]
-        eigs = [np.linalg.eigvalsh(g.w[np.ix_(s, s)]) for s in supports]
-        assert cert.mu_min == pytest.approx(min(e[0] for e in eigs), rel=1e-9)
-        assert cert.mu_max == pytest.approx(max(e[-1] for e in eigs), rel=1e-9)
-
-    def test_sampled_mode_deterministic(self):
-        rng = np.random.default_rng(16)
-        q, k = random_pair(rng, 10)
-        g = build_interaction_graph(q, k)
-        a = restricted_eigenvalues_sampled(g, 3, n_samples=25, seed=7)
-        b = restricted_eigenvalues_sampled(g, 3, n_samples=25, seed=7)
-        assert (a.mu_min, a.mu_max) == (b.mu_min, b.mu_max)
+    def test_capacity_error_shares_the_oracle_cap_message(self):
+        q = k = ChannelMatrix(np.eye(20))
+        message = r"^C\(20, 10\) = 184756 subsets exceed the enumeration cap 1000$"
+        with pytest.raises(CapacityError, match=message):
+            restricted_eigenvalues(build_interaction_graph(q, k), 10, cap=1000)
+        with pytest.raises(CapacityError, match=message):
+            oracle_select(q, k, 0.5, cap=1000)
 
     def test_certificate_kappa_flags_zero_mu_min(self):
         g = InteractionGraph(dim=3, w=np.zeros((3, 3)))

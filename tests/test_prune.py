@@ -19,7 +19,6 @@ from channelprune import (
     ProtectionPolicy,
     Selector,
     build_interaction_graph,
-    clamp_proportion,
     mies_select,
     oracle_select,
     protect_channels,
@@ -294,12 +293,6 @@ class TestProtectChannels:
         k = ChannelMatrix(np.array([[1.0, 1.0, 1.0, 1.0, 10.0]]))
         policy = ProtectionPolicy(threshold_sigma=1.0, a=0.05, b=0.25)
         assert protect_channels(k, policy).indices == (4,)
-
-    def test_clamp_upper(self):
-        assert clamp_proportion(0.5, 0.0, 0.1) == 0.1
-
-    def test_clamp_lower(self):
-        assert clamp_proportion(0.0, 0.25, 0.5) == 0.25
 
     def test_upper_clamp_end_to_end(self):
         # threshold_sigma 0 puts tau at the mean, so half the channels exceed it

@@ -6,14 +6,15 @@ import pytest
 from channelprune import (
     ChannelMatrix,
     DegenerateInputError,
+    Problem,
     ProtectionPolicy,
     Selector,
     SyntheticSpec,
-    drift_evaluate,
     generate_instance,
     protect_channels,
     reconstruction_error_sq,
 )
+from channelprune.cli import ExperimentConfig, run_experiment, save_matrix
 from channelprune.sim import planted_outliers
 
 PLANTED = dict(d=128, outlier_fraction=0.05, outlier_scale=10.0, drift_gamma=0.5)
@@ -106,59 +107,69 @@ class TestGenerate:
 
 
 class TestDriftEvaluate:
-    def test_lambda_zero(self):
-        q, k, qf = generate_instance(SyntheticSpec(d=16, seed=3))
-        result = drift_evaluate(q, k, qf, Selector.MIES, 0.0, ProtectionPolicy.disabled())
-        assert result.error_obs == 0.0
-        assert result.error_future == 0.0
-        assert math.isinf(result.ratio)
+    """Observed and future relative error as `run_experiment` reports them."""
 
-    def test_identical_probe_gives_identical_error(self):
+    @staticmethod
+    def rows(**changes):
+        cfg = ExperimentConfig(selectors=(Selector.MIES,), lambdas=(0.6,), seeds=(0,)).with_updates(**changes)
+        return run_experiment(cfg).rows
+
+    @staticmethod
+    def from_files(tmp_path, q, k, q_future):
+        paths = {}
+        for name, matrix in (("q", q), ("k", k), ("q_future", q_future)):
+            paths[f"{name}_path"] = str(tmp_path / f"{name}.grcm")
+            save_matrix(matrix, paths[f"{name}_path"])
+        return ExperimentConfig(mode="from-files", **paths)
+
+    def test_lambda_zero(self):
+        (row,) = self.rows(d=16, seeds=(3,), lambdas=(0.0,), protect=False)
+        assert row.relative_error == 0.0
+        assert row.error_future == 0.0
+
+    def test_identical_probe_gives_identical_error(self, tmp_path):
         q, k, _ = generate_instance(SyntheticSpec(d=16, seed=4))
-        result = drift_evaluate(q, k, q, Selector.THINK, 0.5, ProtectionPolicy.disabled())
-        assert result.error_future == result.error_obs
-        assert result.ratio == 1.0
+        cfg = self.from_files(tmp_path, q, k, q)
+        (row,) = run_experiment(cfg.with_updates(selectors=(Selector.THINK,), lambdas=(0.5,), protect=False)).rows
+        assert row.error_future == row.relative_error
 
     def test_single_pruned_set_reused(self):
+        (row,) = self.rows(d=24, seeds=(5,))
         q, k, qf = generate_instance(SyntheticSpec(d=24, seed=5))
-        policy = ProtectionPolicy()
-        result = drift_evaluate(q, k, qf, Selector.MIES, 0.6, policy)
-        pruned = result.selection.pruned
+        protected = protect_channels(k, ProtectionPolicy())
+        pruned = Problem(q, k, protected).select(Selector.MIES, 0.6).pruned
         denom_obs = float(np.sum((q.data @ k.data.T) ** 2))
         denom_fut = float(np.sum((qf.data @ k.data.T) ** 2))
-        assert result.error_obs == pytest.approx(
+        assert row.relative_error == pytest.approx(
             math.sqrt(reconstruction_error_sq(q, k, pruned) / denom_obs), rel=1e-12
         )
-        assert result.error_future == pytest.approx(
+        assert row.error_future == pytest.approx(
             math.sqrt(reconstruction_error_sq(qf, k, pruned) / denom_fut), rel=1e-12
         )
-        assert not set(pruned) & set(result.selection.protected)
+        assert not set(pruned) & set(protected)
 
     def test_protection_flag_recorded(self):
-        q, k, qf = generate_instance(SyntheticSpec(d=16, seed=6))
-        on = drift_evaluate(q, k, qf, Selector.MIES, 0.5, ProtectionPolicy())
-        off = drift_evaluate(q, k, qf, Selector.MIES, 0.5, ProtectionPolicy.disabled())
-        assert on.protection_enabled and not off.protection_enabled
-        assert len(off.selection.protected) == 0
+        (on,) = self.rows(d=16, seeds=(6,), lambdas=(0.5,))
+        (off,) = self.rows(d=16, seeds=(6,), lambdas=(0.5,), protect=False)
+        assert on.protection and not off.protection
+        assert off.n_protected == 0
 
-    def test_degenerate_zero_product(self):
+    def test_degenerate_zero_product(self, tmp_path):
         q = ChannelMatrix(np.zeros((2, 3)))
-        k = ChannelMatrix(np.ones((2, 3)))
+        cfg = self.from_files(tmp_path, q, ChannelMatrix(np.ones((2, 3))), q)
         with pytest.raises(DegenerateInputError):
-            drift_evaluate(q, k, q, Selector.THINK, 0.5, ProtectionPolicy.disabled())
+            run_experiment(cfg)
 
-    def test_width_mismatch(self):
-        q = ChannelMatrix(np.ones((2, 3)))
-        k = ChannelMatrix(np.ones((2, 3)))
-        qf = ChannelMatrix(np.ones((2, 4)))
-        with pytest.raises(ValueError):
-            drift_evaluate(q, k, qf, Selector.MIES, 0.5, ProtectionPolicy())
+    def test_width_mismatch(self, tmp_path):
+        ones = ChannelMatrix(np.ones((2, 3)))
+        cfg = self.from_files(tmp_path, ones, ones, ChannelMatrix(np.ones((2, 4))))
+        with pytest.raises(ValueError, match="channel count"):
+            run_experiment(cfg)
 
     def test_protection_never_hurts_on_planted_outliers(self):
         # Smoke version of the acceptance drift study: with planted outliers
         # the shielded channels are ones the greedy keeps anyway.
-        for seed in range(10):
-            q, k, qf = generate_instance(SyntheticSpec(seed=seed, **PLANTED))
-            on = drift_evaluate(q, k, qf, Selector.MIES, 0.6, ProtectionPolicy())
-            off = drift_evaluate(q, k, qf, Selector.MIES, 0.6, ProtectionPolicy.disabled())
-            assert on.error_future <= off.error_future
+        on = self.rows(seeds=tuple(range(10)), **PLANTED)
+        off = self.rows(seeds=tuple(range(10)), protect=False, **PLANTED)
+        for a, b in zip(on, off):
+            assert a.error_future <= b.error_future
