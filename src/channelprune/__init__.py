@@ -2,9 +2,9 @@
 
 Builds a dense interaction graph over query/key channels, selects
 channels to prune with a greedy minimum-incremental-error strategy (or
-baselines: independent scoring, random, exhaustive oracle), shields
-high-norm key channels from removal, and quantifies the resulting
-reconstruction error on synthetic or file-loaded matrices.
+baselines: independent scoring, random, an exact branch-and-bound
+oracle), shields high-norm key channels from removal, and quantifies
+the resulting reconstruction error on synthetic or file-loaded matrices.
 """
 
 from .core import ChannelMatrix, IndexSet, reconstruction_error_sq

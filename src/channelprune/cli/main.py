@@ -48,7 +48,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--protect", action=argparse.BooleanOptionalAction, default=None, help="toggle channel protection"
     )
     parser.add_argument("--protect-bounds", metavar="A,B", help="clamp bounds for the protected proportion")
-    parser.add_argument("--oracle", action="store_true", default=None, help="also run the exhaustive oracle")
+    parser.add_argument("--oracle", action="store_true", default=None, help="also report the exact optimum and ratio")
     parser.add_argument("--timing", action="store_true", default=None, help="write wall-clock timings")
     parser.add_argument("--out", metavar="PATH", help="output path")
 

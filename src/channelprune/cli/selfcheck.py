@@ -2,8 +2,8 @@
 
 Each suite replays a core identity of the method on seeded random
 instances: the error decomposition, the greedy score maintenance, the
-exhaustive-minimum dominance, and the spectral properties of the
-interaction matrix. A correct build passes every check; any violation is
+exact minimum's dominance over the greedy, and the spectral properties
+of the interaction matrix. A correct build passes every check; any violation is
 reported with the seed that produced it.
 """
 

@@ -40,7 +40,7 @@ class MatrixValidationError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured subset cap."""
+    """An oracle or certificate problem has more subsets than the configured cap."""
 
 
 class DegenerateInputError(ValueError):

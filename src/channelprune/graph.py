@@ -28,7 +28,7 @@ __all__ = [
     "restricted_eigenvalues",
 ]
 
-# Exhaustive subset enumeration is refused above this count.
+# The oracle and the certificate refuse problems with more subsets than this.
 DEFAULT_ENUMERATION_CAP = 2_000_000
 _SUBSET_CHUNK = 4096  # subsets enumerated, gathered and reduced together
 _JACOBI_TOL = 1e-10  # Jacobi rotates entries above this magnitude
@@ -146,19 +146,26 @@ def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"Jacobi eigenvalues did not converge within {_JACOBI_MAX_SWEEPS} sweeps")
 
 
-def _subsets(pool: np.ndarray, k: int, cap: int) -> Iterator[np.ndarray]:
-    """Every size-k subset of `pool` in lexicographic order, as (<= 4096, k) index arrays.
-
-    Raises CapacityError before the first chunk when C(len(pool), k)
-    exceeds `cap`. Each chunk is unranked in numpy: the subset of
-    lexicographic rank r mirrored by i -> n - 1 - i has colex rank
-    C(n, k) - 1 - r, whose combinatorial-number-system digits are found
-    by one searchsorted per position (Knuth, TAOCP 4A 7.2.1.3).
-    """
-    n = len(pool)
+def _check_capacity(n: int, k: int, cap: int) -> int:
+    """C(n, k), or CapacityError when it exceeds `cap`."""
     total = math.comb(n, k)
     if total > cap:
         raise CapacityError(f"C({n}, {k}) = {total} subsets exceed the enumeration cap {cap}")
+    return total
+
+
+def _subsets(pool: np.ndarray, k: int, cap: int) -> Iterator[np.ndarray]:
+    """Every size-k subset of `pool` in lexicographic order, as (<= 4096, k) index arrays.
+
+    The certificate's support walk. Raises CapacityError before the first
+    chunk when C(len(pool), k) exceeds `cap`. Each chunk is unranked in
+    numpy: the subset of lexicographic rank r mirrored by i -> n - 1 - i
+    has colex rank C(n, k) - 1 - r, whose combinatorial-number-system
+    digits are found by one searchsorted per position (Knuth, TAOCP 4A
+    7.2.1.3).
+    """
+    n = len(pool)
+    total = _check_capacity(n, k, cap)
     # binom[i][c] = C(c, i) for c < n; values past total never decide a digit, so they are clipped
     binom = [np.array([min(math.comb(c, i), total) for c in range(n)], dtype=np.int64) for i in range(k + 1)]
     for start in range(0, total, _SUBSET_CHUNK):

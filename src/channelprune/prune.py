@@ -1,5 +1,5 @@
 """Channel selection: greedy minimum-incremental-error, score baselines,
-an exhaustive oracle, and salient-channel protection.
+a branch-and-bound oracle, and salient-channel protection.
 
 A `Problem` holds one instance (query/key matrices and a protected set).
 Each selector produces a removal order over the unprotected channels;
@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import ChannelMatrix, IndexSet, exact_ceil, reconstruction_error_sq
-from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _subsets, build_interaction_graph
+from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _check_capacity, build_interaction_graph
 
 __all__ = [
     "Problem",
@@ -155,11 +155,13 @@ class Problem:
     """One selection instance: query/key matrices and the protected set.
 
     The inputs are validated once. W, the greedy order over the
-    unprotected channels and the think order are built on first use and
-    kept, so selecting at several ratios builds W once and runs the
-    greedy once; mies and think answer each ratio with a prefix. The
-    greedy is resumed, not restarted, when a larger budget asks for more
-    of its order, so it never runs past the largest budget requested.
+    unprotected channels, the think order and the oracle order of each
+    budget are built on first use and kept, so selecting at several
+    ratios builds W once and runs the greedy once, and asking the oracle
+    again for a budget costs nothing; mies and think answer each ratio
+    with a prefix. The greedy is resumed, not restarted, when a larger
+    budget asks for more of its order, so it never runs past the largest
+    budget requested.
     """
 
     def __init__(self, q: ChannelMatrix, k: ChannelMatrix, protected: IndexSet = IndexSet.empty()):
@@ -174,6 +176,7 @@ class Problem:
         self.candidates = np.flatnonzero(mask)
         self._greedy_order: list[int] = []
         self._greedy_run: Iterator[int] | None = None
+        self._oracle_orders: dict[int, tuple[int, ...]] = {}
 
     @cached_property
     def graph(self) -> InteractionGraph:
@@ -211,7 +214,10 @@ class Problem:
             drawn = np.random.default_rng(seed).choice(self.candidates, size=n_prune, replace=False)
             order = tuple(int(j) for j in drawn)
         else:
-            order = self._oracle_order(n_prune, cap)
+            _check_capacity(len(self.candidates), n_prune, cap)
+            if n_prune not in self._oracle_orders:
+                self._oracle_orders[n_prune] = self._oracle_order(n_prune)
+            order = self._oracle_orders[n_prune]
         pruned = IndexSet(tuple(sorted(order)))
         return PruneSelection(
             selector=selector,
@@ -224,34 +230,189 @@ class Problem:
             budget_clamped=clamped,
         )
 
-    def _oracle_order(self, n_prune: int, cap: int) -> tuple[int, ...]:
+    def _oracle_order(self, n_prune: int) -> tuple[int, ...]:
         """Lexicographically smallest minimizer of 1_S^T W 1_S over size-n_prune sets.
 
-        A chunk is screened by one product over its 0/1 indicator rows, which
-        differs from a subset's gathered sum by at most `slack` in any order:
-        a tie with the chunk's minimum screens within 2 * slack of the screen's
-        minimum, a win within slack of the best. Only those rows (and NaN ones)
-        are gathered and summed, and only the gathered sums decide.
+        The greedy prefix, when the search bounds at all, is the incumbent
+        that prunes before the first leaf is reached.
         """
-        w = self.graph.w
-        d = len(w)
-        slack = 2.0 * (2 * d + n_prune**2) * np.finfo(np.float64).eps * float(np.abs(w).sum())
-        best: tuple[int, ...] | None = None
-        best_value = math.inf
-        for rows in _subsets(self.candidates, n_prune, cap):
-            indicator = np.zeros((len(rows), d))
-            indicator[np.arange(len(rows))[:, None], rows] = 1.0
-            screen = ((indicator @ w) * indicator).sum(axis=1)
-            rows = rows[~(screen > min(screen.min() + 2.0 * slack, best_value + slack))]
-            if len(rows) == 0:
-                continue
-            values = w[rows[:, :, None], rows[:, None, :]].sum(axis=(1, 2))
-            pos = int(np.argmin(values))
-            # strict: the first minimum is lexicographically smallest, even when it is +inf
-            if best is None or values[pos] < best_value:
-                best_value = float(values[pos])
-                best = tuple(int(j) for j in rows[pos])
-        return best
+        pool = self.candidates
+        search = _BranchAndBound(self.graph.w[np.ix_(pool, pool)], n_prune)
+        incumbent = math.inf
+        if search.bounded:
+            greedy = np.searchsorted(pool, sorted(self._greedy_prefix(n_prune)))
+            incumbent = float(search.gathered(greedy[None, :])[0])
+        return tuple(int(j) for j in pool[search.run(incumbent)])
+
+
+_BLOCK = 4096  # prefixes bounded, expanded or screened together
+_GATHER = 1024  # leaves gathered together, as (1024, k, k) floats
+
+
+def _unpruned(bounds: np.ndarray, limit: float) -> np.ndarray:
+    """Rows whose bound does not exceed `limit`; a NaN or infinite bound never prunes."""
+    return ~(bounds > limit) | ~np.isfinite(bounds)
+
+
+class _BranchAndBound:
+    """Depth-first branch and bound for the first minimizer of the gathered sum over size-k sets.
+
+    `w` is W restricted to the pool; positions index its rows. A set's
+    value is its gathered sum w[S][:, S].sum(), the one number that
+    decides, and the winner is the lexicographically first set whose value
+    no earlier set beats with a strict `<` (the k-cluster problem; Feige,
+    Peleg & Kortsarz, Algorithmica 2001).
+
+    The search grows sorted prefixes P of m positions, with r = m - |P|
+    left to choose, in blocks of at most `_BLOCK` rows. A block is its
+    (b, t) positions; one BLAS product over its 0/1 indicator rows gives
+    the row sums sum_{p in P} a[p, :] and from them f(P). A completion R
+    of P lies in [s, n), s one past P's last position, and f(P + R) >=
+    f(P) + sum_{j in R} c_j with c_j = a_jj + 2 sum_{p in P} a[p, j] +
+    (the sum of the r - 1 smallest a[j, i], i in [s, n) - j). So f(P)
+    plus the r smallest c_j bounds every completion from below; the
+    smallest-entry sums depend only on (s, r) and are tabulated once. A
+    row whose bound exceeds min(best, incumbent) + slack is dropped, and
+    the survivors' children are pushed in blocks, last first, so the
+    stack pops them in lexicographic order. At r = 1 a prefix's children
+    are leaves, each valued f(P) + a_jj + 2 sum_{p in P} a[p, j]; a leaf
+    is gathered only if that value is within 2 * slack of the block's
+    smallest and within slack of min(best, incumbent), or is NaN. With
+    C(n, m) <= `_BLOCK` nothing is bounded: the whole problem is one
+    screened leaf block.
+
+    When k > n - k the search runs over the kept set U = pool - S
+    instead, with m = n - k: f(S) = sum(W) + 1_U^T A 1_U where A is W
+    with a_jj = w_jj - 2 sum_i w_ji, so every f starts from sum(W). It
+    visits U in reverse lexicographic order, which is S in lexicographic
+    order, and the tree stays shallow.
+
+    Slack. Every value compared (a bound, a leaf's value, a gathered sum)
+    is a floating-point sum of at most D = n^2 + 2n terms +-w_ij or
+    +-2 w_ij (the 0/1 products are exact), whose absolute values total at
+    most 20 M, M = sum |w|. In any order such a sum is within
+    gamma_D * 20 M of its exact value (gamma_D = D u / (1 - D u),
+    u = eps / 2; Higham, Accuracy and Stability of Numerical Algorithms,
+    4.2). A bound takes the r smallest computed c_j, which sum to no more
+    than any completion's computed c_j, so a bound exceeds a completion's
+    gathered sum by at most the errors of the two, and a leaf's value
+    differs from its gathered sum by at most the same: 2 gamma_D * 20 M,
+    about 20 D eps M. `slack` is 32 D eps M, which also covers the
+    rounding of M, of the slack and of `limit + slack`. Sums below
+    2^-1021 are exact, so tiny W needs no floor. When 64 M overflows, a
+    partial sum may overflow too, and the slack is +inf: nothing is
+    pruned and nothing is screened out.
+    """
+
+    def __init__(self, w: np.ndarray, k: int):
+        n = len(w)
+        self.w, self.n = w, n
+        self.complement = 2 * k > n
+        self.m = n - k if self.complement else k
+        if self.complement:
+            self.a = w.copy()
+            np.fill_diagonal(self.a, np.diag(w) - 2.0 * w.sum(axis=1))
+            self.offset = float(w.sum())
+        else:
+            self.a, self.offset = w, 0.0
+        self.diag = np.diag(self.a)
+        total = float(np.abs(w).sum())
+        eps = np.finfo(np.float64).eps
+        self.slack = 32.0 * (n * n + 2 * n) * eps * total if math.isfinite(64.0 * total) else math.inf
+        self.bounded = math.comb(n, self.m) > _BLOCK
+        if self.bounded:
+            # table[s, c - 1, j]: the c smallest a[j, i] over i in [s, n) - j, for c < m, +inf
+            # where j < s or fewer than c remain. s > 0 occurs only below the root, where at
+            # least 2 are left to choose only if m > 2.
+            off = np.hstack((self.a, np.full((n, self.m), np.inf)))
+            np.fill_diagonal(off, np.inf)
+            self.table = np.full((n - 1 if self.m > 2 else 1, self.m - 1, n), np.inf)
+            for s in range(len(self.table)):
+                self.table[s, :, s:] = np.cumsum(np.sort(off[s:, s:], axis=1)[:, : self.m - 1], axis=1).T
+
+    def gathered(self, sets: np.ndarray) -> np.ndarray:
+        """The gathered sum of each row of position sets (b, k)."""
+        return self.w[sets[:, :, None], sets[:, None, :]].sum(axis=(1, 2))
+
+    def bounds(self, f: np.ndarray, rs: np.ndarray, first: np.ndarray, r: int) -> np.ndarray:
+        """f(P) plus the r smallest c_j over j >= first: a lower bound on every completion."""
+        c = self.table[first, r - 2]
+        c += rs
+        c += rs
+        c += self.diag
+        c.partition(r - 1, axis=1)
+        return f + c[:, :r].sum(axis=1)
+
+    def run(self, incumbent: float) -> np.ndarray:
+        """Positions of the first minimizer; `incumbent` is some set's gathered sum, or +inf."""
+        n, m = self.n, self.m
+        if m == 0:
+            return np.arange(n) if self.complement else np.arange(0)
+        best, best_value = None, math.inf
+        pending = []
+        cand = np.empty((1, 0), dtype=np.intp)
+        while True:
+            r = m - cand.shape[1]
+            first = cand[:, -1] + 1 if cand.shape[1] else np.zeros(1, dtype=np.intp)
+            limit = min(best_value, incumbent) + self.slack
+            if r == 1:
+                for sets in self._leaves(cand, *self._values(cand), first, limit):
+                    values = self.gathered(sets)
+                    if best is None:
+                        best, best_value = sets[0], values[0]
+                    pos = int(np.argmin(np.where(np.isnan(values), np.inf, values)))
+                    if values[pos] < best_value:  # strict: the first minimum is lexicographically smallest
+                        best, best_value = sets[pos], values[pos]
+            else:
+                if self.bounded:
+                    keep = _unpruned(self.bounds(*self._values(cand), first, r), limit)
+                    cand, first = cand[keep], first[keep]
+                ends = np.cumsum(n - r + 1 - first)  # children j in [first, n - r]
+                # child rank i of row p is j = base[p] + i, or base[p] - i when visited descending
+                base = first + ends - 1 if self.complement else n - r + 1 - ends
+                total = int(ends[-1]) if len(ends) else 0
+                for lo in reversed(range(0, total, _BLOCK)):
+                    pending.append((cand, ends, base, lo, min(lo + _BLOCK, total)))
+            if not pending:
+                return best
+            cand = self._children(*pending.pop())
+
+    def _values(self, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f(P) and the row sums sum_{p in P} a[p, :] of a block of prefixes, via its 0/1 indicator rows."""
+        indicator = np.zeros((len(cand), self.n))
+        indicator[np.arange(len(cand))[:, None], cand] = 1.0
+        rs = indicator @ self.a
+        return self.offset + np.einsum("ij,ij->i", indicator, rs), rs
+
+    def _children(self, cand, ends, base, lo, hi):
+        """Children of ranks [lo, hi) of a block, in visiting order."""
+        ranks = np.arange(lo, hi)
+        parent = np.searchsorted(ends, ranks, side="right")
+        j = base[parent] - ranks if self.complement else base[parent] + ranks
+        return np.concatenate((cand[parent], j[:, None]), axis=1)
+
+    def _leaves(self, cand, f, rs, first, limit):
+        """The screened leaves under a block of r = 1 prefixes, as (<= _GATHER, k) position sets."""
+        n = self.n
+        values = 2.0 * rs
+        values += self.diag
+        values += f[:, None]
+        valid = np.arange(n) >= first[:, None]
+        threshold = np.min(values, where=valid, initial=np.inf) + 2.0 * self.slack
+        if limit < threshold:
+            threshold = limit
+        keep = valid & ~(values > threshold)
+        rows, cols = np.nonzero(keep[:, ::-1] if self.complement else keep)
+        del values, valid, keep
+        if self.complement:
+            cols = n - 1 - cols
+        for lo in range(0, len(rows), _GATHER):
+            sets = np.concatenate((cand[rows[lo : lo + _GATHER]], cols[lo : lo + _GATHER, None]), axis=1)
+            if self.complement:
+                kept = np.ones((len(sets), n), dtype=bool)
+                kept[np.arange(len(sets))[:, None], sets] = False
+                sets = np.nonzero(kept)[1].reshape(len(sets), n - self.m)
+            yield sets
 
 
 def think_select(
@@ -295,12 +456,13 @@ def oracle_select(
     protected: IndexSet = IndexSet.empty(),
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> PruneSelection:
-    """Exhaustive minimizer of the pruning error over all feasible sets.
+    """Exact minimizer of the pruning error over all feasible sets.
 
-    Enumerates every size-n_prune subset of the unprotected channels and
-    returns the global minimum of the quadratic set function; ties go to
-    the lexicographically smallest index set. Raises CapacityError when
-    the subset count exceeds `cap`.
+    Returns the global minimum of the quadratic set function over every
+    size-n_prune subset of the unprotected channels, found by branch and
+    bound (see `_BranchAndBound`) with the same answer as summing every
+    subset; ties go to the lexicographically smallest index set. Raises
+    CapacityError, before any work, when the subset count exceeds `cap`.
     """
     return Problem(q, k, protected).select(Selector.ORACLE, lam, cap=cap)
 

@@ -334,6 +334,21 @@ class TestRunExperiment:
         assert all(row.approx_ratio == ORACLE_SKIPPED for row in report.rows)
         assert ORACLE_SKIPPED in render_report(report)
 
+    def test_oracle_runs_once_per_seed_and_budget(self, monkeypatch):
+        # The oracle cell and the approx_ratio optimum share one search.
+        budgets = []
+        real_order = prune.Problem._oracle_order
+
+        def counted(problem, n_prune):
+            budgets.append(n_prune)
+            return real_order(problem, n_prune)
+
+        monkeypatch.setattr(prune.Problem, "_oracle_order", counted)
+        cfg = small_cfg(d=16, seeds=(0,), selectors=(Selector.MIES, Selector.ORACLE), oracle=True)
+        report = run_experiment(cfg)
+        assert budgets == [8]
+        assert [row.approx_ratio for row in report.rows if row.selector is Selector.ORACLE] == [1.0]
+
     def test_replay_tool(self, tmp_path):
         path = tmp_path / "replayable.csv"
         write_report(run_experiment(small_cfg(oracle=True)), path)
@@ -515,6 +530,16 @@ class TestCommandLine:
     def test_capacity_error_exit_code(self, capsys):
         # d=64 default: exhaustive selection at lambda 0.5 is far beyond the cap
         assert cli_main(["prune", "--selector", "oracle", "--lambda", "0.5"]) == 2
+
+    def test_oracle_over_the_cap_is_refused_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # lambda 0.1 fits the cap; lambda 0.5 at d=20 is C(19, 10) = 92,378 subsets, above it.
+        cfg = tmp_path / "cfg"
+        cfg.write_text("d=20\nL=16\nL_obs=8\nL_future=8\nseeds=0,1\nlambdas=0.1,0.5\nenumeration_cap=50000\n")
+        monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        out = tmp_path / "r.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--selector", "mies,oracle", "--out", str(out)]) == 2
+        assert "C(19, 10) = 92378 subsets exceed the enumeration cap 50000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -1,9 +1,10 @@
-"""Bit-for-bit golden sets of the exhaustive oracle on tie-heavy inputs.
+"""Bit-for-bit golden sets of the oracle on tie-heavy inputs.
 
 `tests/data/oracle_golden.json` holds the `pruned` set and `error_sq.hex()`
-that `oracle_select` returned when it compared the gathered sum of every
-subset's principal submatrix and nothing else. The inputs make many
-subsets tie or nearly tie:
+that `oracle_select` returned when it enumerated every subset and compared
+the gathered sum of each subset's principal submatrix and nothing else.
+The branch and bound must reproduce them. The inputs make many subsets
+tie or nearly tie:
 
 - duplicated channels: columns 8..15 copy a permutation of columns 0..7,
   so tied sets differ only in the order their entries are summed, and the
@@ -15,10 +16,11 @@ subsets tie or nearly tie:
   shrunk to about 1e-298.
 
 The third case of each of the first three kinds protects channels 0 and
-9. The last case is the benchmark's exact-d20 instance at seed 0: d = 20,
-one protected channel, C(19, 10) = 92,378 subsets over 23 chunks. Any
-change to how a chunk's values are compared, or to which of several tied
-subsets wins, shows here as a changed set or bit.
+9. Then comes the benchmark's exact-d20 instance at seed 0: d = 20, one
+protected channel, C(19, 10) = 92,378 subsets. The last three are the
+same config at d = 24, seeds 0-2: two protected channels, C(22, 12) =
+646,646 subsets each. Any change to how values are compared, or to which
+of several tied subsets wins, shows here as a changed set or bit.
 """
 
 import json
@@ -62,15 +64,18 @@ def oracle_values() -> list[dict]:
         protected = IndexSet((0, 9)) if i == 2 else IndexSet.empty()
         sel = oracle_select(ChannelMatrix(q), ChannelMatrix(k), lam, protected)
         out.append({"case": f"{kind}-{i}", "pruned": list(sel.pruned), "error_sq": sel.error_sq.hex()})
-    _, q, k, _ = load_instance(EXACT_D20, 0)
-    sel = oracle_select(q, k, 0.5, protect_channels(k, EXACT_D20.policy()))
-    out.append({"case": "exact-d20-0", "pruned": list(sel.pruned), "error_sq": sel.error_sq.hex()})
+    for d, seeds in ((20, (0,)), (24, (0, 1, 2))):
+        cfg = EXACT_D20.with_updates(d=d)
+        for seed in seeds:
+            _, q, k, _ = load_instance(cfg, seed)
+            sel = oracle_select(q, k, 0.5, protect_channels(k, cfg.policy()))
+            out.append({"case": f"exact-d{d}-{seed}", "pruned": list(sel.pruned), "error_sq": sel.error_sq.hex()})
     return out
 
 
 def test_oracle_matches_golden_bits():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["oracles"]
     actual = oracle_values()
-    assert len(actual) == len(expected) == len(CASES) + 1
+    assert len(actual) == len(expected) == len(CASES) + 4
     for want, got in zip(expected, actual):
         assert got == want, want["case"]

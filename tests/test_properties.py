@@ -1,6 +1,6 @@
 """Property-based tests for the selection invariants, the subset
-enumerator, the exhaustive oracle, the stacked Jacobi and the
-configuration and matrix round-trips.
+enumerator, the branch-and-bound oracle and its bound, the stacked Jacobi
+and the configuration and matrix round-trips.
 
 Instances are seeded normal matrices, with about one column in ten scaled
 up as an outlier, and a random protected set. Ratios are two-decimal
@@ -31,7 +31,7 @@ from channelprune import (
     quadratic_form,
     reconstruction_error_sq,
 )
-from channelprune import graph
+from channelprune import graph, prune
 from channelprune.cli import ExperimentConfig, load_matrix, parse_config_lines, render_report, save_matrix
 from channelprune.cli.experiment import ExperimentReport
 
@@ -168,6 +168,63 @@ def test_oracle_keeps_subsets_whose_screen_is_nan():
     v = np.array([1e154, 1e154, 1e154, 1.0, 2.0, -3.0])
     q, k = ChannelMatrix(v[None, :]), ChannelMatrix(np.ones((1, 6)))
     with np.errstate(over="ignore", invalid="ignore"):
+        assert tuple(oracle_select(q, k, 0.5).pruned) == first_minimizer(q, k, (), 3) == (3, 4, 5)
+
+
+@st.composite
+def tie_free_instances(draw):
+    """Standard-normal instances with 11-14 channels, where no two sets share a value."""
+    d = draw(st.integers(11, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, k = rng.standard_normal((draw(st.integers(2, 8)), d)), rng.standard_normal((draw(st.integers(2, 8)), d))
+    protected = IndexSet(tuple(sorted(draw(st.sets(st.integers(0, d - 1), max_size=2)))))
+    return ChannelMatrix(q), ChannelMatrix(k), protected
+
+
+@PROPERTY
+@given(tie_free_instances(), ratios, st.sampled_from([5, 64, prune._BLOCK]))
+def test_branch_and_bound_is_the_first_minimizer(instance, lam, block):
+    # At d <= 14 every problem fits one leaf block of the default size; smaller
+    # blocks make the search bound every level and split blocks mid-expansion.
+    # Ratios above 0.5 search the kept channels instead of the pruned ones.
+    q, k, protected = instance
+    with mock.patch.object(prune, "_BLOCK", block), mock.patch.object(prune, "_GATHER", block):
+        sel = oracle_select(q, k, lam, protected)
+    assert tuple(sel.pruned) == first_minimizer(q, k, protected, sel.n_prune)
+
+
+@PROPERTY
+@given(st.integers(4, 9), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e150, 1e-150]), st.data())
+def test_block_bounds_never_exceed_a_completion(d, seed, scale, data):
+    # Every prefix with r >= 2 left to choose, bounded alone; its value and row
+    # sums are gathered and summed, in another order than the search's product.
+    rng = np.random.default_rng(seed)
+    q = ChannelMatrix(rng.standard_normal((3, d)) * scale)
+    w = build_interaction_graph(q, ChannelMatrix(rng.standard_normal((3, d)))).w
+    size = data.draw(st.integers(2, d - 2))
+    with mock.patch.object(prune, "_BLOCK", 0):  # tabulate even when one leaf block would do
+        search = prune._BranchAndBound(w, size)
+    assert math.isfinite(search.slack)
+    for t in range(search.m - 1):
+        r = search.m - t
+        for prefix in combinations(range(d - r), t):
+            first = prefix[-1] + 1 if t else 0
+            rows = list(prefix)
+            f = search.offset + search.a[np.ix_(rows, rows)].sum()
+            bound = search.bounds(np.array([f]), search.a[rows].sum(axis=0)[None, :], np.array([first]), r)[0]
+            chosen = [set(rows + list(rest)) for rest in combinations(range(first, d), r)]
+            sets = [sorted(set(range(d)) - c if search.complement else c) for c in chosen]
+            assert bound <= search.gathered(np.array(sets)).min() + search.slack
+
+
+def test_nan_or_infinite_bounds_never_prune():
+    bounds = np.array([np.nan, np.inf, -np.inf, 1.0, 3.0])
+    assert prune._unpruned(bounds, 2.0).tolist() == [True, True, True, True, False]
+    assert prune._unpruned(bounds, np.nan).all()
+    # sum |W| overflows, so the slack is +inf: the bounded search still reaches the first minimizer.
+    v = np.array([1e154, 1e154, 1e154, 1.0, 2.0, -3.0])
+    q, k = ChannelMatrix(v[None, :]), ChannelMatrix(np.ones((1, 6)))
+    with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(prune, "_BLOCK", 1):
         assert tuple(oracle_select(q, k, 0.5).pruned) == first_minimizer(q, k, (), 3) == (3, 4, 5)
 
 

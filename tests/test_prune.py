@@ -6,6 +6,7 @@ asserted here; see the per-test comments.
 """
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -246,6 +247,19 @@ class TestOracleSelect:
         q, k = normal_pair(6, d=10)
         with pytest.raises(CapacityError):
             oracle_select(q, k, 0.5, cap=10)
+
+    def test_all_tied_worst_case_stays_bounded(self):
+        # W is all 16s, so every set of 10 ties and no bound prunes: all C(20, 10)
+        # leaves are screened and gathered, a block at a time.
+        ones = ChannelMatrix(np.ones((4, 20)))
+        tracemalloc.start()
+        try:
+            sel = oracle_select(ones, ones, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sel.pruned.indices == tuple(range(10))
+        assert peak <= 8 * 2**20
 
 
 class TestRandomSelect:
