@@ -193,14 +193,18 @@ def test_branch_and_bound_is_the_first_minimizer(instance, lam, block):
     assert tuple(sel.pruned) == first_minimizer(q, k, protected, sel.n_prune)
 
 
+# (q, k) scales: W entries near 1, 1e300 and 1e-300.
+SCALES = [(1.0, 1.0), (1e150, 1.0), (1e75, 1e75), (1e-150, 1.0), (1e-75, 1e-75)]
+
+
 @PROPERTY
-@given(st.integers(4, 9), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e150, 1e-150]), st.data())
-def test_block_bounds_never_exceed_a_completion(d, seed, scale, data):
+@given(st.integers(4, 9), st.integers(0, 2**32 - 1), st.sampled_from(SCALES), st.data())
+def test_block_bounds_never_exceed_a_completion(d, seed, scales, data):
     # Every prefix with r >= 2 left to choose, bounded alone; its value and row
     # sums are gathered and summed, in another order than the search's product.
     rng = np.random.default_rng(seed)
-    q = ChannelMatrix(rng.standard_normal((3, d)) * scale)
-    w = build_interaction_graph(q, ChannelMatrix(rng.standard_normal((3, d)))).w
+    q, k = (ChannelMatrix(rng.standard_normal((3, d)) * scale) for scale in scales)
+    w = build_interaction_graph(q, k).w
     size = data.draw(st.integers(2, d - 2))
     with mock.patch.object(prune, "_BLOCK", 0):  # tabulate even when one leaf block would do
         search = prune._BranchAndBound(w, size)
