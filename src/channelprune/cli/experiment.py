@@ -16,8 +16,7 @@ from pathlib import Path
 
 from ..core import ChannelMatrix, attention_norm, reconstruction_error_sq
 from ..errors import CapacityError
-from ..graph import _check_capacity
-from ..prune import Problem, ProtectionPolicy, Selector, _budget, protect_channels
+from ..prune import Problem, ProtectionPolicy, Selector, protect_channels
 from ..sim import generate_instance
 from .config import _KEYS, ExperimentConfig, format_value, parse_config_lines
 from .matrix_io import load_matrix
@@ -105,7 +104,7 @@ def _check_oracle_capacity(cfg: ExperimentConfig, policy: ProtectionPolicy) -> N
         _, _, k, _ = load_instance(cfg, seed)
         n_protected = len(protect_channels(k, policy))
         for lam in cfg.lambdas:
-            _check_capacity(k.cols - n_protected, _budget(lam, k.cols, n_protected)[0], cfg.enumeration_cap)
+            Problem.check_oracle_capacity(k.cols, n_protected, lam, cfg.enumeration_cap)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

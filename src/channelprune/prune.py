@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 from typing import Iterator
 
 import numpy as np
@@ -214,7 +214,7 @@ class Problem:
             drawn = np.random.default_rng(seed).choice(self.candidates, size=n_prune, replace=False)
             order = tuple(int(j) for j in drawn)
         else:
-            _check_capacity(len(self.candidates), n_prune, cap)
+            self.check_oracle_capacity(self.q.cols, len(self.protected), lam, cap)
             if n_prune not in self._oracle_orders:
                 self._oracle_orders[n_prune] = self._oracle_order(n_prune)
             order = self._oracle_orders[n_prune]
@@ -229,6 +229,15 @@ class Problem:
             error_sq=reconstruction_error_sq(self.q, self.k, pruned),
             budget_clamped=clamped,
         )
+
+    @staticmethod
+    def check_oracle_capacity(d: int, n_protected: int, lam: float, cap: int) -> None:
+        """CapacityError when the oracle at `lam` would search more than `cap` subsets.
+
+        The count is C(d - n_protected, n_prune). `select` applies this
+        before any oracle work; a caller may apply it before building W.
+        """
+        _check_capacity(d - n_protected, _budget(lam, d, n_protected)[0], cap)
 
     def _oracle_order(self, n_prune: int) -> tuple[int, ...]:
         """Lexicographically smallest minimizer of 1_S^T W 1_S over size-n_prune sets.
@@ -263,29 +272,23 @@ class _BranchAndBound:
     no earlier set beats with a strict `<` (the k-cluster problem; Feige,
     Peleg & Kortsarz, Algorithmica 2001).
 
-    The search grows sorted prefixes P of m positions, with r = m - |P|
-    left to choose, in blocks of at most `_BLOCK` rows. A block is its
-    (b, t) positions; one BLAS product over its 0/1 indicator rows gives
-    the row sums sum_{p in P} a[p, :] and from them f(P). A completion R
-    of P lies in [s, n), s one past P's last position, and f(P + R) >=
-    f(P) + sum_{j in R} c_j with c_j = a_jj + 2 sum_{p in P} a[p, j] +
-    (the sum of the r - 1 smallest a[j, i], i in [s, n) - j). So f(P)
-    plus the r smallest c_j bounds every completion from below; the
-    smallest-entry sums depend only on (s, r) and are tabulated once. A
-    row whose bound exceeds min(best, incumbent) + slack is dropped, and
-    the survivors' children are pushed in blocks, last first, so the
-    stack pops them in lexicographic order. At r = 1 a prefix's children
-    are leaves, each valued f(P) + a_jj + 2 sum_{p in P} a[p, j]; a leaf
-    is gathered only if that value is within 2 * slack of the block's
-    smallest and within slack of min(best, incumbent), or is NaN. With
-    C(n, m) <= `_BLOCK` nothing is bounded: the whole problem is one
-    screened leaf block.
-
-    When k > n - k the search runs over the kept set U = pool - S
-    instead, with m = n - k: f(S) = sum(W) + 1_U^T A 1_U where A is W
-    with a_jj = w_jj - 2 sum_i w_ji, so every f starts from sum(W). It
-    visits U in reverse lexicographic order, which is S in lexicographic
-    order, and the tree stays shallow.
+    The search grows sorted prefixes P, with r = k - |P| left to choose,
+    in blocks of at most `_BLOCK` rows. A block is its (b, |P|)
+    positions; one BLAS product over its 0/1 indicator rows gives the row
+    sums sum_{p in P} w[p, :] and from them f(P). A completion R of P lies
+    in [s, n), s one past P's last position, and f(P + R) >= f(P) +
+    sum_{j in R} c_j with c_j = w_jj + 2 sum_{p in P} w[p, j] + (the sum of
+    the r - 1 smallest w[j, i], i in [s, n) - j). So f(P) plus the r
+    smallest c_j bounds every completion from below; the smallest-entry
+    sums depend only on (s, r) and are tabulated once. A row whose bound
+    exceeds min(best, incumbent) + slack is dropped, and the survivors'
+    children are pushed in blocks, last first, so the stack pops them in
+    lexicographic order. At r = 1 a prefix's children are leaves, each
+    valued f(P) + w_jj + 2 sum_{p in P} w[p, j]; a leaf is gathered only
+    if that value is within 2 * slack of the block's smallest and within
+    slack of min(best, incumbent), or is NaN. With C(n, k) <= `_BLOCK`
+    nothing is bounded: every prefix of k - 1 positions is built at once
+    and the whole problem is one screened leaf block.
 
     Slack. Every value compared (a bound, a leaf's value, a gathered sum)
     is a floating-point sum of at most D = n^2 + 2n terms +-w_ij or
@@ -306,29 +309,25 @@ class _BranchAndBound:
 
     def __init__(self, w: np.ndarray, k: int):
         n = len(w)
-        self.w, self.n = w, n
-        self.complement = 2 * k > n
-        self.m = n - k if self.complement else k
-        if self.complement:
-            self.a = w.copy()
-            np.fill_diagonal(self.a, np.diag(w) - 2.0 * w.sum(axis=1))
-            self.offset = float(w.sum())
-        else:
-            self.a, self.offset = w, 0.0
-        self.diag = np.diag(self.a)
+        self.w, self.n, self.k = w, n, k
+        self.diag = np.diag(w)
         total = float(np.abs(w).sum())
         eps = np.finfo(np.float64).eps
         self.slack = 32.0 * (n * n + 2 * n) * eps * total if math.isfinite(64.0 * total) else math.inf
-        self.bounded = math.comb(n, self.m) > _BLOCK
+        self.bounded = math.comb(n, k) > _BLOCK
         if self.bounded:
-            # table[s, c - 1, j]: the c smallest a[j, i] over i in [s, n) - j, for c < m, +inf
-            # where j < s or fewer than c remain. s > 0 occurs only below the root, where at
-            # least 2 are left to choose only if m > 2.
-            off = np.hstack((self.a, np.full((n, self.m), np.inf)))
+            # table[s, c - lo[s], j]: the c smallest w[j, i] over i in [s, n) - j, +inf where j < s
+            # or fewer than c remain. A prefix ending at s - 1 holds t <= s positions (t = 0 only
+            # at s = 0) and leaves c = k - 1 - t, so only c from lo[s] = max(1, k - 1 - s) to
+            # min(k - 1, n - s - 1) occur: at most min(k - 1, n - k + 1) of them. s > 0 occurs
+            # only if k > 2.
+            off = np.hstack((w, np.full((n, k), np.inf)))
             np.fill_diagonal(off, np.inf)
-            self.table = np.full((n - 1 if self.m > 2 else 1, self.m - 1, n), np.inf)
-            for s in range(len(self.table)):
-                self.table[s, :, s:] = np.cumsum(np.sort(off[s:, s:], axis=1)[:, : self.m - 1], axis=1).T
+            self.lo = np.maximum(1, k - 1 - np.arange(n - 1 if k > 2 else 1))
+            self.table = np.full((len(self.lo), min(k - 1, n - k + 1), n), np.inf)
+            for s, lo in enumerate(self.lo):
+                smallest = np.cumsum(np.sort(off[s:, s:], axis=1)[:, : k - 1], axis=1).T[lo - 1 :]
+                self.table[s, : len(smallest), s:] = smallest[: self.table.shape[1]]
 
     def gathered(self, sets: np.ndarray) -> np.ndarray:
         """The gathered sum of each row of position sets (b, k)."""
@@ -336,7 +335,7 @@ class _BranchAndBound:
 
     def bounds(self, f: np.ndarray, rs: np.ndarray, first: np.ndarray, r: int) -> np.ndarray:
         """f(P) plus the r smallest c_j over j >= first: a lower bound on every completion."""
-        c = self.table[first, r - 2]
+        c = self.table[first, r - 1 - self.lo[first]]
         c += rs
         c += rs
         c += self.diag
@@ -345,15 +344,18 @@ class _BranchAndBound:
 
     def run(self, incumbent: float) -> np.ndarray:
         """Positions of the first minimizer; `incumbent` is some set's gathered sum, or +inf."""
-        n, m = self.n, self.m
-        if m == 0:
-            return np.arange(n) if self.complement else np.arange(0)
+        n, k = self.n, self.k
+        if k == 0:
+            return np.arange(0)
+        if self.bounded:
+            cand = np.empty((1, 0), dtype=np.intp)
+        else:  # one leaf block: every prefix of k - 1 positions
+            cand = np.array(list(combinations(range(n - 1), k - 1)), dtype=np.intp)
         best, best_value = None, math.inf
         pending = []
-        cand = np.empty((1, 0), dtype=np.intp)
         while True:
-            r = m - cand.shape[1]
-            first = cand[:, -1] + 1 if cand.shape[1] else np.zeros(1, dtype=np.intp)
+            r = k - cand.shape[1]
+            first = cand[:, -1] + 1 if cand.shape[1] else np.zeros(len(cand), dtype=np.intp)
             limit = min(best_value, incumbent) + self.slack
             if r == 1:
                 for sets in self._leaves(cand, *self._values(cand), first, limit):
@@ -364,12 +366,10 @@ class _BranchAndBound:
                     if values[pos] < best_value:  # strict: the first minimum is lexicographically smallest
                         best, best_value = sets[pos], values[pos]
             else:
-                if self.bounded:
-                    keep = _unpruned(self.bounds(*self._values(cand), first, r), limit)
-                    cand, first = cand[keep], first[keep]
+                keep = _unpruned(self.bounds(*self._values(cand), first, r), limit)
+                cand, first = cand[keep], first[keep]
                 ends = np.cumsum(n - r + 1 - first)  # children j in [first, n - r]
-                # child rank i of row p is j = base[p] + i, or base[p] - i when visited descending
-                base = first + ends - 1 if self.complement else n - r + 1 - ends
+                base = n - r + 1 - ends  # child rank i of row p is j = base[p] + i
                 total = int(ends[-1]) if len(ends) else 0
                 for lo in reversed(range(0, total, _BLOCK)):
                     pending.append((cand, ends, base, lo, min(lo + _BLOCK, total)))
@@ -378,41 +378,31 @@ class _BranchAndBound:
             cand = self._children(*pending.pop())
 
     def _values(self, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f(P) and the row sums sum_{p in P} a[p, :] of a block of prefixes, via its 0/1 indicator rows."""
+        """f(P) and the row sums sum_{p in P} w[p, :] of a block of prefixes, via its 0/1 indicator rows."""
         indicator = np.zeros((len(cand), self.n))
         indicator[np.arange(len(cand))[:, None], cand] = 1.0
-        rs = indicator @ self.a
-        return self.offset + np.einsum("ij,ij->i", indicator, rs), rs
+        rs = indicator @ self.w
+        return np.einsum("ij,ij->i", indicator, rs), rs
 
     def _children(self, cand, ends, base, lo, hi):
-        """Children of ranks [lo, hi) of a block, in visiting order."""
+        """Children of ranks [lo, hi) of a block, in lexicographic order."""
         ranks = np.arange(lo, hi)
         parent = np.searchsorted(ends, ranks, side="right")
-        j = base[parent] - ranks if self.complement else base[parent] + ranks
-        return np.concatenate((cand[parent], j[:, None]), axis=1)
+        return np.concatenate((cand[parent], (base[parent] + ranks)[:, None]), axis=1)
 
     def _leaves(self, cand, f, rs, first, limit):
         """The screened leaves under a block of r = 1 prefixes, as (<= _GATHER, k) position sets."""
-        n = self.n
         values = 2.0 * rs
         values += self.diag
         values += f[:, None]
-        valid = np.arange(n) >= first[:, None]
+        valid = np.arange(self.n) >= first[:, None]
         threshold = np.min(values, where=valid, initial=np.inf) + 2.0 * self.slack
         if limit < threshold:
             threshold = limit
-        keep = valid & ~(values > threshold)
-        rows, cols = np.nonzero(keep[:, ::-1] if self.complement else keep)
-        del values, valid, keep
-        if self.complement:
-            cols = n - 1 - cols
+        rows, cols = np.nonzero(valid & ~(values > threshold))
+        del values, valid
         for lo in range(0, len(rows), _GATHER):
-            sets = np.concatenate((cand[rows[lo : lo + _GATHER]], cols[lo : lo + _GATHER, None]), axis=1)
-            if self.complement:
-                kept = np.ones((len(sets), n), dtype=bool)
-                kept[np.arange(len(sets))[:, None], sets] = False
-                sets = np.nonzero(kept)[1].reshape(len(sets), n - self.m)
-            yield sets
+            yield np.concatenate((cand[rows[lo : lo + _GATHER]], cols[lo : lo + _GATHER, None]), axis=1)
 
 
 def think_select(

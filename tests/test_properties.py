@@ -186,7 +186,6 @@ def tie_free_instances(draw):
 def test_branch_and_bound_is_the_first_minimizer(instance, lam, block):
     # At d <= 14 every problem fits one leaf block of the default size; smaller
     # blocks make the search bound every level and split blocks mid-expansion.
-    # Ratios above 0.5 search the kept channels instead of the pruned ones.
     q, k, protected = instance
     with mock.patch.object(prune, "_BLOCK", block), mock.patch.object(prune, "_GATHER", block):
         sel = oracle_select(q, k, lam, protected)
@@ -209,15 +208,13 @@ def test_block_bounds_never_exceed_a_completion(d, seed, scales, data):
     with mock.patch.object(prune, "_BLOCK", 0):  # tabulate even when one leaf block would do
         search = prune._BranchAndBound(w, size)
     assert math.isfinite(search.slack)
-    for t in range(search.m - 1):
-        r = search.m - t
+    for t in range(size - 1):
+        r = size - t
         for prefix in combinations(range(d - r), t):
             first = prefix[-1] + 1 if t else 0
             rows = list(prefix)
-            f = search.offset + search.a[np.ix_(rows, rows)].sum()
-            bound = search.bounds(np.array([f]), search.a[rows].sum(axis=0)[None, :], np.array([first]), r)[0]
-            chosen = [set(rows + list(rest)) for rest in combinations(range(first, d), r)]
-            sets = [sorted(set(range(d)) - c if search.complement else c) for c in chosen]
+            bound = search.bounds(np.array([w[np.ix_(rows, rows)].sum()]), w[rows].sum(axis=0)[None, :], np.array([first]), r)[0]
+            sets = [rows + list(rest) for rest in combinations(range(first, d), r)]
             assert bound <= search.gathered(np.array(sets)).min() + search.slack
 
 
