@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..graph import DEFAULT_ENUMERATION_CAP
 from ..prune import ProtectionPolicy, Selector
 from ..sim import SyntheticSpec
 
@@ -137,24 +138,24 @@ EMBEDDED_KEYS = tuple(key for key in CONFIG_KEYS if key != "out")
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = "synthetic"
-    d: int = 64
-    L: int = 64
-    L_obs: int = 32
-    L_future: int = 32
-    outlier_fraction: float = 0.05
-    outlier_scale: float = 10.0
-    drift_gamma: float = 0.5
+    d: int = SyntheticSpec.d
+    L: int = SyntheticSpec.L
+    L_obs: int = SyntheticSpec.L_obs
+    L_future: int = SyntheticSpec.L_future
+    outlier_fraction: float = SyntheticSpec.outlier_fraction
+    outlier_scale: float = SyntheticSpec.outlier_scale
+    drift_gamma: float = SyntheticSpec.drift_gamma
     q_path: str | None = None
     k_path: str | None = None
     q_future_path: str | None = None
     lambdas: tuple[float, ...] = (0.5,)
     selectors: tuple[Selector, ...] = (Selector.MIES, Selector.THINK)
     seeds: tuple[int, ...] = (0,)
-    protect: bool = True
-    protect_sigma: float = 1.0
-    protect_bounds: tuple[float, float] = (0.01, 0.125)
+    protect: bool = ProtectionPolicy.enabled
+    protect_sigma: float = ProtectionPolicy.threshold_sigma
+    protect_bounds: tuple[float, float] = (ProtectionPolicy.a, ProtectionPolicy.b)
     oracle: bool = False
-    enumeration_cap: int = 2_000_000
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     timing: bool = False
     out: str | None = None
 

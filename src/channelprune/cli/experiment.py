@@ -38,7 +38,7 @@ CSV_HEADER = (
 
 ORACLE_SKIPPED = "oracle_skipped"
 
-REPLAYED_COLUMNS = ("error_sq", "relative_error", "error_future", "approx_ratio")
+TOLERANT_COLUMNS = ("error_sq", "relative_error", "error_future", "approx_ratio")
 
 
 @dataclass(frozen=True)
@@ -204,24 +204,25 @@ def write_report(report: ExperimentReport, path: str | Path) -> None:
     Path(path).write_text(render_report(report), encoding="utf-8")
 
 
-def _reproduces(recorded: str, value: float | str | None, tolerance: float) -> bool:
-    """A recorded field matches a replayed value: same kind, numbers within `tolerance`."""
-    if value is None or isinstance(value, str):
-        return recorded == ("" if value is None else value)
+def _within(recorded: str, value: float | str | None, tolerance: float) -> bool:
+    """A recorded number is within `tolerance` relative error of a replayed float."""
+    if not isinstance(value, float):
+        return False
     try:
         number = float(recorded)
     except ValueError:
         return False
-    return number == value or abs(number - value) <= tolerance * max(1.0, abs(value))
+    return abs(number - value) <= tolerance * max(1.0, abs(value))
 
 
 def replay_report(path: str | Path, tolerance: float = 1e-9) -> list[str]:
-    """Re-run a report's embedded config and diff every numeric result column.
+    """Re-run a report's embedded config and diff every column but wall_time_ms.
 
-    error_sq, relative_error, error_future and approx_ratio must each be
-    reproduced within `tolerance` relative error; an empty field or the
-    oracle-skip marker must be reproduced as the same kind. Returns a list
-    of mismatch descriptions; an empty list means every row matched.
+    Each field must equal the replayed row's text; error_sq,
+    relative_error, error_future and approx_ratio may instead differ by
+    `tolerance` relative error, but an empty field or the oracle-skip
+    marker must still be reproduced as the same kind. Returns a list of
+    mismatch descriptions; an empty list means every row matched.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -242,8 +243,10 @@ def replay_report(path: str | Path, tolerance: float = 1e-9) -> list[str]:
         if len(fields) != len(columns):
             problems.append(f"line {lineno}: {len(fields)} fields, expected {len(columns)}")
             continue
-        for name in REPLAYED_COLUMNS:
-            recorded, value = fields[columns.index(name)], getattr(row, name)
-            if not _reproduces(recorded, value, tolerance):
-                problems.append(f"line {lineno}: {name} {recorded!r} not reproduced (replay {value!r})")
+        replayed = _format_row(row, timing=False).split(",")
+        for name, recorded, expected in zip(columns, fields, replayed):
+            if name == "wall_time_ms" or recorded == expected:
+                continue
+            if not (name in TOLERANT_COLUMNS and _within(recorded, getattr(row, name), tolerance)):
+                problems.append(f"line {lineno}: {name} {recorded!r} not reproduced (replay {expected!r})")
     return problems

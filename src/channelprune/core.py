@@ -9,7 +9,7 @@ quantity every selection algorithm in this package tries to minimize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -70,17 +70,14 @@ class IndexSet:
     """Ordered collection of distinct channel indices."""
 
     indices: tuple[int, ...]
-    _members: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         idx = tuple(int(i) for i in self.indices)
         if any(i < 0 for i in idx):
             raise ValueError(f"negative channel index in {idx}")
-        members = frozenset(idx)
-        if len(members) != len(idx):
+        if len(set(idx)) != len(idx):
             raise ValueError(f"duplicate channel index in {idx}")
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "_members", members)
 
     @classmethod
     def empty(cls) -> "IndexSet":
@@ -95,9 +92,6 @@ class IndexSet:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._members
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 from typing import Iterator
 
 import numpy as np
@@ -39,16 +40,13 @@ _JACOBI_MAX_SWEEPS = 100
 class InteractionGraph:
     """Symmetric d x d interaction matrix over channel indices."""
 
-    dim: int
     w: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.w, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"interaction matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] != self.dim:
-            raise ValueError(f"dim={self.dim} does not match matrix shape {arr.shape}")
-        if self.dim < 1:
+        if arr.shape[0] < 1:
             raise ValueError("graph needs at least one channel")
         if not np.all(np.isfinite(arr)):
             raise ValueError("interaction matrix has non-finite entries")
@@ -58,6 +56,10 @@ class InteractionGraph:
             arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.w.shape[0]
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,14 @@ class EigenCertificate:
     k: int
     mu_min: float
     mu_max: float
-    kappa: float
 
     def __post_init__(self) -> None:
         if self.mu_min > self.mu_max:
             raise ValueError(f"mu_min {self.mu_min} exceeds mu_max {self.mu_max}")
+
+    @property
+    def kappa(self) -> float:
+        return self.mu_max / self.mu_min if self.mu_min > 0.0 else math.inf
 
 
 def build_interaction_graph(q: ChannelMatrix, k: ChannelMatrix) -> InteractionGraph:
@@ -94,7 +99,7 @@ def build_interaction_graph(q: ChannelMatrix, k: ChannelMatrix) -> InteractionGr
     upper = np.triu(raw, 1)
     w = upper + upper.T
     np.fill_diagonal(w, np.diag(raw))
-    return InteractionGraph(dim=q.cols, w=w)
+    return InteractionGraph(w)
 
 
 def quadratic_form(g: InteractionGraph, s: IndexSet) -> float:
@@ -154,28 +159,19 @@ def _check_capacity(n: int, k: int, cap: int) -> int:
     return total
 
 
-def _subsets(pool: np.ndarray, k: int, cap: int) -> Iterator[np.ndarray]:
-    """Every size-k subset of `pool` in lexicographic order, as (<= 4096, k) index arrays.
+def _subsets(n: int, k: int, cap: int) -> Iterator[np.ndarray]:
+    """Every size-k subset of range(n) in lexicographic order, as (<= 4096, k) index arrays.
 
-    The certificate's support walk. Raises CapacityError before the first
-    chunk when C(len(pool), k) exceeds `cap`. Each chunk is unranked in
-    numpy: the subset of lexicographic rank r mirrored by i -> n - 1 - i
-    has colex rank C(n, k) - 1 - r, whose combinatorial-number-system
-    digits are found by one searchsorted per position (Knuth, TAOCP 4A
-    7.2.1.3).
+    The package's one full-subset walk: the certificate's supports, and
+    the prefixes of the oracle's one-block case. Raises CapacityError
+    before the first chunk when C(n, k) exceeds `cap`.
     """
-    n = len(pool)
     total = _check_capacity(n, k, cap)
-    # binom[i][c] = C(c, i) for c < n; values past total never decide a digit, so they are clipped
-    binom = [np.array([min(math.comb(c, i), total) for c in range(n)], dtype=np.int64) for i in range(k + 1)]
+    walk = combinations(range(n), k)
     for start in range(0, total, _SUBSET_CHUNK):
-        rest = total - 1 - np.arange(start, min(start + _SUBSET_CHUNK, total), dtype=np.int64)
-        rows = np.empty((len(rest), k), dtype=np.intp)
-        for j in range(k):
-            digit = np.searchsorted(binom[k - j], rest, side="right") - 1  # largest c with C(c, k - j) <= rest
-            rest -= binom[k - j][digit]
-            rows[:, j] = pool[n - 1 - digit]
-        yield rows
+        rows = min(_SUBSET_CHUNK, total - start)
+        flat = chain.from_iterable(islice(walk, rows))
+        yield np.fromiter(flat, dtype=np.intp, count=rows * k).reshape(rows, k)
 
 
 def restricted_eigenvalues(
@@ -190,10 +186,9 @@ def restricted_eigenvalues(
     if not 1 <= k <= g.dim:
         raise ValueError(f"subset size {k} out of range for dimension {g.dim}")
     mu_min, mu_max = math.inf, -math.inf
-    for rows in _subsets(np.arange(g.dim), k, cap):
+    for rows in _subsets(g.dim, k, cap):
         eig = jacobi_eigenvalues(g.w[rows[:, :, None], rows[:, None, :]])
         # First extremum of the chunk, and an earlier chunk keeps a tie.
         mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
         mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))
-    kappa = mu_max / mu_min if mu_min > 0.0 else math.inf
-    return EigenCertificate(k=k, mu_min=mu_min, mu_max=mu_max, kappa=kappa)
+    return EigenCertificate(k=k, mu_min=mu_min, mu_max=mu_max)

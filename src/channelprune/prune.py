@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from .core import ChannelMatrix, IndexSet, exact_ceil, reconstruction_error_sq
-from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _check_capacity, build_interaction_graph
+from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _check_capacity, _subsets, build_interaction_graph
 
 __all__ = [
     "Problem",
@@ -63,8 +63,8 @@ class ProtectionPolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.a <= self.b <= 1.0:
             raise ValueError(f"clamp bounds must satisfy 0 <= a <= b <= 1, got [{self.a}, {self.b}]")
-        if self.threshold_sigma < 0.0:
-            raise ValueError(f"threshold_sigma must be nonnegative, got {self.threshold_sigma}")
+        if not 0.0 <= self.threshold_sigma < math.inf:
+            raise ValueError(f"threshold_sigma must be nonnegative and finite, got {self.threshold_sigma}")
 
     @classmethod
     def disabled(cls) -> "ProtectionPolicy":
@@ -350,7 +350,7 @@ class _BranchAndBound:
         if self.bounded:
             cand = np.empty((1, 0), dtype=np.intp)
         else:  # one leaf block: every prefix of k - 1 positions
-            cand = np.array(list(combinations(range(n - 1), k - 1)), dtype=np.intp)
+            cand = np.concatenate(list(_subsets(n - 1, k - 1, _BLOCK)))
         best, best_value = None, math.inf
         pending = []
         while True:

@@ -11,6 +11,7 @@ scores each pruned set on both as `relative_error` and `error_future`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,10 @@ class SyntheticSpec:
             raise ValueError(f"L_obs={self.L_obs} cannot exceed L={self.L}")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError(f"outlier_fraction must be in [0, 1], got {self.outlier_fraction}")
-        if self.outlier_scale <= 0.0:
-            raise ValueError(f"outlier_scale must be positive, got {self.outlier_scale}")
-        if self.drift_gamma < 0.0:
-            raise ValueError(f"drift_gamma must be nonnegative, got {self.drift_gamma}")
+        if not 0.0 < self.outlier_scale < math.inf:
+            raise ValueError(f"outlier_scale must be positive and finite, got {self.outlier_scale}")
+        if not 0.0 <= self.drift_gamma < math.inf:
+            raise ValueError(f"drift_gamma must be nonnegative and finite, got {self.drift_gamma}")
 
 
 def _channel_scales(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

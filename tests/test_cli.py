@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from channelprune import (
+    DEFAULT_ENUMERATION_CAP,
     ChannelMatrix,
     ConfigError,
     MatrixFormatError,
     MatrixValidationError,
+    ProtectionPolicy,
     Selector,
+    SyntheticSpec,
     jacobi_eigenvalues,
 )
 from channelprune.cli import (
@@ -209,6 +212,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(selectors=()).validate()
 
+    def test_defaults_come_from_the_owning_types(self):
+        assert ExperimentConfig().synthetic_spec(0) == SyntheticSpec()
+        assert ExperimentConfig().policy() == ProtectionPolicy()
+        assert ExperimentConfig().enumeration_cap == DEFAULT_ENUMERATION_CAP
+
     def test_validate_rejects_negative_seeds(self):
         with pytest.raises(ConfigError, match="seeds must be non-negative"):
             ExperimentConfig(seeds=(0, -1)).validate()
@@ -354,7 +362,7 @@ class TestRunExperiment:
         write_report(run_experiment(small_cfg(oracle=True)), path)
         assert replay_report(path) == []
 
-    @pytest.mark.parametrize("column", [7, 8, 9, 10])  # error_sq .. approx_ratio
+    @pytest.mark.parametrize("column", range(11))  # instance .. approx_ratio
     def test_replay_detects_tampering(self, tmp_path, column):
         path = tmp_path / "tampered.csv"
         write_report(run_experiment(small_cfg()), path)
@@ -584,6 +592,18 @@ class TestCommandLine:
         out = tmp_path / "r.csv"
         assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
         assert "norm overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["outlier_scale", "drift_gamma", "protect_sigma"])
+    def test_non_finite_setting_exit_code(self, tmp_path, capsys, monkeypatch, key, value):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"d=8\nL=8\nL_obs=4\nL_future=4\n{key}={value}\n")
+        monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        out = tmp_path / "r.csv"
+        for command in ("sweep", "prune"):
+            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -71,7 +71,7 @@ class TestBuild:
 
     def test_constructor_rejects_asymmetry(self):
         with pytest.raises(ValueError):
-            InteractionGraph(dim=2, w=np.array([[1.0, 2.0], [3.0, 1.0]]))
+            InteractionGraph(w=np.array([[1.0, 2.0], [3.0, 1.0]]))
 
     def test_psd_over_seeded_instances(self):
         rng = np.random.default_rng(100)
@@ -92,11 +92,11 @@ class TestBuild:
 
 class TestQuadraticForm:
     def test_empty(self):
-        g = InteractionGraph(dim=2, w=np.array([[2.0, 1.0], [1.0, 2.0]]))
+        g = InteractionGraph(w=np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert quadratic_form(g, IndexSet.empty()) == 0.0
 
     def test_worked_pair(self):
-        g = InteractionGraph(dim=2, w=np.array([[2.0, 1.0], [1.0, 2.0]]))
+        g = InteractionGraph(w=np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert quadratic_form(g, IndexSet.of(0, 1)) == 6.0
 
     def test_full_set_sums_everything(self):
@@ -186,17 +186,17 @@ class TestJacobi:
 class TestSubsets:
     def test_chunks_enumerate_every_subset_in_order(self):
         pool = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
-        chunks = list(graph._subsets(pool, 8, cap=math.comb(16, 8)))
+        chunks = list(graph._subsets(len(pool), 8, cap=math.comb(16, 8)))
         assert [len(c) for c in chunks] == [4096, 4096, 4096, 582]
-        flat = [tuple(int(j) for j in row) for chunk in chunks for row in chunk]
+        flat = [tuple(int(j) for j in row) for chunk in chunks for row in pool[chunk]]
         assert flat == list(combinations(pool.tolist(), 8))
 
     def test_empty_subset_is_one_row(self):
-        (chunk,) = graph._subsets(np.arange(4), 0, cap=1)
+        (chunk,) = graph._subsets(4, 0, cap=1)
         assert chunk.shape == (1, 0)
 
     def test_cap_raises_before_the_first_chunk(self):
-        chunks = graph._subsets(np.arange(20), 10, cap=1000)
+        chunks = graph._subsets(20, 10, cap=1000)
         with pytest.raises(CapacityError, match="184756 subsets exceed the enumeration cap 1000"):
             next(chunks)
 
@@ -211,7 +211,7 @@ class TestRestrictedEigenvalues:
         assert cert.mu_max == pytest.approx(float(np.diag(g.w).max()), rel=1e-12)
 
     def test_identity_graph(self):
-        g = InteractionGraph(dim=4, w=np.eye(4))
+        g = InteractionGraph(w=np.eye(4))
         cert = restricted_eigenvalues(g, 2)
         assert (cert.mu_min, cert.mu_max, cert.kappa) == (1.0, 1.0, 1.0)
 
@@ -237,7 +237,7 @@ class TestRestrictedEigenvalues:
                 assert cert.mu_min * ksz <= f <= cert.mu_max * ksz
 
     def test_k_out_of_range(self):
-        g = InteractionGraph(dim=3, w=np.eye(3))
+        g = InteractionGraph(w=np.eye(3))
         with pytest.raises(ValueError):
             restricted_eigenvalues(g, 0)
         with pytest.raises(ValueError):
@@ -252,11 +252,11 @@ class TestRestrictedEigenvalues:
             oracle_select(q, k, 0.5, cap=1000)
 
     def test_certificate_kappa_flags_zero_mu_min(self):
-        g = InteractionGraph(dim=3, w=np.zeros((3, 3)))
+        g = InteractionGraph(w=np.zeros((3, 3)))
         cert = restricted_eigenvalues(g, 2)
         assert cert.mu_min == 0.0
         assert math.isinf(cert.kappa)
 
     def test_certificate_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            EigenCertificate(k=2, mu_min=2.0, mu_max=1.0, kappa=1.0)
+            EigenCertificate(k=2, mu_min=2.0, mu_max=1.0)

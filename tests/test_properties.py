@@ -119,10 +119,10 @@ def test_subsets_chunks_equal_itertools(n, chunk, data):
     with mock.patch.object(graph, "_SUBSET_CHUNK", chunk):
         for k in range(n + 1):
             expected = list(combinations(pool.tolist(), k))
-            chunks = list(graph._subsets(pool, k, cap=len(expected)))
+            chunks = list(graph._subsets(n, k, cap=len(expected)))
             assert [len(rows) for rows in chunks] == [min(chunk, len(expected) - s) for s in range(0, len(expected), chunk)]
             assert all(rows.dtype == np.intp and rows.shape[1:] == (k,) for rows in chunks)
-            assert [tuple(row) for rows in chunks for row in rows.tolist()] == expected
+            assert [tuple(row) for rows in chunks for row in pool[rows].tolist()] == expected
 
 
 def first_minimizer(q, k, protected, size):
