@@ -33,7 +33,6 @@ from .prune import (
     oracle_select,
     protect_channels,
     random_select,
-    think_scores,
     think_select,
 )
 from .sim import SyntheticSpec, generate_instance
@@ -66,6 +65,5 @@ __all__ = [
     "random_select",
     "reconstruction_error_sq",
     "restricted_eigenvalues",
-    "think_scores",
     "think_select",
 ]

@@ -174,6 +174,8 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
+        if self.enumeration_cap < 0:
+            raise ConfigError(f"enumeration_cap must be non-negative, got {self.enumeration_cap}")
         if self.mode == "from-files" and (self.q_path is None or self.k_path is None):
             raise ConfigError("from-files mode requires q_path and k_path")
         try:

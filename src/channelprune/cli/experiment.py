@@ -9,6 +9,8 @@ identical configs produce byte-identical files.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import time
 from dataclasses import dataclass
@@ -39,6 +41,7 @@ CSV_HEADER = (
 ORACLE_SKIPPED = "oracle_skipped"
 
 TOLERANT_COLUMNS = ("error_sq", "relative_error", "error_future", "approx_ratio")
+REPLAY_TOLERANCE = 1e-9  # relative error a replayed TOLERANT_COLUMNS value may show
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,9 @@ def _format_row(row: ReportRow, timing: bool) -> str:
         approx,
         format_value(row.wall_time_ms) if timing else "",
     ]
-    return ",".join(fields)
+    line = io.StringIO()
+    csv.writer(line, lineterminator="").writerow(fields)  # quotes a field holding a comma or a quote
+    return line.getvalue()
 
 
 def render_report(report: ExperimentReport) -> str:
@@ -204,23 +209,23 @@ def write_report(report: ExperimentReport, path: str | Path) -> None:
     Path(path).write_text(render_report(report), encoding="utf-8")
 
 
-def _within(recorded: str, value: float | str | None, tolerance: float) -> bool:
-    """A recorded number is within `tolerance` relative error of a replayed float."""
+def _within(recorded: str, value: float | str | None) -> bool:
+    """A recorded number is within REPLAY_TOLERANCE relative error of a replayed float."""
     if not isinstance(value, float):
         return False
     try:
         number = float(recorded)
     except ValueError:
         return False
-    return abs(number - value) <= tolerance * max(1.0, abs(value))
+    return abs(number - value) <= REPLAY_TOLERANCE * max(1.0, abs(value))
 
 
-def replay_report(path: str | Path, tolerance: float = 1e-9) -> list[str]:
+def replay_report(path: str | Path) -> list[str]:
     """Re-run a report's embedded config and diff every column but wall_time_ms.
 
     Each field must equal the replayed row's text; error_sq,
     relative_error, error_future and approx_ratio may instead differ by
-    `tolerance` relative error, but an empty field or the oracle-skip
+    REPLAY_TOLERANCE relative error, but an empty field or the oracle-skip
     marker must still be reproduced as the same kind. Returns a list of
     mismatch descriptions; an empty list means every row matched.
     """
@@ -238,15 +243,14 @@ def replay_report(path: str | Path, tolerance: float = 1e-9) -> list[str]:
         problems.append(f"row count {len(data_lines) - 1} != replay count {len(fresh.rows)}")
         return problems
     columns = CSV_HEADER.split(",")
-    for lineno, (line, row) in enumerate(zip(data_lines[1:], fresh.rows), start=2):
-        fields = line.split(",")
+    for lineno, (fields, row) in enumerate(zip(csv.reader(data_lines[1:]), fresh.rows), start=2):
         if len(fields) != len(columns):
             problems.append(f"line {lineno}: {len(fields)} fields, expected {len(columns)}")
             continue
-        replayed = _format_row(row, timing=False).split(",")
+        replayed = next(csv.reader([_format_row(row, timing=False)]))
         for name, recorded, expected in zip(columns, fields, replayed):
             if name == "wall_time_ms" or recorded == expected:
                 continue
-            if not (name in TOLERANT_COLUMNS and _within(recorded, getattr(row, name), tolerance)):
+            if not (name in TOLERANT_COLUMNS and _within(recorded, getattr(row, name))):
                 problems.append(f"line {lineno}: {name} {recorded!r} not reproduced (replay {expected!r})")
     return problems

@@ -20,6 +20,7 @@ from ..prune import mies_select, oracle_select
 __all__ = ["SuiteResult", "VerificationSummary", "run_verification"]
 
 REL_TOL = 1e-9
+INSTANCES = 25  # instances per suite; the decomposition suite runs twice as many
 
 
 @dataclass
@@ -137,12 +138,12 @@ def _check_psd(rng: np.random.Generator, instances: int) -> SuiteResult:
     return result
 
 
-def run_verification(base_seed: int = 0, instances: int = 25) -> VerificationSummary:
+def run_verification(base_seed: int = 0) -> VerificationSummary:
     """Run every invariant suite on seeded instances."""
     suites = [
-        _check_decomposition(np.random.default_rng(base_seed), instances * 2),
-        _check_score_updates(np.random.default_rng(base_seed + 1), instances),
-        _check_oracle_dominance(np.random.default_rng(base_seed + 2), instances),
-        _check_psd(np.random.default_rng(base_seed + 3), instances),
+        _check_decomposition(np.random.default_rng(base_seed), INSTANCES * 2),
+        _check_score_updates(np.random.default_rng(base_seed + 1), INSTANCES),
+        _check_oracle_dominance(np.random.default_rng(base_seed + 2), INSTANCES),
+        _check_psd(np.random.default_rng(base_seed + 3), INSTANCES),
     ]
     return VerificationSummary(suites=suites)

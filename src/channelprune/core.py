@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -59,11 +59,6 @@ class ChannelMatrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    @classmethod
-    def from_columns(cls, columns: Iterable[Iterable[float]]) -> "ChannelMatrix":
-        """Build a matrix from per-channel column vectors."""
-        return cls(np.column_stack([np.asarray(c, dtype=np.float64) for c in columns]))
-
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -82,10 +77,6 @@ class IndexSet:
     @classmethod
     def empty(cls) -> "IndexSet":
         return cls(())
-
-    @classmethod
-    def of(cls, *indices: int) -> "IndexSet":
-        return cls(indices)
 
     def __len__(self) -> int:
         return len(self.indices)

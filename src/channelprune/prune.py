@@ -32,7 +32,6 @@ __all__ = [
     "oracle_select",
     "protect_channels",
     "random_select",
-    "think_scores",
     "think_select",
 ]
 
@@ -66,10 +65,6 @@ class ProtectionPolicy:
         if not 0.0 <= self.threshold_sigma < math.inf:
             raise ValueError(f"threshold_sigma must be nonnegative and finite, got {self.threshold_sigma}")
 
-    @classmethod
-    def disabled(cls) -> "ProtectionPolicy":
-        return cls(enabled=False)
-
 
 @dataclass(frozen=True, eq=False)
 class PruneSelection:
@@ -100,19 +95,6 @@ def _budget(lam: float, d: int, n_protected: int) -> tuple[int, bool]:
     requested = exact_ceil(lam, d)
     available = d - n_protected
     return min(requested, available), requested > available
-
-
-def think_scores(q: ChannelMatrix, k: ChannelMatrix) -> np.ndarray:
-    """Per-channel importance ||q_j|| * ||k_j||.
-
-    This is the Frobenius norm of the rank-1 outer product q_j k_j^T, the
-    independent score that ignores channel interactions.
-    """
-    if q.cols != k.cols:
-        raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
-    q_norms = np.sqrt(np.sum(q.data * q.data, axis=0))
-    k_norms = np.sqrt(np.sum(k.data * k.data, axis=0))
-    return q_norms * k_norms
 
 
 def _greedy(
@@ -192,8 +174,12 @@ class Problem:
 
     @cached_property
     def _think_order(self) -> tuple[int, ...]:
-        """Unprotected channels by ascending think score, ties to the lower index."""
-        scores = think_scores(self.q, self.k)[self.candidates]
+        """Unprotected channels by ascending W_jj, ties to the lower index.
+
+        W_jj = ||q_j||^2 ||k_j||^2 is ThinK's independent score ||q_j|| ||k_j||
+        squared, which keeps its order: the greedy's first-step scores, never updated.
+        """
+        scores = np.diag(self.graph.w)[self.candidates]
         return tuple(int(j) for j in self.candidates[np.argsort(scores, kind="stable")])
 
     def select(
@@ -408,9 +394,10 @@ class _BranchAndBound:
 def think_select(
     q: ChannelMatrix, k: ChannelMatrix, lam: float, protected: IndexSet = IndexSet.empty()
 ) -> PruneSelection:
-    """Prune the lowest-scoring unprotected channels by independent score.
+    """Prune the unprotected channels of lowest self-importance W_jj, ignoring interactions.
 
-    Ties break toward the lower channel index.
+    Ties break toward the lower channel index. A W with non-finite
+    entries is refused with ValueError, as for mies and the oracle.
     """
     return Problem(q, k, protected).select(Selector.THINK, lam)
 

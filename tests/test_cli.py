@@ -362,6 +362,16 @@ class TestRunExperiment:
         write_report(run_experiment(small_cfg(oracle=True)), path)
         assert replay_report(path) == []
 
+    def test_replay_quotes_a_comma_in_the_instance_name(self, tmp_path):
+        rng = np.random.default_rng(0)
+        q_path, k_path = tmp_path / "q,a.grcm", tmp_path / "k.grcm"
+        save_matrix(ChannelMatrix(rng.standard_normal((6, 8))), q_path)
+        save_matrix(ChannelMatrix(rng.standard_normal((6, 8))), k_path)
+        path = tmp_path / "r.csv"
+        write_report(run_experiment(small_cfg(mode="from-files", q_path=str(q_path), k_path=str(k_path))), path)
+        assert '\n"file-q,a",0,mies,' in path.read_text()
+        assert replay_report(path) == []
+
     @pytest.mark.parametrize("column", range(11))  # instance .. approx_ratio
     def test_replay_detects_tampering(self, tmp_path, column):
         path = tmp_path / "tampered.csv"
@@ -604,6 +614,15 @@ class TestCommandLine:
         for command in ("sweep", "prune"):
             assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_enumeration_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("d=8\nL=8\nL_obs=4\nL_future=4\noracle=true\nenumeration_cap=-1\n")
+        monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        out = tmp_path / "r.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "enumeration_cap must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch):

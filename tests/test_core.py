@@ -53,9 +53,9 @@ class TestIndexSet:
         assert len(s) == 3
 
     def test_validate_within(self):
-        IndexSet.of(0, 4).validate_within(5)
+        IndexSet((0, 4)).validate_within(5)
         with pytest.raises(IndexError):
-            IndexSet.of(0, 5).validate_within(5)
+            IndexSet((0, 5)).validate_within(5)
 
 
 class TestReconstructionError:
@@ -76,9 +76,9 @@ class TestReconstructionError:
     def test_worked_two_channel_example(self):
         # By the decomposition: w0 = 2, w1 = 2, interaction 2*(1)*(1) = 2, total 6.
         # The direct Frobenius computation gives the same.
-        q = ChannelMatrix.from_columns([(1, 1), (1, 0)])
-        k = ChannelMatrix.from_columns([(1, 0), (1, 1)])
-        assert reconstruction_error_sq(q, k, IndexSet.of(0, 1)) == pytest.approx(6.0, abs=1e-12)
+        q = ChannelMatrix(np.array([(1, 1), (1, 0)], dtype=float).T)
+        k = ChannelMatrix(np.array([(1, 0), (1, 1)], dtype=float).T)
+        assert reconstruction_error_sq(q, k, IndexSet((0, 1))) == pytest.approx(6.0, abs=1e-12)
 
     def test_width_mismatch(self):
         q = ChannelMatrix(np.ones((2, 3)))
@@ -90,7 +90,7 @@ class TestReconstructionError:
         rng = np.random.default_rng(7)
         q_data = rng.standard_normal((9, 5))
         k = ChannelMatrix(rng.standard_normal((6, 5)))
-        s = IndexSet.of(1, 3)
+        s = IndexSet((1, 3))
         base = reconstruction_error_sq(ChannelMatrix(q_data), k, s)
         perm = rng.permutation(9)
         shuffled = reconstruction_error_sq(ChannelMatrix(q_data[perm]), k, s)
@@ -112,7 +112,7 @@ class TestDecomposedError:
         g = build_interaction_graph(q, k)
         for i in range(4):
             outer = np.outer(q.data[:, i], k.data[:, i])
-            assert quadratic_form(g, IndexSet.of(i)) == pytest.approx(
+            assert quadratic_form(g, IndexSet((i,))) == pytest.approx(
                 float(np.sum(outer * outer)), rel=1e-12
             )
 
@@ -129,7 +129,7 @@ class TestDecomposedError:
         q = ChannelMatrix(np.ones((2, 3)))
         g = build_interaction_graph(q, q)
         with pytest.raises(IndexError):
-            quadratic_form(g, IndexSet.of(3))
+            quadratic_form(g, IndexSet((3,)))
 
 
 def test_decomposition_identity_property():
@@ -149,9 +149,9 @@ def test_decomposition_identity_property():
 
 def test_superset_error_can_decrease():
     # Negative interactions mean the error is not monotone in the pruned set.
-    q = ChannelMatrix.from_columns([(1, 0), (1, 0)])
-    k = ChannelMatrix.from_columns([(1, 0), (-1, 0)])
-    single = reconstruction_error_sq(q, k, IndexSet.of(0))
-    both = reconstruction_error_sq(q, k, IndexSet.of(0, 1))
+    q = ChannelMatrix(np.array([(1, 0), (1, 0)], dtype=float).T)
+    k = ChannelMatrix(np.array([(1, 0), (-1, 0)], dtype=float).T)
+    single = reconstruction_error_sq(q, k, IndexSet((0,)))
+    both = reconstruction_error_sq(q, k, IndexSet((0, 1)))
     assert both < single
     assert both == pytest.approx(0.0, abs=1e-12)

@@ -27,14 +27,14 @@ def random_pair(rng, d, rows_q=None, rows_k=None):
 
 class TestBuild:
     def test_orthogonal_query_columns_kill_interaction(self):
-        q = ChannelMatrix.from_columns([(1, 0), (0, 2)])
+        q = ChannelMatrix(np.array([(1, 0), (0, 2)], dtype=float).T)
         k = ChannelMatrix(np.random.default_rng(0).standard_normal((5, 2)))
         g = build_interaction_graph(q, k)
         assert g.w[0, 1] == 0.0
 
     def test_worked_example(self):
-        q = ChannelMatrix.from_columns([(1, 1), (1, 0)])
-        k = ChannelMatrix.from_columns([(1, 0), (1, 1)])
+        q = ChannelMatrix(np.array([(1, 1), (1, 0)], dtype=float).T)
+        k = ChannelMatrix(np.array([(1, 0), (1, 1)], dtype=float).T)
         g = build_interaction_graph(q, k)
         assert g.w.tolist() == [[2.0, 1.0], [1.0, 2.0]]
 
@@ -97,7 +97,7 @@ class TestQuadraticForm:
 
     def test_worked_pair(self):
         g = InteractionGraph(w=np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert quadratic_form(g, IndexSet.of(0, 1)) == 6.0
+        assert quadratic_form(g, IndexSet((0, 1))) == 6.0
 
     def test_full_set_sums_everything(self):
         rng = np.random.default_rng(9)

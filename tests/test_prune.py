@@ -26,7 +26,6 @@ from channelprune import (
     quadratic_form,
     random_select,
     reconstruction_error_sq,
-    think_scores,
     think_select,
 )
 
@@ -47,29 +46,30 @@ def brute_force_minimum(q, k, n_prune, protected=IndexSet.empty()):
 
 
 class TestThinkScores:
+    """Think scores channel j by W_jj = ||q_j||^2 ||k_j||^2 alone."""
+
     def test_zero_column_scores_zero(self):
-        q = ChannelMatrix.from_columns([(0, 0), (1, 2)])
-        k = ChannelMatrix.from_columns([(1, 1), (1, 1)])
-        assert think_scores(q, k)[0] == 0.0
+        q = ChannelMatrix(np.array([(0, 0), (1, 2)], dtype=float).T)
+        k = ChannelMatrix(np.array([(1, 1), (1, 1)], dtype=float).T)
+        sel = think_select(q, k, 0.5)
+        assert sel.order == (0,) and sel.error_sq == 0.0
 
     def test_outer_product_frobenius_oracle(self):
-        q = ChannelMatrix.from_columns([(3, 4)])
-        k = ChannelMatrix.from_columns([(1, 0, 0)])
-        score = think_scores(q, k)[0]
-        assert score == pytest.approx(5.0, rel=1e-12)
+        q = ChannelMatrix(np.array([(3, 4)], dtype=float).T)
+        k = ChannelMatrix(np.array([(1, 0, 0)], dtype=float).T)
         outer = np.outer(q.data[:, 0], k.data[:, 0])
-        assert score == pytest.approx(float(np.linalg.norm(outer)), rel=1e-12)
+        assert Problem(q, k).graph.w[0, 0] == pytest.approx(float(np.linalg.norm(outer)) ** 2, rel=1e-12)
+        assert think_select(q, k, 1.0).error_sq == pytest.approx(25.0, rel=1e-12)
 
     def test_sign_flip_invariance(self):
         q, k = normal_pair(0, d=5)
-        base = think_scores(q, k)
         flipped_q = q.data.copy()
         flipped_q[:, 2] *= -1.0
-        assert np.allclose(think_scores(ChannelMatrix(flipped_q), k), base, rtol=1e-12)
+        assert think_select(ChannelMatrix(flipped_q), k, 1.0).order == think_select(q, k, 1.0).order
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            think_scores(ChannelMatrix(np.ones((2, 3))), ChannelMatrix(np.ones((2, 2))))
+            think_select(ChannelMatrix(np.ones((2, 3))), ChannelMatrix(np.ones((2, 2))), 0.5)
 
 
 class TestThinkSelect:
@@ -88,7 +88,7 @@ class TestThinkSelect:
     def test_protected_excluded(self):
         q = ChannelMatrix(np.ones((1, 4)))
         k = ChannelMatrix(np.array([[1.0, 4.0, 2.0, 3.0]]))
-        sel = think_select(q, k, 0.5, IndexSet.of(0))
+        sel = think_select(q, k, 0.5, IndexSet((0,)))
         assert sel.pruned.indices == (2, 3)
 
     def test_tie_break_lower_index_first(self):
@@ -99,10 +99,17 @@ class TestThinkSelect:
 
     def test_budget_clamped_and_recorded(self):
         q, k = normal_pair(2, d=4)
-        sel = think_select(q, k, 1.0, IndexSet.of(0, 1))
+        sel = think_select(q, k, 1.0, IndexSet((0, 1)))
         assert sel.n_prune == 2
         assert sel.budget_clamped
         assert set(sel.pruned) == {2, 3}
+
+    def test_refuses_non_finite_w(self):
+        # W_00 = (2e320)(2) overflows; mies and the oracle refuse the same W.
+        q = ChannelMatrix(np.array([[1e160, 1.0], [1e160, 1.0]]))
+        k = ChannelMatrix(np.ones((2, 2)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            think_select(q, k, 0.5)
 
 
 class TestMiesSelect:
@@ -119,12 +126,11 @@ class TestMiesSelect:
             assert sel.order[0] == int(np.argmin(np.diag(g.w)))
 
     def test_first_step_agrees_with_think(self):
-        # Squaring is monotone, so the lowest static score is the first greedy pick.
+        # Both start from W's diagonal, so think's lowest score is the first greedy pick.
         for seed in range(10):
             q, k = normal_pair(seed)
-            scores = think_scores(q, k)
             sel = mies_select(q, k, 0.5)
-            assert sel.order[0] == int(np.argmin(scores))
+            assert sel.order[0] == think_select(q, k, 0.5).order[0]
 
     def test_regression_seed0(self):
         # Frozen after computing once with this implementation and verifying
@@ -169,8 +175,8 @@ class TestMiesSelect:
 
     def test_adversarial_negative_interactions(self):
         # W = [[1,-1,0],[-1,1,0],[0,0,1]]: pruning {0,1} cancels exactly.
-        q = ChannelMatrix.from_columns([(1, 0), (1, 0), (0, 1)])
-        k = ChannelMatrix.from_columns([(1, 0), (-1, 0), (0, 1)])
+        q = ChannelMatrix(np.array([(1, 0), (1, 0), (0, 1)], dtype=float).T)
+        k = ChannelMatrix(np.array([(1, 0), (-1, 0), (0, 1)], dtype=float).T)
         sel = mies_select(q, k, 2 / 3)
         assert sel.pruned.indices == (0, 1)
         assert sel.error_sq == pytest.approx(0.0, abs=1e-12)
@@ -179,8 +185,8 @@ class TestMiesSelect:
         # k2 = (0, 0.9) perturbs W_22 to 0.81. Greedy and the static baseline
         # both prune {2, 0} for error 1.81; the true optimum is {0, 1} with 0.
         # All three frozen values verified by enumerating the 3 subsets.
-        q = ChannelMatrix.from_columns([(1, 0), (1, 0), (0, 1)])
-        k = ChannelMatrix.from_columns([(1, 0), (-1, 0), (0, 0.9)])
+        q = ChannelMatrix(np.array([(1, 0), (1, 0), (0, 1)], dtype=float).T)
+        k = ChannelMatrix(np.array([(1, 0), (-1, 0), (0, 0.9)], dtype=float).T)
         best, best_val = brute_force_minimum(q, k, 2)
         assert best == (0, 1) and best_val == pytest.approx(0.0, abs=1e-12)
         m = mies_select(q, k, 2 / 3)
@@ -206,8 +212,8 @@ class TestOracleSelect:
         assert len(sel.pruned) == 0 and sel.error_sq == 0.0
 
     def test_symmetric_tie_lexicographic(self):
-        q = ChannelMatrix.from_columns([(1, 1), (1, 0)])
-        k = ChannelMatrix.from_columns([(1, 0), (1, 1)])
+        q = ChannelMatrix(np.array([(1, 1), (1, 0)], dtype=float).T)
+        k = ChannelMatrix(np.array([(1, 0), (1, 1)], dtype=float).T)
         sel = oracle_select(q, k, 0.5)  # W = [[2,1],[1,2]], f({0}) = f({1}) = 2
         assert sel.pruned.indices == (0,)
 
@@ -288,14 +294,14 @@ class TestRandomSelect:
         q, k = normal_pair(9, rows=8, d=10)
         counts = np.zeros(10)
         for seed in range(1000):
-            counts[list(random_select(q, k, 0.5, IndexSet.of(0), seed=seed).pruned)] += 1
+            counts[list(random_select(q, k, 0.5, IndexSet((0,)), seed=seed).pruned)] += 1
         assert counts[0] == 0
         freq = counts[1:] / 1000
         assert np.all(np.abs(freq - 5 / 9) <= 0.05)  # measured max deviation 0.043
 
     def test_respects_protection(self):
         q, k = normal_pair(10, d=10)
-        protected = IndexSet.of(0, 3)
+        protected = IndexSet((0, 3))
         for seed in range(50):
             sel = random_select(q, k, 0.6, protected, seed=seed)
             assert not set(sel.pruned) & set(protected)
@@ -323,7 +329,7 @@ class TestProtectChannels:
 
     def test_disabled_policy(self):
         k = ChannelMatrix(np.array([[1.0, 100.0]]))
-        assert len(protect_channels(k, ProtectionPolicy.disabled())) == 0
+        assert len(protect_channels(k, ProtectionPolicy(enabled=False))) == 0
 
     def test_zero_lower_bound_can_protect_nothing(self):
         k = ChannelMatrix(np.full((2, 4), 1.0))
