@@ -178,6 +178,10 @@ class ExperimentConfig:
             raise ConfigError(f"enumeration_cap must be non-negative, got {self.enumeration_cap}")
         if self.mode == "from-files" and (self.q_path is None or self.k_path is None):
             raise ConfigError("from-files mode requires q_path and k_path")
+        for key in ("q_path", "k_path", "q_future_path"):
+            path = str(getattr(self, key) or "")
+            if "".join(path.splitlines()) != path:  # a report embeds each path on one '#' line
+                raise ConfigError(f"{key} must not contain a line break, got {path!r}")
         try:
             self.policy()
             if self.mode == "synthetic":

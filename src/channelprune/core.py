@@ -1,6 +1,8 @@
 """Dense matrix primitives and attention reconstruction error.
 
-A `ChannelMatrix` stores tokens in rows and channels in columns. Pruning a
+A `ChannelMatrix` holds tokens in rows and channels in columns, each
+channel's column contiguous in memory (Fortran order), so the evaluator
+gathers a pruned set's columns as whole blocks. Pruning a
 set of channels zeroes those columns in both the query and key matrices;
 the resulting change in the pre-softmax attention product Q @ K.T is the
 quantity every selection algorithm in this package tries to minimize.
@@ -30,15 +32,17 @@ __all__ = [
 class ChannelMatrix:
     """Immutable 2-d float64 matrix with a column-as-channel view.
 
-    The constructor copies and freezes the underlying buffer, so instances
-    are safe to share across threads. Entries must be finite; the first
-    non-finite one raises MatrixValidationError naming its position.
+    The constructor copies the input into a frozen channel-major
+    (Fortran-order) buffer, whatever its layout, so instances are safe to
+    share across threads and never alias a caller's array. Entries must be
+    finite; the first non-finite one in row-major order raises
+    MatrixValidationError naming its position.
     """
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
+        arr = np.array(self.data, dtype=np.float64, order="F")  # always a copy
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -46,8 +50,6 @@ class ChannelMatrix:
         if not np.all(np.isfinite(arr)):
             r, c = np.argwhere(~np.isfinite(arr))[0]
             raise MatrixValidationError("non-finite matrix entry", row=int(r), col=int(c))
-        if arr is self.data:
-            arr = arr.copy()  # never alias a caller-owned buffer
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

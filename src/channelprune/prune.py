@@ -114,21 +114,29 @@ def _greedy(
     so stopping at any budget gives a prefix of the full order. With a
     `steps` list, a (candidates, scores) snapshot is appended before each
     step.
+
+    Scores stay +inf off the active channels and are updated in place,
+    only where active. W is symmetric, so row w[j] is column w[:, j]; an
+    entry off the active channels, such as a protected channel's, is never
+    read, so it cannot overflow and raise a numpy warning.
     """
-    scores = np.diag(w).copy()
-    active = np.zeros(len(scores), dtype=bool)
+    active = np.zeros(len(w), dtype=bool)
     active[candidates] = True
+    scores = np.where(active, np.diag(w), np.inf)
+    increment = np.empty(len(w))
     accumulated = 0.0  # f(pruned so far)
     for _ in range(len(candidates)):
         if steps is not None:
-            steps.append((np.flatnonzero(active), scores[active].copy()))
-        masked = np.where(active, scores, np.inf)
-        j = int(np.argmin(masked))  # first minimum, so the lowest index wins ties
-        if not active[j]:  # every active score overflowed to +inf and ties the mask
+            steps.append((np.flatnonzero(active), scores[active]))
+        j = int(np.argmin(scores))  # first minimum, so the lowest index wins ties
+        if not active[j]:  # every active score overflowed to +inf and ties the inactive ones
             j = int(np.flatnonzero(active)[0])
         chosen = float(scores[j])
         active[j] = False
-        scores[active] += 2.0 * w[active, j] + (chosen - accumulated)
+        scores[j] = np.inf
+        np.multiply(w[j], 2.0, out=increment, where=active)
+        np.add(increment, chosen - accumulated, out=increment, where=active)
+        np.add(scores, increment, out=scores, where=active)
         accumulated = chosen
         yield j
 
@@ -466,7 +474,11 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     if not policy.enabled:
         return IndexSet.empty()
     d = k.cols
-    norms = np.sqrt(np.sum(k.data * k.data, axis=0))
+    # A row-major copy: summing its rows adds each column's squares in row order. Summed down
+    # a contiguous column, numpy would add them pairwise and move the norms' last bits.
+    squares = np.array(k.data, order="C")
+    squares *= squares
+    norms = np.sqrt(np.sum(squares, axis=0))
     tau = norms.mean() + policy.threshold_sigma * norms.std()
     count = int(np.sum(norms > tau))
     p_raw = count / d

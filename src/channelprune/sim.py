@@ -85,7 +85,8 @@ def generate_instance(spec: SyntheticSpec) -> tuple[ChannelMatrix, ChannelMatrix
     d = spec.d
     scales, _ = _channel_scales(spec, rng)
 
-    k_data = rng.standard_normal((spec.L, d)) * scales
+    k_data = rng.standard_normal((spec.L, d))
+    k_data *= scales
 
     means = scales  # query channel means track key channel scales
     noise = spec.drift_gamma * np.abs(means)

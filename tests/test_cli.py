@@ -372,6 +372,20 @@ class TestRunExperiment:
         assert '\n"file-q,a",0,mies,' in path.read_text()
         assert replay_report(path) == []
 
+    @pytest.mark.parametrize("key", ["q_path", "k_path", "q_future_path"])
+    @pytest.mark.parametrize("brk", ["\n", "\x0c", "\u2028"])
+    def test_line_break_in_a_matrix_path_is_refused_before_any_cell(self, tmp_path, monkeypatch, key, brk):
+        # The report embeds each path on a '# key=' line and replay splits the text with
+        # str.splitlines, so a path holding any line boundary could not be replayed.
+        rng = np.random.default_rng(0)
+        paths = {}
+        for name in ("q_path", "k_path", "q_future_path"):
+            paths[name] = str(tmp_path / (f"{name[0]}{brk}a.grcm" if name == key else f"{name}.grcm"))
+            save_matrix(ChannelMatrix(rng.standard_normal((6, 8))), paths[name])
+        monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        with pytest.raises(ConfigError, match=f"{key} must not contain a line break"):
+            run_experiment(small_cfg(mode="from-files", **paths))
+
     @pytest.mark.parametrize("column", range(11))  # instance .. approx_ratio
     def test_replay_detects_tampering(self, tmp_path, column):
         path = tmp_path / "tampered.csv"

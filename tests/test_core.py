@@ -39,6 +39,35 @@ class TestChannelMatrix:
             m.data[0, 0] = 5.0
 
 
+    def test_first_non_finite_is_named_in_row_major_order(self):
+        bad = np.asfortranarray(np.ones((2, 2)))
+        bad[1, 0] = np.inf
+        bad[0, 1] = np.nan
+        with pytest.raises(MatrixValidationError) as err:
+            ChannelMatrix(bad)
+        assert (err.value.row, err.value.col) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["C-ordered", "F-ordered", "one row", "one column", "strided view"],
+    )
+    def test_stores_channels_contiguously_in_its_own_frozen_buffer(self, layout):
+        base = np.arange(1.0, 49.0).reshape(6, 8) * np.array([1.0, -0.0, 0.5, -3.0, 1e-310, 7.0, 2.0, -1.0])
+        source = {
+            "C-ordered": base,
+            "F-ordered": np.asfortranarray(base),
+            "one row": base[:1].copy(),
+            "one column": base[:, :1].copy(),
+            "strided view": base[::2, 1::3],
+        }[layout]
+        expected = source.copy()
+        m = ChannelMatrix(source)
+        assert m.data.flags.f_contiguous and not m.data.flags.writeable
+        assert m.data.shape == expected.shape and m.data.tobytes() == expected.tobytes()
+        source[...] = 99.0  # the caller's buffer (through the view, the base array's)
+        assert m.data.tobytes() == expected.tobytes()
+
+
 class TestIndexSet:
     def test_rejects_duplicates_and_negatives(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ over-counts. Examples are derandomized so the suite is reproducible.
 """
 
 import math
+import re
 import string
+import warnings
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -171,6 +173,74 @@ def test_oracle_keeps_subsets_whose_screen_is_nan():
         assert tuple(oracle_select(q, k, 0.5).pruned) == first_minimizer(q, k, (), 3) == (3, 4, 5)
 
 
+def masked_greedy(w, candidates, steps):
+    """The greedy loop that masked the scores and gathered W's active column at every step."""
+    scores = np.diag(w).copy()
+    active = np.zeros(len(scores), dtype=bool)
+    active[candidates] = True
+    accumulated = 0.0
+    for _ in range(len(candidates)):
+        steps.append((np.flatnonzero(active), scores[active].copy()))
+        masked = np.where(active, scores, np.inf)
+        j = int(np.argmin(masked))
+        if not active[j]:
+            j = int(np.flatnonzero(active)[0])
+        chosen = float(scores[j])
+        active[j] = False
+        scores[active] += 2.0 * w[active, j] + (chosen - accumulated)
+        accumulated = chosen
+        yield j
+
+
+@st.composite
+def greedy_inputs(draw):
+    """W of a tie-heavy instance, sometimes scaled so that sums of its entries overflow float64.
+
+    The scaled W stays finite: its largest entry is at most the float64 maximum, and the sum
+    of its absolute values is 1/4, 1 or 4 times that maximum where the largest entry allows.
+    """
+    q, k, protected = draw(tie_heavy_instances())
+    w = build_interaction_graph(q, k).w
+    peak, total = np.abs(w).max(), np.abs(w).sum()
+    factor = draw(st.sampled_from([None, 0.25, 1.0, 4.0]))
+    if factor is not None and peak > 0.0:  # scores and 2 * W overflow to +inf
+        w = w * min(1.0 / peak, factor / total) * np.finfo(np.float64).max
+    candidates = np.setdiff1d(np.arange(q.cols), protected.as_array())
+    return w, candidates
+
+
+def greedy_run(greedy, w, candidates):
+    steps = []
+    return list(greedy(w, candidates, steps)), steps
+
+
+@settings(PROPERTY, max_examples=200)
+@given(greedy_inputs())
+def test_greedy_equals_the_masked_loop_bitwise(inputs):
+    w, candidates = inputs
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        want = greedy_run(masked_greedy, w, candidates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning the masked loop did not raise fails here
+        for message in {str(c.message) for c in caught}:
+            warnings.filterwarnings("ignore", message=re.escape(message))
+        got = greedy_run(prune._greedy, w, candidates)
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1]) == len(candidates)
+    for (got_c, got_s), (want_c, want_s) in zip(got[1], want[1]):
+        assert got_c.tobytes() == want_c.tobytes() and got_s.tobytes() == want_s.tobytes()
+
+
+def test_greedy_never_reads_a_protected_channels_entries():
+    # Channel 0 is protected with W entries near the float64 maximum, where 2 * W overflows.
+    w = np.array([[1.7e308, 1e308, -1e308], [1e308, 1.0, 0.5], [-1e308, 0.5, 2.0]])
+    candidates = np.array([1, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert greedy_run(prune._greedy, w, candidates)[0] == greedy_run(masked_greedy, w, candidates)[0] == [1, 2]
+
+
 @st.composite
 def tie_free_instances(draw):
     """Standard-normal instances with 11-14 channels, where no two sets share a value."""
@@ -319,8 +389,10 @@ def test_config_survives_its_embedded_lines(cfg):
 
 
 @PROPERTY
-@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)), elements=finite_floats))
-def test_grcm_round_trip_is_bit_exact(tmp_path_factory, values):
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)), elements=finite_floats), st.sampled_from("CF"))
+def test_grcm_round_trip_is_bit_exact(tmp_path_factory, values, order):
+    # A matrix stores its channels contiguously; the file holds its rows, whatever the input's layout.
     path = tmp_path_factory.getbasetemp() / "property.grcm"
-    save_matrix(ChannelMatrix(values), path)
+    save_matrix(ChannelMatrix(np.asarray(values, order=order)), path)
+    assert path.read_bytes().endswith(values.tobytes(order="C"))
     assert load_matrix(path).data.tobytes() == values.tobytes()

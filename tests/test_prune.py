@@ -336,6 +336,31 @@ class TestProtectChannels:
         policy = ProtectionPolicy(threshold_sigma=1.0, a=0.0, b=0.5)
         assert len(protect_channels(k, policy)) == 0
 
+    def test_norms_sum_each_column_row_by_row(self):
+        # The column norms add each column's squares in row order, as summing a row-major
+        # array down its rows does. Numpy sums a contiguous column pairwise instead, which
+        # moves the last bits of most norms; find seeded keys and a threshold where that
+        # moves a channel across tau, and check that the row-order sets are protected.
+        def protected_by(norms, sigma):
+            tau = norms.mean() + sigma * norms.std()
+            count = int(np.sum(norms > tau))
+            return tuple(sorted(int(j) for j in np.lexsort((np.arange(len(norms)), -norms))[:count]))
+
+        for seed in range(50):
+            keys = np.random.default_rng(seed).standard_normal((512, 16))
+            by_rows = np.zeros(16)
+            for row in keys:
+                by_rows += row * row
+            by_rows = np.sqrt(by_rows)
+            pairwise = np.sqrt(np.sum(np.asfortranarray(keys * keys), axis=0))
+            sigmas = [(by_rows[j] - by_rows.mean()) / by_rows.std() for j in range(16)]
+            for sigma in (s for t in sigmas if t >= 0.0 for s in (t, np.nextafter(t, 0.0), np.nextafter(t, 1.0))):
+                if protected_by(by_rows, sigma) != protected_by(pairwise, sigma):
+                    policy = ProtectionPolicy(threshold_sigma=float(sigma), a=0.0, b=1.0)
+                    assert protect_channels(ChannelMatrix(keys), policy).indices == protected_by(by_rows, sigma)
+                    return
+        pytest.fail("no seeded keys where the two summation orders protect different sets")
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             ProtectionPolicy(a=0.5, b=0.2)
