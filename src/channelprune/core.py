@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -100,9 +101,17 @@ def exact_ceil(x: float, d: int) -> int:
     """ceil(x * d) with x read as the decimal it prints as.
 
     The float product can land just above an integer (0.55 * 100 is
-    55.00000000000001), which would over-count by one.
+    55.00000000000001), which would over-count by one. The answer depends
+    on x only through str(x), so it is computed once per printed value and
+    d: a float32 and a float64 of equal value print differently and get
+    their own entries.
     """
-    return math.ceil(Fraction(str(x)) * d)
+    return _decimal_ceil(str(x), d)
+
+
+@lru_cache(maxsize=1024)
+def _decimal_ceil(text: str, d: int) -> int:
+    return math.ceil(Fraction(text) * d)
 
 
 def reconstruction_error_sq(q: ChannelMatrix, k: ChannelMatrix, pruned: IndexSet) -> float:
@@ -112,6 +121,8 @@ def reconstruction_error_sq(q: ChannelMatrix, k: ChannelMatrix, pruned: IndexSet
     is ||Q_S K_S^T||_F^2, computed from the pruned columns alone. This is
     the package's only error evaluator: every selector's error_sq and
     every relative error come from it, so equal sets always score equal.
+    The squares are summed by numpy's pairwise reduction, not a BLAS dot,
+    so the bits do not depend on the BLAS thread count.
     """
     if q.cols != k.cols:
         raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
@@ -120,7 +131,9 @@ def reconstruction_error_sq(q: ChannelMatrix, k: ChannelMatrix, pruned: IndexSet
         return 0.0
     idx = pruned.as_array()
     product = q.data[:, idx] @ k.data[:, idx].T
-    return float(np.vdot(product, product))
+    with np.errstate(over="ignore"):  # an overflowing error is +inf, without a warning
+        np.square(product, out=product)
+    return float(np.add.reduce(product, axis=None))
 
 
 def attention_norm(q: ChannelMatrix, k: ChannelMatrix, label: str) -> float:

@@ -67,7 +67,8 @@ class EigenCertificate:
     """Extremal eigenvalues of all size-k principal submatrices of W.
 
     kappa is mu_max / mu_min, or +inf when mu_min is not strictly
-    positive. Every support is enumerated, so kappa bounds the greedy's
+    positive. Every support is enumerated and screened, and every one
+    that can hold an extremum is solved, so kappa bounds the greedy's
     approximation ratio.
     """
 
@@ -179,15 +180,62 @@ def restricted_eigenvalues(
 ) -> EigenCertificate:
     """Exact restricted eigenvalues over every support of size exactly k.
 
-    mu_min (mu_max) is the smallest (largest) eigenvalue over all k x k
-    principal submatrices of W. Raises CapacityError, with the same
-    message as the oracle, when C(d, k) exceeds `cap`.
+    mu_min (mu_max) is the smallest (largest) Jacobi eigenvalue over all
+    k x k principal submatrices of W: the first support, in lexicographic
+    order, that attains it gives its bits. Raises CapacityError, with the
+    same message as the oracle, when C(d, k) exceeds `cap`.
+
+    Screen, then solve. Each chunk of supports is gathered once and
+    screened by one LAPACK `eigvalsh` over the stack; Jacobi then runs,
+    in one call, only on the supports whose screened smallest eigenvalue
+    is within 2 * slack of the chunk's smallest screened one, or whose
+    screened largest is within 2 * slack of the largest. If both solvers
+    are within `slack` of the exact eigenvalues, a support attaining the
+    Jacobi minimum has screened value at most its Jacobi value + slack
+    <= the screened minimizer's Jacobi value + slack <= the screened
+    minimum + 2 * slack, and likewise for the maximum; the stacked Jacobi
+    gives each matrix the bits it gets alone, so the result is the bits
+    of solving every support. A NaN or infinite screened value keeps its
+    support and is left out of the chunk's extremes, so it drops nothing.
+
+    Slack. Every support A has ||A||_2 <= ||A||_F <= N = k max|w_ij|.
+    With u = eps / 2:
+    - Jacobi stops when every off-diagonal is at most `_JACOBI_TOL`, so
+      its diagonal is the spectrum of a matrix E away, ||E||_2 <=
+      ||E||_F <= sqrt(k (k - 1)) `_JACOBI_TOL` (Weyl).
+    - It applies at most R = `_JACOBI_MAX_SWEEPS` k (k - 1) / 2
+      rotations. Each is an exact rotation of the current matrix plus a
+      backward error of at most 16 eps times its Frobenius norm: rounding
+      in t, c and s, in the two-sided update, and the entry it zeroes
+      (Higham, Accuracy and Stability of Numerical Algorithms, 19.6).
+      The norm stays below 2 N, so 32 R eps N covers all rotations.
+    - `eigvalsh` is within p(k) eps ||A||_2 of each eigenvalue (LAPACK
+      Users' Guide, 4.7), p(k) a modest function of k; the Householder
+      tridiagonalization and the tridiagonal QR each give a backward
+      error of order k^2 u (Higham 19.3), so p(k) = 16 k^2 covers both.
+    `slack` is their sum plus 4 eps N, which covers the rounding of N and
+    of the thresholds. When 64 N overflows, an intermediate of either
+    solver may overflow too, and the slack is +inf: every support is
+    solved.
     """
     if not 1 <= k <= g.dim:
         raise ValueError(f"subset size {k} out of range for dimension {g.dim}")
+    bound = k * float(np.abs(g.w).max())
+    eps = float(np.finfo(np.float64).eps)
+    rotations = _JACOBI_MAX_SWEEPS * k * (k - 1) // 2
+    slack = math.inf
+    if math.isfinite(64.0 * bound):
+        slack = math.sqrt(k * (k - 1)) * _JACOBI_TOL + (32 * rotations + 16 * k * k + 4) * eps * bound
     mu_min, mu_max = math.inf, -math.inf
     for rows in _subsets(g.dim, k, cap):
-        eig = jacobi_eigenvalues(g.w[rows[:, :, None], rows[:, None, :]])
+        stack = g.w[rows[:, :, None], rows[:, None, :]]
+        screened = np.linalg.eigvalsh(stack)
+        low, high = screened[:, 0], screened[:, -1]
+        low_finite, high_finite = np.isfinite(low), np.isfinite(high)
+        low_cut = np.min(low, where=low_finite, initial=math.inf) + 2.0 * slack
+        high_cut = np.max(high, where=high_finite, initial=-math.inf) - 2.0 * slack
+        keep = (low <= low_cut) | (high >= high_cut) | ~low_finite | ~high_finite
+        eig = jacobi_eigenvalues(stack[keep])
         # First extremum of the chunk, and an earlier chunk keeps a tie.
         mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
         mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))

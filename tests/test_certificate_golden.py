@@ -10,10 +10,13 @@ minimum is carried across four chunks of 4096. The last case has every
 subset tied, so it pins the lexicographic tie-break across chunks. The
 last certificate case has three zero channels, so signed zeros can appear,
 and the equal-diagonal cases pin the sign of the rotation at theta = -0.0.
+The oracle cases' `error_sq` is the evaluator's, so it moves with the
+evaluator's summation order.
 """
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from channelprune import (
     oracle_select,
     restricted_eigenvalues,
 )
+from channelprune import graph
 
 GOLDEN = Path(__file__).parent / "data" / "certificate_golden.json"
 
@@ -75,3 +79,21 @@ def test_certificates_and_oracle_match_golden_bits():
         assert got == want, f"oracle instance {i}"
     assert len(actual["certificates"]) == len(expected["certificates"]) == 21
     assert len(actual["oracles"]) == len(expected["oracles"]) == 6
+
+
+def test_certificate_screen_sends_few_supports_to_jacobi():
+    solved = []
+
+    def recording_jacobi(stack):
+        solved.append(len(stack))
+        return jacobi_eigenvalues(stack)
+
+    with mock.patch.object(graph, "jacobi_eigenvalues", recording_jacobi):
+        actual = certificate_values()
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert actual["certificates"] == expected["certificates"]
+    # One Jacobi call per certificate, over C(10, 5) = 252 supports each. On the 20 random
+    # brackets only the supports near an extreme are solved; the last case is left out, since
+    # its 231 supports holding a zero channel all tie at mu_min = 0 and each must be solved.
+    assert len(solved) == 21
+    assert max(solved[:20]) <= 8

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from channelprune import (
     quadratic_form,
     reconstruction_error_sq,
 )
+from channelprune import core
+from channelprune.core import exact_ceil
 
 
 class TestChannelMatrix:
@@ -184,3 +189,17 @@ def test_superset_error_can_decrease():
     both = reconstruction_error_sq(q, k, IndexSet((0, 1)))
     assert both < single
     assert both == pytest.approx(0.0, abs=1e-12)
+
+
+def test_exact_ceil_is_taken_once_per_printed_value():
+    core._decimal_ceil.cache_clear()
+    with mock.patch.object(core, "Fraction", wraps=Fraction) as parse:
+        assert [exact_ceil(0.55, 100) for _ in range(3)] == [55, 55, 55]
+        assert parse.call_count == 1
+        # Equal values that print differently are different budgets: 10 of 100, then 11.
+        narrow = np.float32(0.1)
+        assert narrow == float(narrow) and str(narrow) != str(float(narrow))
+        assert exact_ceil(narrow, 100) == 10
+        assert exact_ceil(float(narrow), 100) == 11
+        assert exact_ceil(narrow, 100) == 10
+        assert parse.call_count == 3

@@ -1,6 +1,6 @@
 """Property-based tests for the selection invariants, the subset
-enumerator, the branch-and-bound oracle and its bound, the stacked Jacobi
-and the configuration and matrix round-trips.
+enumerator, the branch-and-bound oracle and its bound, the stacked Jacobi,
+the screened certificate and the configuration and matrix round-trips.
 
 Instances are seeded normal matrices, with about one column in ten scaled
 up as an outlier, and a random protected set. Ratios are two-decimal
@@ -24,6 +24,7 @@ from hypothesis.extra.numpy import arrays
 from channelprune import (
     ChannelMatrix,
     IndexSet,
+    InteractionGraph,
     Problem,
     Selector,
     build_interaction_graph,
@@ -32,6 +33,7 @@ from channelprune import (
     oracle_select,
     quadratic_form,
     reconstruction_error_sq,
+    restricted_eigenvalues,
 )
 from channelprune import graph, prune
 from channelprune.cli import ExperimentConfig, load_matrix, parse_config_lines, render_report, save_matrix
@@ -345,6 +347,89 @@ def test_stacked_jacobi_equals_each_matrix_alone_bitwise(count, n, equal_diagona
     for i in range(count):
         assert together[i].tobytes() == jacobi_eigenvalues(stack[i]).tobytes()
         assert together[i].tobytes() == scalar_jacobi(stack[i]).tobytes()
+
+
+def full_walk_certificate(g, k):
+    """(mu_min, mu_max) hex from the stacked Jacobi over every support: the walk the screen replaced."""
+    mu_min, mu_max = math.inf, -math.inf
+    for rows in graph._subsets(g.dim, k, graph.DEFAULT_ENUMERATION_CAP):
+        eig = jacobi_eigenvalues(g.w[rows[:, :, None], rows[:, None, :]])
+        mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
+        mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))
+    return mu_min.hex(), mu_max.hex()
+
+
+def certificate_hex(g, k):
+    cert = restricted_eigenvalues(g, k)
+    return cert.mu_min.hex(), cert.mu_max.hex()
+
+
+@st.composite
+def certificate_graphs(draw):
+    """W of a Gram product, c I, block-constant or equal-diagonal kind, scaled by 1e-150 to 1e150."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gram", "identity", "blocks", "equal-diagonal"]))
+    if kind == "gram":
+        w = build_interaction_graph(ChannelMatrix(rng.standard_normal((6, d))), ChannelMatrix(rng.standard_normal((6, d)))).w
+    elif kind == "identity":  # every support ties at both extremes
+        w = np.eye(d) * 3.0
+    elif kind == "blocks":  # supports with the same block counts tie, and zero blocks give signed zeros
+        levels = rng.integers(-2, 3, (3, 3)).astype(np.float64)
+        labels = rng.integers(0, 3, d)
+        w = (levels + levels.T)[labels[:, None], labels[None, :]]
+    else:  # a negative a_pq gives theta = -0.0
+        a = rng.standard_normal((d, d)).round(2)
+        w = a + a.T
+        np.fill_diagonal(w, 1.5)
+    return InteractionGraph(w * draw(st.sampled_from([1e-150, 1e-20, 1.0, 1e20, 1e150])))
+
+
+@PROPERTY
+@given(certificate_graphs(), st.sampled_from([7, graph._SUBSET_CHUNK]), st.data())
+def test_screened_certificate_is_the_full_walk_bitwise(g, chunk, data):
+    # A small chunk carries ties and extremes across chunks; k = 1 and k = dim always run.
+    with mock.patch.object(graph, "_SUBSET_CHUNK", chunk):
+        for k in sorted({1, data.draw(st.integers(1, g.dim)), g.dim}):
+            assert certificate_hex(g, k) == full_walk_certificate(g, k)
+
+
+def recording_jacobi(sizes):
+    def solve(stack):
+        sizes.append(len(stack))
+        return jacobi_eigenvalues(stack)
+
+    return solve
+
+
+def test_certificate_near_overflow_solves_every_support():
+    a = np.random.default_rng(11).standard_normal((7, 7))
+    g = InteractionGraph((a + a.T) * 1e306)  # 64 k max|w| overflows: the slack is +inf
+    for k in (1, 3, 7):
+        sizes = []
+        with mock.patch.object(graph, "jacobi_eigenvalues", recording_jacobi(sizes)):
+            screened = certificate_hex(g, k)
+        assert sizes == [math.comb(7, k)]
+        assert screened == full_walk_certificate(g, k)
+
+
+def test_nan_or_infinite_screened_values_drop_nothing():
+    rng = np.random.default_rng(12)
+    g = build_interaction_graph(ChannelMatrix(rng.standard_normal((6, 8))), ChannelMatrix(rng.standard_normal((6, 8))))
+    eigvalsh = np.linalg.eigvalsh
+
+    def poisoned(stack):
+        out = eigvalsh(stack)
+        out[0] = np.nan
+        out[1, 0] = -np.inf  # would put every finite smallest value out of reach of the minimum
+        out[2, -1] = np.inf
+        return out
+
+    sizes = []
+    with mock.patch.object(np.linalg, "eigvalsh", poisoned), mock.patch.object(graph, "jacobi_eigenvalues", recording_jacobi(sizes)):
+        screened = certificate_hex(g, 4)
+    assert screened == full_walk_certificate(g, 4)
+    assert 3 < sizes[0] < math.comb(8, 4)
 
 
 @st.composite

@@ -10,11 +10,17 @@ greedy, the W build, the attention norms and the evaluator at the sizes
 the benchmark runs; a change to any of their summation orders shows here
 as a changed set or bit.
 
+The bits must not depend on the BLAS thread count: the same cells are
+also computed in subprocesses with `OPENBLAS_NUM_THREADS` at 1 and at 2.
+
 Regenerate with `PYTHONPATH=src python tests/test_selection_golden.py`
 only when a change is meant to move these bits.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from channelprune import Problem, Selector, protect_channels
@@ -71,6 +77,23 @@ def test_selections_match_golden_bits():
         for want, got in zip(expected[name], actual[name]):
             assert len(got["cells"]) == 9
             assert got == want, f"{name} seed {want['seed']}"
+
+
+def _selection_values_with_blas_threads(threads: int) -> dict:
+    """`selection_values()` from a fresh interpreter whose OpenBLAS runs `threads` threads."""
+    here = Path(__file__).resolve().parent
+    src = str(here.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import json, test_selection_golden as t; print(json.dumps(t.selection_values()))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=here, env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_selection_bits_do_not_depend_on_blas_threads():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert _selection_values_with_blas_threads(1) == expected
+    assert _selection_values_with_blas_threads(2) == expected
 
 
 if __name__ == "__main__":
