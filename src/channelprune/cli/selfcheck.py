@@ -10,12 +10,13 @@ reported with the seed that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from ..core import ChannelMatrix, IndexSet, reconstruction_error_sq
 from ..graph import build_interaction_graph, jacobi_eigenvalues, quadratic_form
-from ..prune import mies_select, oracle_select
+from ..prune import Problem, Selector, _greedy
 
 __all__ = ["SuiteResult", "VerificationSummary", "run_verification"]
 
@@ -84,13 +85,14 @@ def _check_decomposition(rng: np.random.Generator, instances: int) -> SuiteResul
 def _check_score_updates(rng: np.random.Generator, instances: int) -> SuiteResult:
     result = SuiteResult("score-update-soundness")
     for i in range(instances):
-        q, k = _random_instance(rng)
-        g = build_interaction_graph(q, k)
-        selection = mies_select(q, k, 0.5, record_steps=True)
+        problem = Problem(*_random_instance(rng))
+        selection = problem.select(Selector.MIES, 0.5)
+        steps: list[tuple[np.ndarray, np.ndarray]] = []  # `problem`'s greedy again, snapshotting each step
+        list(islice(_greedy(problem.graph.w, problem.candidates, steps), selection.n_prune))
         pruned_so_far: list[int] = []
-        for step, (candidates, scores) in enumerate(selection.step_scores or ()):
+        for step, (candidates, scores) in enumerate(steps):
             for c, s in zip(candidates, scores):
-                expected = quadratic_form(g, IndexSet(tuple(pruned_so_far) + (int(c),)))
+                expected = quadratic_form(problem.graph, IndexSet(tuple(pruned_so_far) + (int(c),)))
                 result.checks += 1
                 if abs(s - expected) > REL_TOL * max(1.0, abs(expected)):
                     result.failures.append(
@@ -106,8 +108,9 @@ def _check_oracle_dominance(rng: np.random.Generator, instances: int) -> SuiteRe
         d = int(rng.integers(4, 9))
         q = ChannelMatrix(rng.standard_normal((12, d)))
         k = ChannelMatrix(rng.standard_normal((12, d)))
-        greedy = mies_select(q, k, 0.5)
-        exact = oracle_select(q, k, 0.5)
+        problem = Problem(q, k)
+        greedy = problem.select(Selector.MIES, 0.5)
+        exact = problem.select(Selector.ORACLE, 0.5)
         result.checks += 1
         if exact.error_sq > greedy.error_sq:
             result.failures.append(

@@ -12,7 +12,7 @@ protected set, its size is the budget, and equal sets score equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import islice
@@ -73,8 +73,6 @@ class PruneSelection:
     `order` is the removal order of the pruned channels: greedy steps for
     mies, ascending static score for think, draw order for random, and
     ascending index for oracle. `pruned` holds the same channels sorted.
-    step_scores, when requested from `mies_select`, snapshots
-    (candidates, scores) before every greedy step.
     """
 
     selector: Selector
@@ -85,7 +83,6 @@ class PruneSelection:
     order: tuple[int, ...]
     error_sq: float
     budget_clamped: bool = False
-    step_scores: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
 
 
 def _budget(lam: float, d: int, n_protected: int) -> tuple[int, bool]:
@@ -411,27 +408,14 @@ def think_select(
 
 
 def mies_select(
-    q: ChannelMatrix,
-    k: ChannelMatrix,
-    lam: float,
-    protected: IndexSet = IndexSet.empty(),
-    record_steps: bool = False,
+    q: ChannelMatrix, k: ChannelMatrix, lam: float, protected: IndexSet = IndexSet.empty()
 ) -> PruneSelection:
     """Greedy selection that minimizes the cumulative reconstruction error.
 
     See `_greedy` for the score maintenance. Protected channels never
-    enter the candidate set. With `record_steps`, the result carries a
-    (candidates, scores) snapshot taken before each greedy step, which is
-    what the soundness self-check replays against direct quadratic-form
-    evaluation.
+    enter the candidate set.
     """
-    problem = Problem(q, k, protected)
-    selection = problem.select(Selector.MIES, lam)
-    if record_steps:
-        steps: list[tuple[np.ndarray, np.ndarray]] = []
-        list(islice(_greedy(problem.graph.w, problem.candidates, steps), selection.n_prune))
-        selection = replace(selection, step_scores=tuple(steps))
-    return selection
+    return Problem(q, k, protected).select(Selector.MIES, lam)
 
 
 def oracle_select(

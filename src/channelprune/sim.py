@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ChannelMatrix, exact_ceil
 
-__all__ = ["SyntheticSpec", "generate_instance", "planted_outliers"]
+__all__ = ["SyntheticSpec", "generate_instance"]
 
 # Channel scales are lognormal; sigma is kept moderate so that planted
 # outliers dominate the natural tail by a wide margin.
@@ -52,25 +52,6 @@ class SyntheticSpec:
             raise ValueError(f"drift_gamma must be nonnegative and finite, got {self.drift_gamma}")
 
 
-def _channel_scales(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """First two draws of the instance stream: scales, then planted indices."""
-    scales = rng.lognormal(LOG_SCALE_MU, LOG_SCALE_SIGMA, spec.d)
-    n_outliers = exact_ceil(spec.outlier_fraction, spec.d)
-    planted = (
-        rng.choice(spec.d, size=n_outliers, replace=False)
-        if n_outliers
-        else np.empty(0, dtype=np.int64)
-    )
-    scales[planted] *= spec.outlier_scale
-    return scales, planted
-
-
-def planted_outliers(spec: SyntheticSpec) -> np.ndarray:
-    """Indices of the channels whose scale was multiplied by outlier_scale."""
-    _, planted = _channel_scales(spec, np.random.default_rng(spec.seed))
-    return np.sort(planted)
-
-
 def generate_instance(spec: SyntheticSpec) -> tuple[ChannelMatrix, ChannelMatrix, ChannelMatrix]:
     """Draw (q_obs, k, q_future) for one seeded instance.
 
@@ -83,7 +64,10 @@ def generate_instance(spec: SyntheticSpec) -> tuple[ChannelMatrix, ChannelMatrix
     """
     rng = np.random.default_rng(spec.seed)
     d = spec.d
-    scales, _ = _channel_scales(spec, rng)
+    scales = rng.lognormal(LOG_SCALE_MU, LOG_SCALE_SIGMA, d)
+    n_outliers = exact_ceil(spec.outlier_fraction, d)
+    if n_outliers:
+        scales[rng.choice(d, size=n_outliers, replace=False)] *= spec.outlier_scale
 
     k_data = rng.standard_normal((spec.L, d))
     k_data *= scales

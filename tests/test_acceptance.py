@@ -6,7 +6,7 @@ tolerance and runtime budget is asserted as stated; nothing is deferred.
 """
 
 import time
-from itertools import combinations
+from itertools import combinations, islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 from channelprune import (
     ChannelMatrix,
     IndexSet,
+    Problem,
     ProtectionPolicy,
     Selector,
     SyntheticSpec,
@@ -28,6 +29,7 @@ from channelprune import (
     restricted_eigenvalues,
     think_select,
 )
+from channelprune import prune
 from channelprune.cli import ExperimentConfig, load_matrix, run_experiment, save_matrix, write_report
 from channelprune.cli import selfcheck
 from channelprune.cli.main import main as cli_main
@@ -75,12 +77,14 @@ def test_criterion_2_score_update_soundness():
         d = int(rng.integers(2, 33))
         q = ChannelMatrix(rng.standard_normal((int(rng.integers(4, 33)), d)))
         k = ChannelMatrix(rng.standard_normal((int(rng.integers(4, 33)), d)))
-        g = build_interaction_graph(q, k)
-        sel = mies_select(q, k, 0.5, record_steps=True)
+        problem = Problem(q, k)
+        sel = problem.select(Selector.MIES, 0.5)
+        steps: list[tuple[np.ndarray, np.ndarray]] = []  # `problem`'s greedy again, snapshotting each step
+        list(islice(prune._greedy(problem.graph.w, problem.candidates, steps), sel.n_prune))
         pruned: list[int] = []
-        for step, (cands, scores) in enumerate(sel.step_scores):
+        for step, (cands, scores) in enumerate(steps):
             for c, s in zip(cands, scores):
-                f = quadratic_form(g, IndexSet(tuple(pruned) + (int(c),)))
+                f = quadratic_form(problem.graph, IndexSet(tuple(pruned) + (int(c),)))
                 assert abs(s - f) <= 1e-9 * max(1.0, abs(f))
                 checks += 1
             pruned.append(sel.order[step])

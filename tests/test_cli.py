@@ -513,6 +513,17 @@ class TestCommandLine:
         assert cli_main(["verify"]) == 0
         assert "PASSED" in capsys.readouterr().out
 
+    def test_verify_text_is_pinned(self, capsys):
+        # Every suite's check count at seed 0: a suite that drops or adds checks changes a line.
+        assert cli_main(["verify", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "decomposition-identity: 250/250 ok",
+            "score-update-soundness: 1327/1327 ok",
+            "oracle-dominance: 25/25 ok",
+            "psd-and-symmetry: 25/25 ok",
+            "verification PASSED",
+        ]
+
     def test_verify_exit_code_on_corruption(self, monkeypatch, capsys):
         def corrupted(q, k):
             g = real_build(q, k)

@@ -13,7 +13,7 @@ import re
 import string
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from unittest import mock
 
 import numpy as np
@@ -29,7 +29,6 @@ from channelprune import (
     Selector,
     build_interaction_graph,
     jacobi_eigenvalues,
-    mies_select,
     oracle_select,
     quadratic_form,
     reconstruction_error_sq,
@@ -72,12 +71,13 @@ def test_mies_and_think_orders_are_prefix_consistent(instance, lams):
 @PROPERTY
 @given(instances(), ratios)
 def test_recorded_steps_pick_the_order(instance, lam):
-    # record_steps reruns the greedy for exactly n_prune steps; each step's
-    # arg-min (first minimum) must be the order's entry at that step.
-    q, k, protected = instance
-    sel = mies_select(q, k, lam, protected, record_steps=True)
-    assert len(sel.step_scores) == sel.n_prune
-    for step, (candidates, scores) in enumerate(sel.step_scores):
+    # Each (candidates, scores) snapshot of the greedy that `Problem` runs has its
+    # arg-min (first minimum) at the mies order's entry for that step.
+    problem = Problem(*instance)
+    sel = problem.select(Selector.MIES, lam)
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    list(islice(prune._greedy(problem.graph.w, problem.candidates, steps), sel.n_prune))
+    for step, (candidates, scores) in enumerate(steps):
         assert int(candidates[np.argmin(scores)]) == sel.order[step]
 
 

@@ -7,7 +7,7 @@ asserted here; see the per-test comments.
 
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from channelprune import (
     reconstruction_error_sq,
     think_select,
 )
+from channelprune import prune
 
 
 def normal_pair(seed, rows=16, d=8):
@@ -142,25 +143,30 @@ class TestMiesSelect:
         direct = reconstruction_error_sq(q, k, sel.pruned)
         assert abs(sel.error_sq - direct) <= 1e-9 * max(1.0, direct)
 
+    @staticmethod
+    def greedy_steps(problem, n_steps):
+        """(candidates, scores) before each of the first n_steps steps of the greedy `problem` runs."""
+        steps: list[tuple[np.ndarray, np.ndarray]] = []
+        list(islice(prune._greedy(problem.graph.w, problem.candidates, steps), n_steps))
+        return steps
+
     def test_per_step_scores_equal_quadratic_form(self):
         for seed in range(5):
-            q, k = normal_pair(seed, d=10)
-            g = build_interaction_graph(q, k)
-            sel = mies_select(q, k, 0.5, record_steps=True)
+            problem = Problem(*normal_pair(seed, d=10))
+            sel = problem.select(Selector.MIES, 0.5)
             pruned_so_far: list[int] = []
-            for step, (cands, scores) in enumerate(sel.step_scores):
+            for step, (cands, scores) in enumerate(self.greedy_steps(problem, sel.n_prune)):
                 for c, s in zip(cands, scores):
-                    f = quadratic_form(g, IndexSet(tuple(pruned_so_far) + (int(c),)))
+                    f = quadratic_form(problem.graph, IndexSet(tuple(pruned_so_far) + (int(c),)))
                     assert abs(s - f) <= 1e-9 * max(1.0, abs(f))
                 pruned_so_far.append(sel.order[step])
 
     def test_trace_tracks_cumulative_error(self):
         # The minimum score at each step is the error of the order's prefix after that step.
-        q, k = normal_pair(4, d=10)
-        g = build_interaction_graph(q, k)
-        sel = mies_select(q, k, 0.5, record_steps=True)
-        for step, (_, scores) in enumerate(sel.step_scores):
-            f = quadratic_form(g, IndexSet(sel.order[: step + 1]))
+        problem = Problem(*normal_pair(4, d=10))
+        sel = problem.select(Selector.MIES, 0.5)
+        for step, (_, scores) in enumerate(self.greedy_steps(problem, sel.n_prune)):
+            f = quadratic_form(problem.graph, IndexSet(sel.order[: step + 1]))
             assert abs(scores.min() - f) <= 1e-9 * max(1.0, abs(f))
 
     def test_beats_think_on_most_seeds(self):

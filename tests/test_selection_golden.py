@@ -10,8 +10,9 @@ greedy, the W build, the attention norms and the evaluator at the sizes
 the benchmark runs; a change to any of their summation orders shows here
 as a changed set or bit.
 
-The bits must not depend on the BLAS thread count: the same cells are
-also computed in subprocesses with `OPENBLAS_NUM_THREADS` at 1 and at 2.
+The bits must not depend on the BLAS thread count: the same cells, and
+the oracle and certificate goldens, are also computed in subprocesses
+with `OPENBLAS_NUM_THREADS` at 1, 2 and 4.
 
 Regenerate with `PYTHONPATH=src python tests/test_selection_golden.py`
 only when a change is meant to move these bits.
@@ -79,21 +80,30 @@ def test_selections_match_golden_bits():
             assert got == want, f"{name} seed {want['seed']}"
 
 
-def _selection_values_with_blas_threads(threads: int) -> dict:
-    """`selection_values()` from a fresh interpreter whose OpenBLAS runs `threads` threads."""
+def _golden_values_with_blas_threads(threads: int) -> dict:
+    """The selection, oracle and certificate golden values from a fresh interpreter whose OpenBLAS runs `threads` threads."""
     here = Path(__file__).resolve().parent
     src = str(here.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import json, test_selection_golden as t; print(json.dumps(t.selection_values()))"
+    code = (
+        "import json, test_selection_golden as s, test_oracle_golden as o, test_certificate_golden as c; "
+        "print(json.dumps({'selection': s.selection_values(), 'oracles': o.oracle_values(), "
+        "'certificate': c.certificate_values()}))"
+    )
     done = subprocess.run([sys.executable, "-c", code], cwd=here, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
 def test_selection_bits_do_not_depend_on_blas_threads():
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert _selection_values_with_blas_threads(1) == expected
-    assert _selection_values_with_blas_threads(2) == expected
+    data = GOLDEN.parent
+    expected = {
+        "selection": json.loads(GOLDEN.read_text(encoding="utf-8")),
+        "oracles": json.loads((data / "oracle_golden.json").read_text(encoding="utf-8"))["oracles"],
+        "certificate": json.loads((data / "certificate_golden.json").read_text(encoding="utf-8")),
+    }
+    for threads in (1, 2, 4):
+        assert _golden_values_with_blas_threads(threads) == expected, f"OPENBLAS_NUM_THREADS={threads}"
 
 
 if __name__ == "__main__":

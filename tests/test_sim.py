@@ -15,9 +15,16 @@ from channelprune import (
     reconstruction_error_sq,
 )
 from channelprune.cli import ExperimentConfig, run_experiment, save_matrix
-from channelprune.sim import planted_outliers
+from channelprune.sim import LOG_SCALE_MU, LOG_SCALE_SIGMA
 
 PLANTED = dict(d=128, outlier_fraction=0.05, outlier_scale=10.0, drift_gamma=0.5)
+
+
+def planted_channels(spec, n_planted):
+    """The channels `generate_instance` scales up, drawn in its order: lognormal scales, then `choice`."""
+    rng = np.random.default_rng(spec.seed)
+    rng.lognormal(LOG_SCALE_MU, LOG_SCALE_SIGMA, spec.d)
+    return set(rng.choice(spec.d, size=n_planted, replace=False).tolist())
 
 
 class TestSpecValidation:
@@ -75,7 +82,7 @@ class TestGenerate:
             _, k, _ = generate_instance(spec)
             norms = np.sqrt((k.data**2).sum(axis=0))
             top = set(np.argsort(-norms)[:n_out].tolist())
-            hits += top == set(planted_outliers(spec).tolist())
+            hits += top == planted_channels(spec, n_out)
         assert hits / 1000 >= 0.99
 
     def test_energy_concentration_per_seed(self):
@@ -87,8 +94,13 @@ class TestGenerate:
             assert top.sum() > 0.5 * energy.sum()
 
     def test_outlier_count_is_exact(self):
-        # A float ceil(0.07 * 100) plants 8: the product is 7.000000000000001.
-        assert len(planted_outliers(SyntheticSpec(d=100, outlier_fraction=0.07))) == 7
+        # A float ceil(0.07 * 100) plants 8: the product is 7.000000000000001. With
+        # drift_gamma = 0 every query row is the scales, so the planted channels are
+        # those whose scale differs from the generator's lognormal draw.
+        spec = SyntheticSpec(d=100, outlier_fraction=0.07, drift_gamma=0.0)
+        q, _, _ = generate_instance(spec)
+        drawn = np.random.default_rng(spec.seed).lognormal(LOG_SCALE_MU, LOG_SCALE_SIGMA, spec.d)
+        assert set(np.flatnonzero(q.data[0] != drawn).tolist()) == planted_channels(spec, 7)
 
     def test_no_outliers_tail_mass(self):
         # outlier_scale = 1: the raw exceedance proportion concentrates near
