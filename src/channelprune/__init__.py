@@ -20,7 +20,6 @@ from .graph import (
     EigenCertificate,
     InteractionGraph,
     build_interaction_graph,
-    jacobi_eigenvalues,
     quadratic_form,
     restricted_eigenvalues,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "SyntheticSpec",
     "build_interaction_graph",
     "generate_instance",
-    "jacobi_eigenvalues",
     "mies_select",
     "oracle_select",
     "protect_channels",

@@ -78,7 +78,6 @@ class PruneSelection:
     selector: Selector
     lam: float
     n_prune: int
-    protected: IndexSet
     pruned: IndexSet
     order: tuple[int, ...]
     error_sq: float
@@ -214,7 +213,6 @@ class Problem:
             selector=selector,
             lam=lam,
             n_prune=n_prune,
-            protected=self.protected,
             pruned=pruned,
             order=order,
             error_sq=reconstruction_error_sq(self.q, self.k, pruned),
@@ -459,7 +457,9 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
         return IndexSet.empty()
     d = k.cols
     # A row-major copy: summing its rows adds each column's squares in row order. Summed down
-    # a contiguous column, numpy would add them pairwise and move the norms' last bits.
+    # a contiguous column, numpy would add them pairwise and move the norms' last bits. At d = 1
+    # the copy is column-contiguous too and is summed pairwise, but there std = 0, so the
+    # clamp alone sets the count and the norm's bits decide nothing.
     squares = np.array(k.data, order="C")
     squares *= squares
     norms = np.sqrt(np.sum(squares, axis=0))

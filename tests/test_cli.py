@@ -15,7 +15,6 @@ from channelprune import (
     ProtectionPolicy,
     Selector,
     SyntheticSpec,
-    jacobi_eigenvalues,
 )
 from channelprune.cli import (
     CSV_HEADER,
@@ -480,9 +479,9 @@ class TestVerification:
         symmetry = next(s for s in summary.suites if s.name == "psd-and-symmetry")
         assert symmetry.failures
 
-    def test_psd_failures_match_one_jacobi_per_instance(self, monkeypatch):
+    def test_psd_failures_match_one_eigvalsh_per_instance(self, monkeypatch):
         # Every third W is negated (not PSD) and every fifth made asymmetric: the suite must
-        # report what a Jacobi call on each W alone reports, in instance order.
+        # report what an `eigvalsh` call on each W alone reports, in instance order.
         built = []
 
         def corrupted(q, k):
@@ -500,7 +499,7 @@ class TestVerification:
             if not np.array_equal(w, w.T):
                 expected.append(f"instance {i}: interaction matrix not symmetric")
                 continue
-            smallest, floor = jacobi_eigenvalues(w)[0], -1e-8 * float(np.linalg.norm(w))
+            smallest, floor = np.linalg.eigvalsh(w)[0], -1e-8 * float(np.linalg.norm(w))
             if smallest < floor:
                 expected.append(f"instance {i}: eigenvalue {smallest} below PSD floor {floor}")
         assert result.checks == 30

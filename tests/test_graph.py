@@ -1,6 +1,9 @@
 import math
+import warnings
+from functools import cache
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +15,6 @@ from channelprune import (
     IndexSet,
     InteractionGraph,
     build_interaction_graph,
-    jacobi_eigenvalues,
     oracle_select,
     quadratic_form,
     restricted_eigenvalues,
@@ -129,60 +131,6 @@ class TestQuadraticForm:
             assert quadratic_form(g, s) >= -1e-8 * float(np.linalg.norm(g.w))
 
 
-class TestJacobi:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
-    def test_matches_lapack_on_random_symmetric(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal((n, n))
-        a = a + a.T
-        mine = jacobi_eigenvalues(a)
-        ref = np.linalg.eigvalsh(a)
-        scale = max(1.0, float(np.abs(ref).max()))
-        assert np.max(np.abs(mine - ref)) <= 1e-9 * scale
-
-    def test_diagonal_matrix_exact(self):
-        a = np.diag([3.0, -1.0, 2.0])
-        assert jacobi_eigenvalues(a).tolist() == [-1.0, 2.0, 3.0]
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((6, 6))
-        a = a + a.T
-        assert np.array_equal(jacobi_eigenvalues(a), jacobi_eigenvalues(a.copy()))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.ones(3))
-
-    def test_stack_keeps_leading_shape(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((2, 3, 4, 4))
-        a = a + np.swapaxes(a, -1, -2)
-        eig = jacobi_eigenvalues(a)
-        assert eig.shape == (2, 3, 4)
-        assert np.array_equal(eig[1, 2], jacobi_eigenvalues(a[1, 2]))
-
-    def test_converged_matrix_keeps_its_signed_zero_beside_a_live_one(self):
-        # Only matrices with |a_pq| above the tolerance are rotated: a
-        # c = 1, s = 0 rotation would turn the -0.0 eigenvalue into +0.0.
-        converged = np.array([[-0.0, -1e-11], [-1e-11, 5.0]])
-        live = np.array([[1.0, 2.0], [2.0, 3.0]])
-        eig = jacobi_eigenvalues(np.stack([converged, live]))
-        assert eig[0].tobytes() == np.array([-0.0, 5.0]).tobytes()
-        assert eig[1].tobytes() == jacobi_eigenvalues(live).tobytes()
-
-    def test_non_convergence_raises(self, monkeypatch):
-        # A dense 3 x 3 matrix refills its off-diagonal during the first
-        # sweep, so it needs a second sweep to converge.
-        a = np.array([[2.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 4.0]])
-        jacobi_eigenvalues(a)
-        monkeypatch.setattr(graph, "_JACOBI_MAX_SWEEPS", 1)
-        with pytest.raises(RuntimeError, match="within 1 sweeps"):
-            jacobi_eigenvalues(a)
-
-
 class TestSubsets:
     def test_chunks_enumerate_every_subset_in_order(self):
         pool = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
@@ -260,3 +208,75 @@ class TestRestrictedEigenvalues:
     def test_certificate_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             EigenCertificate(k=2, mu_min=2.0, mu_max=1.0)
+
+
+def _reference_graphs() -> dict[str, np.ndarray]:
+    """Small W of every sign pattern the certificate meets, none with a subnormal entry."""
+    rng = np.random.default_rng(21)
+    zeroed = rng.standard_normal((16, 7))
+    zeroed[:, [2, 5]] = 0.0  # exact zero eigenvalues, and supports tied at them
+    a = rng.standard_normal((6, 6))
+    return {
+        "gram-16x8": build_interaction_graph(ChannelMatrix(rng.standard_normal((16, 8))), ChannelMatrix(rng.standard_normal((16, 8)))).w,
+        "zero-channels": build_interaction_graph(ChannelMatrix(zeroed), ChannelMatrix(rng.standard_normal((16, 7)))).w,
+        "indefinite": a + a.T,
+    }
+
+
+REFERENCE_GRAPHS = _reference_graphs()
+
+
+def mpmath_extremes(w: np.ndarray, k: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(mu_min, mu_max) over every size-k support of `w`, by mpmath's `eigsy` at 40 digits."""
+    with mpmath.workdps(40):
+        low, high = mpmath.inf, -mpmath.inf
+        for support in combinations(range(len(w)), k):
+            sub = mpmath.matrix([[mpmath.mpf(float(w[i, j])) for j in support] for i in support])
+            eig = mpmath.eigsy(sub, eigvals_only=True)
+            low, high = min(low, min(eig)), max(high, max(eig))
+        return low, high
+
+
+@cache
+def _reference_extremes(name: str, k: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    return mpmath_extremes(REFERENCE_GRAPHS[name], k)
+
+
+def assert_within_lapack_bound(cert: EigenCertificate, w: np.ndarray, low, high, scale: float = 1.0) -> None:
+    """Both extremes within 16 k^2 eps ||A||_2 of scale * (low, high), with k max|w| bounding ||A||_2."""
+    k = cert.k
+    tol = 16 * k * k * float(np.finfo(np.float64).eps) * (k * float(np.abs(w).max()))
+    assert math.isfinite(cert.mu_min) and math.isfinite(cert.mu_max)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(cert.mu_min) - low * scale) <= tol, (cert.mu_min, low * scale, tol)
+        assert abs(mpmath.mpf(cert.mu_max) - high * scale) <= tol, (cert.mu_max, high * scale, tol)
+
+
+class TestCertificateReference:
+    @pytest.mark.parametrize("exponent", [-1000, -500, -100, -40, -10, 0, 10, 40, 100, 500, 1000])
+    @pytest.mark.parametrize("name", REFERENCE_GRAPHS)
+    def test_matches_mpmath_at_every_power_of_two_scale(self, name, exponent):
+        # A power-of-two scale is exact in both arithmetics, so the reference scales with W.
+        scale = math.ldexp(1.0, exponent)
+        w = REFERENCE_GRAPHS[name] * scale
+        assert np.array_equal(w / scale, REFERENCE_GRAPHS[name])
+        for k in range(1, len(w) + 1):
+            low, high = _reference_extremes(name, k)
+            cert = restricted_eigenvalues(InteractionGraph(w), k)
+            assert_within_lapack_bound(cert, w, low, high, scale)
+
+    def test_tiny_rank_one_block(self):
+        # An absolute stopping tolerance would take the diagonal, [1e-150, 1e-150], as converged.
+        w = np.ones((2, 2)) * 1e-150
+        cert = restricted_eigenvalues(InteractionGraph(w), 2)
+        assert_within_lapack_bound(cert, w, mpmath.mpf(0), 2 * mpmath.mpf(1e-150))
+
+    @pytest.mark.parametrize("scale", [1e306, 1e-300])
+    def test_extreme_scales_are_finite_and_warn_nothing(self, scale):
+        a = np.random.default_rng(11).standard_normal((7, 7))
+        w = (a + a.T) * scale
+        for k in (1, 3, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cert = restricted_eigenvalues(InteractionGraph(w), k)
+            assert_within_lapack_bound(cert, w, *mpmath_extremes(w, k))

@@ -1,6 +1,6 @@
 """Property-based tests for the selection invariants, the subset
-enumerator, the branch-and-bound oracle and its bound, the stacked Jacobi,
-the screened certificate and the configuration and matrix round-trips.
+enumerator, the branch-and-bound oracle and its bound, the chunked
+certificate and the configuration and matrix round-trips.
 
 Instances are seeded normal matrices, with about one column in ten scaled
 up as an outlier, and a random protected set. Ratios are two-decimal
@@ -28,7 +28,6 @@ from channelprune import (
     Problem,
     Selector,
     build_interaction_graph,
-    jacobi_eigenvalues,
     oracle_select,
     quadratic_form,
     reconstruction_error_sq,
@@ -306,56 +305,12 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-3
 finite_floats = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
 
 
-def scalar_jacobi(a, tol=1e-10, max_sweeps=100):
-    """The one-matrix, one-rotation-at-a-time loop the stacked kernel replaced."""
-    m = np.array(a, dtype=np.float64)
-    n = m.shape[0]
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= tol:
-                    continue
-                rotated = True
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = m[:, p].copy(), m[:, q].copy()
-                m[:, p], m[:, q] = c * col_p - s * col_q, s * col_p + c * col_q
-                row_p, row_q = m[p, :].copy(), m[q, :].copy()
-                m[p, :], m[q, :] = c * row_p - s * row_q, s * row_p + c * row_q
-                m[p, q] = m[q, p] = 0.0
-        if not rotated:
-            break
-    return np.sort(m.diagonal())
-
-
-@PROPERTY
-@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
-def test_stacked_jacobi_equals_each_matrix_alone_bitwise(count, n, equal_diagonal, data):
-    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e3))
-    raw = data.draw(arrays(np.float64, (count, n, n), elements=entries))
-    if equal_diagonal:  # a negative a_pq then gives theta = -0.0
-        raw[:, np.arange(n), np.arange(n)] = 1.5
-    stack = np.triu(raw) + np.swapaxes(np.triu(raw, 1), 1, 2)  # symmetric, zeros included
-    together = jacobi_eigenvalues(stack)
-    assert together.shape == (count, n)
-    for i in range(count):
-        assert together[i].tobytes() == jacobi_eigenvalues(stack[i]).tobytes()
-        assert together[i].tobytes() == scalar_jacobi(stack[i]).tobytes()
-
-
-def full_walk_certificate(g, k):
-    """(mu_min, mu_max) hex from the stacked Jacobi over every support: the walk the screen replaced."""
+def one_support_at_a_time(g, k):
+    """(mu_min, mu_max) hex from one `eigvalsh` call per support, first extremum kept."""
     mu_min, mu_max = math.inf, -math.inf
-    for rows in graph._subsets(g.dim, k, graph.DEFAULT_ENUMERATION_CAP):
-        eig = jacobi_eigenvalues(g.w[rows[:, :, None], rows[:, None, :]])
-        mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
-        mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))
+    for support in combinations(range(g.dim), k):
+        eig = np.linalg.eigvalsh(g.w[np.ix_(support, support)])
+        mu_min, mu_max = min(mu_min, float(eig[0])), max(mu_max, float(eig[-1]))
     return mu_min.hex(), mu_max.hex()
 
 
@@ -378,7 +333,7 @@ def certificate_graphs(draw):
         levels = rng.integers(-2, 3, (3, 3)).astype(np.float64)
         labels = rng.integers(0, 3, d)
         w = (levels + levels.T)[labels[:, None], labels[None, :]]
-    else:  # a negative a_pq gives theta = -0.0
+    else:  # every k = 1 support ties at both extremes
         a = rng.standard_normal((d, d)).round(2)
         w = a + a.T
         np.fill_diagonal(w, 1.5)
@@ -387,49 +342,20 @@ def certificate_graphs(draw):
 
 @PROPERTY
 @given(certificate_graphs(), st.sampled_from([7, graph._SUBSET_CHUNK]), st.data())
-def test_screened_certificate_is_the_full_walk_bitwise(g, chunk, data):
+def test_chunked_certificate_is_one_support_at_a_time_bitwise(g, chunk, data):
     # A small chunk carries ties and extremes across chunks; k = 1 and k = dim always run.
     with mock.patch.object(graph, "_SUBSET_CHUNK", chunk):
         for k in sorted({1, data.draw(st.integers(1, g.dim)), g.dim}):
-            assert certificate_hex(g, k) == full_walk_certificate(g, k)
-
-
-def recording_jacobi(sizes):
-    def solve(stack):
-        sizes.append(len(stack))
-        return jacobi_eigenvalues(stack)
-
-    return solve
+            assert certificate_hex(g, k) == one_support_at_a_time(g, k)
 
 
 def test_certificate_near_overflow_solves_every_support():
     a = np.random.default_rng(11).standard_normal((7, 7))
-    g = InteractionGraph((a + a.T) * 1e306)  # 64 k max|w| overflows: the slack is +inf
+    g = InteractionGraph((a + a.T) * 1e306)  # k max|w| is within a factor 10 of overflow
     for k in (1, 3, 7):
-        sizes = []
-        with mock.patch.object(graph, "jacobi_eigenvalues", recording_jacobi(sizes)):
-            screened = certificate_hex(g, k)
-        assert sizes == [math.comb(7, k)]
-        assert screened == full_walk_certificate(g, k)
-
-
-def test_nan_or_infinite_screened_values_drop_nothing():
-    rng = np.random.default_rng(12)
-    g = build_interaction_graph(ChannelMatrix(rng.standard_normal((6, 8))), ChannelMatrix(rng.standard_normal((6, 8))))
-    eigvalsh = np.linalg.eigvalsh
-
-    def poisoned(stack):
-        out = eigvalsh(stack)
-        out[0] = np.nan
-        out[1, 0] = -np.inf  # would put every finite smallest value out of reach of the minimum
-        out[2, -1] = np.inf
-        return out
-
-    sizes = []
-    with mock.patch.object(np.linalg, "eigvalsh", poisoned), mock.patch.object(graph, "jacobi_eigenvalues", recording_jacobi(sizes)):
-        screened = certificate_hex(g, 4)
-    assert screened == full_walk_certificate(g, 4)
-    assert 3 < sizes[0] < math.comb(8, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert certificate_hex(g, k) == one_support_at_a_time(g, k)
 
 
 @st.composite
