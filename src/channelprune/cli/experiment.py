@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core import ChannelMatrix, attention_norm, reconstruction_error_sq
+from ..core import ChannelMatrix, attention_norm
 from ..errors import CapacityError
 from ..prune import Problem, ProtectionPolicy, Selector, protect_channels
 from ..sim import generate_instance
@@ -129,7 +129,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         instance, q, k, q_future = load_instance(cfg, seed)
         denom_obs = attention_norm(q, k, "observed")
         denom_future = attention_norm(q_future, k, "future") if q_future is not None else None
-        problem = Problem(q, k, protect_channels(k, policy))
+        problem = Problem(q, k, protect_channels(k, policy), q_future)
 
         for lam in cfg.lambdas:
             cells = []
@@ -142,9 +142,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
             for selection, wall_ms in cells:
                 error_future = None
-                if denom_future is not None:
-                    future_sq = reconstruction_error_sq(q_future, k, selection.pruned)
-                    error_future = math.sqrt(future_sq) / denom_future
+                if selection.error_future_sq is not None:
+                    error_future = math.sqrt(selection.error_future_sq) / denom_future
 
                 approx = optimum
                 if isinstance(optimum, float):

@@ -40,7 +40,7 @@ class InteractionGraph:
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.w, dtype=np.float64)
+        arr = np.array(self.w, dtype=np.float64, order="C")  # always a copy, even of an ndarray subclass
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"interaction matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -49,8 +49,6 @@ class InteractionGraph:
             raise ValueError("interaction matrix has non-finite entries")
         if not np.array_equal(arr, arr.T):
             raise ValueError("interaction matrix must be exactly symmetric")
-        if arr is self.w:
-            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
 

@@ -1,12 +1,12 @@
 """Channel selection: greedy minimum-incremental-error, score baselines,
 a branch-and-bound oracle, and salient-channel protection.
 
-A `Problem` holds one instance (query/key matrices and a protected set).
-Each selector produces a removal order over the unprotected channels;
-the first n_prune entries, n_prune = ceil(lambda * d) clamped to the
-unprotected count, are the pruned set, and its error always comes from
-`reconstruction_error_sq`. The pruned set is therefore disjoint from the
-protected set, its size is the budget, and equal sets score equal.
+A `Problem` holds one instance: query/key matrices, a protected set and
+optional future queries. Each selector produces a removal order over the
+unprotected channels; its first n_prune = ceil(lambda * d) entries,
+clamped to the unprotected count, are the pruned set, and both its errors
+always come from `reconstruction_error_sq`. The pruned set is therefore
+disjoint from the protected set, its size is the budget, and equal sets score equal.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ class PruneSelection:
     `order` is the removal order of the pruned channels: greedy steps for
     mies, ascending static score for think, draw order for random, and
     ascending index for oracle. `pruned` holds the same channels sorted.
+    `error_future_sq` scores them on the future queries, None without any.
     """
 
     selector: Selector
@@ -82,6 +83,7 @@ class PruneSelection:
     order: tuple[int, ...]
     error_sq: float
     budget_clamped: bool = False
+    error_future_sq: float | None = None
 
 
 def _budget(lam: float, d: int, n_protected: int) -> tuple[int, bool]:
@@ -138,7 +140,7 @@ def _greedy(
 
 
 class Problem:
-    """One selection instance: query/key matrices and the protected set.
+    """One selection instance: query/key matrices, the protected set and optional future queries.
 
     The inputs are validated once. W, the greedy order over the
     unprotected channels, the think order and the oracle order of each
@@ -150,12 +152,15 @@ class Problem:
     budget requested.
     """
 
-    def __init__(self, q: ChannelMatrix, k: ChannelMatrix, protected: IndexSet = IndexSet.empty()):
-        if q.cols != k.cols:
-            raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
+    def __init__(
+        self, q: ChannelMatrix, k: ChannelMatrix, protected: IndexSet = IndexSet.empty(),
+        q_future: ChannelMatrix | None = None,
+    ):
+        for name, m in (("q", q), ("q_future", q_future)):
+            if m is not None and m.cols != k.cols:
+                raise ValueError(f"channel count mismatch: {name} has {m.cols}, k has {k.cols}")
         protected.validate_within(q.cols)
-        self.q = q
-        self.k = k
+        self.q, self.k, self.q_future = q, k, q_future
         self.protected = protected
         mask = np.ones(q.cols, dtype=bool)
         mask[protected.as_array()] = False
@@ -217,6 +222,7 @@ class Problem:
             order=order,
             error_sq=reconstruction_error_sq(self.q, self.k, pruned),
             budget_clamped=clamped,
+            error_future_sq=None if self.q_future is None else reconstruction_error_sq(self.q_future, self.k, pruned),
         )
 
     @staticmethod

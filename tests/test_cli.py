@@ -29,7 +29,7 @@ from channelprune.cli import (
     write_report,
 )
 from channelprune import prune
-from channelprune.cli import config, selfcheck
+from channelprune.cli import config, experiment, selfcheck
 from channelprune.cli.main import main as cli_main
 from channelprune.cli.experiment import ORACLE_SKIPPED
 from channelprune.graph import build_interaction_graph as real_build
@@ -409,7 +409,7 @@ class TestRunExperiment:
         assert render_report(run_experiment(cfg)) == GOLDEN.read_text(encoding="utf-8")
 
     def test_one_w_build_and_one_greedy_run_per_seed(self, monkeypatch):
-        calls = {"w": 0, "greedy": 0}
+        calls = {"w": 0, "greedy": 0, "evaluator": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -419,13 +419,16 @@ class TestRunExperiment:
 
         monkeypatch.setattr(prune, "build_interaction_graph", counted("w", prune.build_interaction_graph))
         monkeypatch.setattr(prune, "_greedy", counted("greedy", prune._greedy))
+        monkeypatch.setattr(prune, "reconstruction_error_sq", counted("evaluator", prune.reconstruction_error_sq))
         cfg = small_cfg(
             seeds=(0, 1, 2), lambdas=(0.3, 0.5, 0.7),
             selectors=(Selector.MIES, Selector.THINK, Selector.RANDOM, Selector.ORACLE), oracle=True,
         )
         report = run_experiment(cfg)
         assert len(report.rows) == 3 * 3 * 4
-        assert calls == {"w": 3, "greedy": 3}
+        # Every error is scored in Problem.select, observed and future: 36 cells and 9 oracle optima.
+        assert calls == {"w": 3, "greedy": 3, "evaluator": 2 * (3 * 3 * 4 + 3 * 3)}
+        assert not hasattr(experiment, "reconstruction_error_sq")
 
     def test_mies_mean_beats_think_over_sweep(self):
         # Direction check through the orchestration layer: 100 default

@@ -71,6 +71,16 @@ class TestBuild:
         with pytest.raises(ValueError):
             g.w[0, 0] = 1.0
 
+    def test_copies_an_ndarray_subclass(self):
+        class Tagged(np.ndarray):
+            pass
+
+        w = np.array([[2.0, 1.0], [1.0, 2.0]]).view(Tagged)
+        g = InteractionGraph(w)
+        w[0, 0] = 100.0
+        assert type(g.w) is np.ndarray and not np.shares_memory(g.w, w)
+        assert quadratic_form(g, IndexSet((0, 1))) == 6.0
+
     def test_constructor_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             InteractionGraph(w=np.array([[1.0, 2.0], [3.0, 1.0]]))

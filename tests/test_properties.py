@@ -81,13 +81,18 @@ def test_recorded_steps_pick_the_order(instance, lam):
 
 
 @PROPERTY
-@given(instances(d_max=10), ratios, st.integers(0, 1000))
-def test_error_sq_is_the_evaluator_bitwise(instance, lam, seed):
+@given(instances(d_max=10), ratios, st.integers(0, 1000), st.integers(2, 12))
+def test_error_sq_is_the_evaluator_bitwise(instance, lam, seed, rows_future):
     q, k, protected = instance
-    problem = Problem(q, k, protected)
+    q_future = ChannelMatrix(np.random.default_rng(seed).standard_normal((rows_future, q.cols)))
+    observed_only = Problem(q, k, protected)
+    problem = Problem(q, k, protected, q_future)
     for selector in Selector:
+        alone = observed_only.select(selector, lam, seed=seed)
         sel = problem.select(selector, lam, seed=seed)
-        assert sel.error_sq == reconstruction_error_sq(q, k, sel.pruned)
+        assert alone.error_future_sq is None
+        assert alone.error_sq == sel.error_sq == reconstruction_error_sq(q, k, sel.pruned)
+        assert sel.error_future_sq == reconstruction_error_sq(q_future, k, sel.pruned)
 
 
 @PROPERTY

@@ -72,6 +72,11 @@ class TestThinkScores:
         with pytest.raises(ValueError):
             think_select(ChannelMatrix(np.ones((2, 3))), ChannelMatrix(np.ones((2, 2))), 0.5)
 
+    def test_future_width_mismatch(self):
+        q, k = normal_pair(0, d=3)
+        with pytest.raises(ValueError, match="channel count"):
+            Problem(q, k, IndexSet.empty(), ChannelMatrix(np.ones((2, 2))))
+
 
 class TestThinkSelect:
     def test_lambda_zero(self):
