@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -70,8 +71,8 @@ class IndexSet:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
+        idx = tuple(map(int, self.indices))
+        if idx and min(idx) < 0:
             raise ValueError(f"negative channel index in {idx}")
         if len(set(idx)) != len(idx):
             raise ValueError(f"duplicate channel index in {idx}")
@@ -91,10 +92,10 @@ class IndexSet:
         return np.asarray(self.indices, dtype=np.intp)
 
     def validate_within(self, dim: int) -> None:
-        """Raise IndexError unless every index is in [0, dim)."""
-        for i in self.indices:
-            if i >= dim:
-                raise IndexError(f"channel index {i} out of range for dimension {dim}")
+        """Raise IndexError, naming the first offending index, unless every index is in [0, dim)."""
+        if self.indices and max(self.indices) >= dim:
+            i = next(i for i in self.indices if i >= dim)
+            raise IndexError(f"channel index {i} out of range for dimension {dim}")
 
 
 def exact_ceil(x: float, d: int) -> int:
@@ -118,22 +119,30 @@ def reconstruction_error_sq(q: ChannelMatrix, k: ChannelMatrix, pruned: IndexSet
     """Squared Frobenius error of the attention product after pruning.
 
     Zeroing the channels S changes Q K^T by exactly Q_S K_S^T, so the error
-    is ||Q_S K_S^T||_F^2, computed from the pruned columns alone. This is
-    the package's only error evaluator: every selector's error_sq and
-    every relative error come from it, so equal sets always score equal.
-    The squares are summed by numpy's pairwise reduction, not a BLAS dot,
-    so the bits do not depend on the BLAS thread count.
+    is ||Q_S K_S^T||_F^2, computed from the pruned columns alone by
+    `_error_sq_blocks`, the package's only error evaluator: every
+    selector's error_sq and every relative error come from it, so equal
+    sets always score equal.
     """
     if q.cols != k.cols:
         raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
     pruned.validate_within(q.cols)
-    if len(pruned) == 0:
-        return 0.0
-    idx = pruned.as_array()
-    product = q.data[:, idx] @ k.data[:, idx].T
+    return _error_sq_blocks(q.data, k.data, pruned.as_array(), (q.rows,))[0]
+
+
+def _error_sq_blocks(q: np.ndarray, k: np.ndarray, idx: np.ndarray, rows: tuple[int, ...]) -> list[float]:
+    """||Q_S K_S^T||_F^2 of each row block of the stacked queries `q`, S = `idx`, from one product.
+
+    K_S is gathered once and one GEMM covers every block. Each block is a
+    C-contiguous row slice of the C-order product, so numpy's pairwise
+    `np.add.reduce` sums its squares exactly as it would a separate
+    product's; it is not a BLAS dot, so the bits do not depend on the
+    BLAS thread count.
+    """
+    product = q[:, idx] @ k[:, idx].T  # all zeros when idx is empty
     with np.errstate(over="ignore"):  # an overflowing error is +inf, without a warning
         np.square(product, out=product)
-    return float(np.add.reduce(product, axis=None))
+    return [float(np.add.reduce(product[end - n : end], axis=None)) for n, end in zip(rows, accumulate(rows))]
 
 
 def attention_norm(q: ChannelMatrix, k: ChannelMatrix, label: str) -> float:

@@ -82,19 +82,14 @@ class EigenCertificate:
 def build_interaction_graph(q: ChannelMatrix, k: ChannelMatrix) -> InteractionGraph:
     """Hadamard product of the query and key Gram matrices.
 
-    W[i, j] = (q_i . q_j) * (k_i . k_j). The upper triangle is computed
-    once and mirrored, so symmetry is exact. W is positive semi-definite
-    as the elementwise product of two Gram matrices.
+    W[i, j] = (q_i . q_j) * (k_i . k_j). numpy computes x.T @ x by a symmetric
+    rank-k update and mirrors it, so W is exactly symmetric; `+ 0.0` makes a
+    -0.0 product +0.0, so a zero entry's bytes ignore its factors' signs. W
+    is positive semi-definite as the elementwise product of two Gram matrices.
     """
     if q.cols != k.cols:
         raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
-    gram_q = q.data.T @ q.data
-    gram_k = k.data.T @ k.data
-    raw = gram_q * gram_k
-    upper = np.triu(raw, 1)
-    w = upper + upper.T
-    np.fill_diagonal(w, np.diag(raw))
-    return InteractionGraph(w)
+    return InteractionGraph((q.data.T @ q.data) * (k.data.T @ k.data) + 0.0)
 
 
 def quadratic_form(g: InteractionGraph, s: IndexSet) -> float:

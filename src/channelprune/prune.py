@@ -5,7 +5,7 @@ A `Problem` holds one instance: query/key matrices, a protected set and
 optional future queries. Each selector produces a removal order over the
 unprotected channels; its first n_prune = ceil(lambda * d) entries,
 clamped to the unprotected count, are the pruned set, and both its errors
-always come from `reconstruction_error_sq`. The pruned set is therefore
+always come from the one evaluator in `core`. The pruned set is therefore
 disjoint from the protected set, its size is the budget, and equal sets score equal.
 """
 
@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ChannelMatrix, IndexSet, exact_ceil, reconstruction_error_sq
+from .core import ChannelMatrix, IndexSet, _error_sq_blocks, exact_ceil
 from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _check_capacity, _subsets, build_interaction_graph
 
 __all__ = [
@@ -113,30 +113,31 @@ def _greedy(
     `steps` list, a (candidates, scores) snapshot is appended before each
     step.
 
-    Scores stay +inf off the active channels and are updated in place,
-    only where active. W is symmetric, so row w[j] is column w[:, j]; an
-    entry off the active channels, such as a protected channel's, is never
-    read, so it cannot overflow and raise a numpy warning.
+    The work is over the candidate block alone: W[cand][:, cand] is doubled
+    once (an overflowing entry is +inf, without a warning; W is symmetric, so
+    row i is candidate i's column), and the scores, +inf once pruned, are
+    updated in place only where still active. W's other entries, such as a
+    protected channel's, are never read. `candidates` must be ascending.
     """
-    active = np.zeros(len(w), dtype=bool)
-    active[candidates] = True
-    scores = np.where(active, np.diag(w), np.inf)
-    increment = np.empty(len(w))
+    with np.errstate(over="ignore"):
+        doubled = 2.0 * w[candidates][:, candidates]
+    active = np.ones(len(candidates), dtype=bool)
+    scores = w[candidates, candidates]
+    increment = np.empty(len(candidates))
     accumulated = 0.0  # f(pruned so far)
     for _ in range(len(candidates)):
         if steps is not None:
-            steps.append((np.flatnonzero(active), scores[active]))
-        j = int(np.argmin(scores))  # first minimum, so the lowest index wins ties
-        if not active[j]:  # every active score overflowed to +inf and ties the inactive ones
-            j = int(np.flatnonzero(active)[0])
-        chosen = float(scores[j])
-        active[j] = False
-        scores[j] = np.inf
-        np.multiply(w[j], 2.0, out=increment, where=active)
-        np.add(increment, chosen - accumulated, out=increment, where=active)
+            steps.append((candidates[active], scores[active]))
+        i = int(scores.argmin())  # first minimum, so the lowest channel wins ties
+        if not active[i]:  # every active score overflowed to +inf and ties the pruned ones
+            i = int(active.argmax())
+        chosen = float(scores[i])
+        active[i] = False
+        scores[i] = np.inf
+        np.add(doubled[i], chosen - accumulated, out=increment, where=active)
         np.add(scores, increment, out=scores, where=active)
         accumulated = chosen
-        yield j
+        yield int(candidates[i])
 
 
 class Problem:
@@ -161,6 +162,10 @@ class Problem:
                 raise ValueError(f"channel count mismatch: {name} has {m.cols}, k has {k.cols}")
         protected.validate_within(q.cols)
         self.q, self.k, self.q_future = q, k, q_future
+        windows = (q,) if q_future is None else (q, q_future)
+        self._queries = np.asfortranarray(np.concatenate([m.data for m in windows]))  # one GEMM scores both
+        self._queries.setflags(write=False)
+        self._window_rows = tuple(m.rows for m in windows)
         self.protected = protected
         mask = np.ones(q.cols, dtype=bool)
         mask[protected.as_array()] = False
@@ -214,15 +219,16 @@ class Problem:
                 self._oracle_orders[n_prune] = self._oracle_order(n_prune)
             order = self._oracle_orders[n_prune]
         pruned = IndexSet(tuple(sorted(order)))
+        error_sq, *future = _error_sq_blocks(self._queries, self.k.data, pruned.as_array(), self._window_rows)
         return PruneSelection(
             selector=selector,
             lam=lam,
             n_prune=n_prune,
             pruned=pruned,
             order=order,
-            error_sq=reconstruction_error_sq(self.q, self.k, pruned),
+            error_sq=error_sq,
             budget_clamped=clamped,
-            error_future_sq=None if self.q_future is None else reconstruction_error_sq(self.q_future, self.k, pruned),
+            error_future_sq=future[0] if future else None,
         )
 
     @staticmethod

@@ -419,15 +419,16 @@ class TestRunExperiment:
 
         monkeypatch.setattr(prune, "build_interaction_graph", counted("w", prune.build_interaction_graph))
         monkeypatch.setattr(prune, "_greedy", counted("greedy", prune._greedy))
-        monkeypatch.setattr(prune, "reconstruction_error_sq", counted("evaluator", prune.reconstruction_error_sq))
+        monkeypatch.setattr(prune, "_error_sq_blocks", counted("evaluator", prune._error_sq_blocks))
         cfg = small_cfg(
             seeds=(0, 1, 2), lambdas=(0.3, 0.5, 0.7),
             selectors=(Selector.MIES, Selector.THINK, Selector.RANDOM, Selector.ORACLE), oracle=True,
         )
         report = run_experiment(cfg)
         assert len(report.rows) == 3 * 3 * 4
-        # Every error is scored in Problem.select, observed and future: 36 cells and 9 oracle optima.
-        assert calls == {"w": 3, "greedy": 3, "evaluator": 2 * (3 * 3 * 4 + 3 * 3)}
+        # Every error is scored in Problem.select, observed and future in one evaluator call:
+        # 36 cells and 9 oracle optima.
+        assert calls == {"w": 3, "greedy": 3, "evaluator": 3 * 3 * 4 + 3 * 3}
         assert not hasattr(experiment, "reconstruction_error_sq")
 
     def test_mies_mean_beats_think_over_sweep(self):

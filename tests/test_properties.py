@@ -17,7 +17,7 @@ from itertools import combinations, islice
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -117,6 +117,33 @@ def test_evaluator_matches_longdouble_reference(instance, data):
     product = q.data[:, idx].astype(np.longdouble) @ k.data[:, idx].astype(np.longdouble).T
     reference = np.sum(product * product)
     assert abs(np.longdouble(reconstruction_error_sq(q, k, pruned)) - reference) <= 1e-12 * reference
+
+
+@st.composite
+def signed_zero_pairs(draw):
+    """q and k with +0.0 and -0.0 columns, so that many Gram products are -0.0."""
+    d = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, k = (rng.standard_normal((draw(st.integers(1, 6)), d)) for _ in range(2))
+    for m in (q, k):
+        m[:, rng.random(d) < 0.4] = draw(st.sampled_from([0.0, -0.0]))
+    return ChannelMatrix(q), ChannelMatrix(k)
+
+
+def mirrored_w(q, k):
+    """W as it was built before: the Gram product's strict upper triangle, mirrored, and its diagonal."""
+    raw = (q.data.T @ q.data) * (k.data.T @ k.data)
+    upper = np.triu(raw, 1)
+    w = upper + upper.T
+    np.fill_diagonal(w, np.diag(raw))
+    return w
+
+
+@PROPERTY
+@given(signed_zero_pairs())
+@example((ChannelMatrix(np.array([[0.0, 1.0]])), ChannelMatrix(np.array([[1.0, -1.0]]))))  # raw W[0, 1] is -0.0
+def test_w_equals_the_mirrored_upper_triangle_bytewise(pair):
+    assert build_interaction_graph(*pair).w.tobytes() == mirrored_w(*pair).tobytes()
 
 
 @PROPERTY

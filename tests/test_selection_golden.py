@@ -12,7 +12,10 @@ as a changed set or bit.
 
 The bits must not depend on the BLAS thread count: the same cells, and
 the oracle and certificate goldens, are also computed in subprocesses
-with `OPENBLAS_NUM_THREADS` at 1, 2 and 4.
+with `OPENBLAS_NUM_THREADS` at 1, 2 and 4. There, too, each d=128/L=1024
+cell's two errors, which `Problem.select` takes from one GEMM over the
+stacked query windows, must equal two one-window evaluator calls: BLAS
+may split the stacked product's rows differently across threads.
 
 Regenerate with `PYTHONPATH=src python tests/test_selection_golden.py`
 only when a change is meant to move these bits.
@@ -24,7 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from channelprune import Problem, Selector, protect_channels
+from channelprune import Problem, Selector, protect_channels, reconstruction_error_sq
 from channelprune.cli import ExperimentConfig, run_experiment
 from channelprune.cli.experiment import load_instance
 
@@ -69,6 +72,21 @@ def selection_values() -> dict:
     return out
 
 
+def stacked_mismatches(name: str = "d128-L1024", seed: int = 0) -> list[str]:
+    """Cells of a golden instance whose stacked errors differ from one-window evaluator calls."""
+    cfg = CONFIGS[name]
+    _, q, k, q_future = load_instance(cfg, seed)
+    problem = Problem(q, k, protect_channels(k, cfg.policy()), q_future)
+    mismatches = []
+    for lam in cfg.lambdas:
+        for selector in cfg.selectors:
+            sel = problem.select(selector, lam, seed=seed)
+            alone = (reconstruction_error_sq(q, k, sel.pruned), reconstruction_error_sq(q_future, k, sel.pruned))
+            if (sel.error_sq.hex(), sel.error_future_sq.hex()) != tuple(e.hex() for e in alone):
+                mismatches.append(f"{selector.value} lambda={lam}")
+    return mismatches
+
+
 def test_selections_match_golden_bits():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     actual = selection_values()
@@ -81,7 +99,8 @@ def test_selections_match_golden_bits():
 
 
 def _golden_values_with_blas_threads(threads: int) -> dict:
-    """The selection, oracle and certificate golden values from a fresh interpreter whose OpenBLAS runs `threads` threads."""
+    """The selection, oracle and certificate golden values, and the stacked-error mismatches,
+    from a fresh interpreter whose OpenBLAS runs `threads` threads."""
     here = Path(__file__).resolve().parent
     src = str(here.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
@@ -89,7 +108,7 @@ def _golden_values_with_blas_threads(threads: int) -> dict:
     code = (
         "import json, test_selection_golden as s, test_oracle_golden as o, test_certificate_golden as c; "
         "print(json.dumps({'selection': s.selection_values(), 'oracles': o.oracle_values(), "
-        "'certificate': c.certificate_values()}))"
+        "'certificate': c.certificate_values(), 'stacked': s.stacked_mismatches()}))"
     )
     done = subprocess.run([sys.executable, "-c", code], cwd=here, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
@@ -103,7 +122,9 @@ def test_selection_bits_do_not_depend_on_blas_threads():
         "certificate": json.loads((data / "certificate_golden.json").read_text(encoding="utf-8")),
     }
     for threads in (1, 2, 4):
-        assert _golden_values_with_blas_threads(threads) == expected, f"OPENBLAS_NUM_THREADS={threads}"
+        values = _golden_values_with_blas_threads(threads)
+        assert values.pop("stacked") == [], f"OPENBLAS_NUM_THREADS={threads}"
+        assert values == expected, f"OPENBLAS_NUM_THREADS={threads}"
 
 
 if __name__ == "__main__":
