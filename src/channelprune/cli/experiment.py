@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core import ChannelMatrix, attention_norm
+from ..core import ChannelMatrix
 from ..errors import CapacityError
 from ..prune import Problem, ProtectionPolicy, Selector, protect_channels
 from ..sim import generate_instance
@@ -117,8 +117,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     greedy and the oracle run at most once per seed and budget; a cell's
     wall_time_ms includes whatever of that work it was the first to need.
     An `oracle` selector over the enumeration cap raises CapacityError
-    before any cell runs. A zero observed or future attention product
-    raises DegenerateInputError before any selector runs on that instance.
+    before any cell runs. A zero or overflowing attention product, observed
+    or future, raises DegenerateInputError before any selector runs on it.
     """
     cfg.validate()
     policy = cfg.policy()
@@ -127,9 +127,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows: list[ReportRow] = []
     for seed in cfg.seeds:
         instance, q, k, q_future = load_instance(cfg, seed)
-        denom_obs = attention_norm(q, k, "observed")
-        denom_future = attention_norm(q_future, k, "future") if q_future is not None else None
         problem = Problem(q, k, protect_channels(k, policy), q_future)
+        norms = problem.attention_norms()  # observed, then future when there is one
 
         for lam in cfg.lambdas:
             cells = []
@@ -143,7 +142,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             for selection, wall_ms in cells:
                 error_future = None
                 if selection.error_future_sq is not None:
-                    error_future = math.sqrt(selection.error_future_sq) / denom_future
+                    error_future = math.sqrt(selection.error_future_sq) / norms[1]
 
                 approx = optimum
                 if isinstance(optimum, float):
@@ -159,7 +158,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         n_prune=selection.n_prune,
                         n_protected=len(problem.protected),
                         error_sq=selection.error_sq,
-                        relative_error=math.sqrt(selection.error_sq) / denom_obs,
+                        relative_error=math.sqrt(selection.error_sq) / norms[0],
                         error_future=error_future,
                         approx_ratio=approx,
                         wall_time_ms=wall_ms,

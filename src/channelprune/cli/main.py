@@ -16,7 +16,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..core import attention_norm
 from ..errors import (
     CapacityError,
     ConfigError,
@@ -40,10 +39,11 @@ EXIT_INVARIANT = 5
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    # Each flag's dest is its configuration key, read by that key's parser.
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
-    parser.add_argument("--seed", type=int, metavar="N", help="single seed (overrides config seeds)")
+    parser.add_argument("--seed", dest="seeds", type=int, metavar="N", help="single seed (overrides seeds)")
     parser.add_argument("--lambda", dest="lambdas", metavar="X[,X...]", help="pruning ratio list")
-    parser.add_argument("--selector", metavar="NAME[,NAME...]", help="selector list")
+    parser.add_argument("--selector", dest="selectors", metavar="NAME[,NAME...]", help="selector list")
     parser.add_argument(
         "--protect", action=argparse.BooleanOptionalAction, default=None, help="toggle channel protection"
     )
@@ -55,21 +55,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = parse_config_file(args.config) if args.config else ExperimentConfig()
-    for key, text in (
-        ("lambdas", args.lambdas),
-        ("selectors", args.selector),
-        ("protect_bounds", args.protect_bounds),
-        ("out", args.out),
-    ):
-        if text is not None:
-            cfg = _apply_key(cfg, key, text)
-    typed = {
-        "seeds": None if args.seed is None else (args.seed,),
-        "protect": args.protect,
-        "oracle": args.oracle,
-        "timing": args.timing,
-    }
-    cfg = cfg.with_updates(**{key: value for key, value in typed.items() if value is not None})
+    for key, value in vars(args).items():
+        if key in _KEYS and value is not None:
+            cfg = _apply_key(cfg, key, str(value))
     return cfg.validate()
 
 
@@ -90,16 +78,16 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 def cmd_prune(cfg: ExperimentConfig) -> int:
     seed = cfg.seeds[0]
     _, q, k, _ = load_instance(cfg, seed)
-    attention_norm(q, k, "observed")  # a zero or overflowing product is refused before selecting
-    protected = protect_channels(k, cfg.policy())
+    problem = Problem(q, k, protect_channels(k, cfg.policy()))
+    problem.attention_norms()  # a zero or overflowing product is refused before selecting
     lam = cfg.lambdas[0]
     selector = cfg.selectors[0]
-    selection = Problem(q, k, protected).select(selector, lam, seed=seed, cap=cfg.enumeration_cap)
+    selection = problem.select(selector, lam, seed=seed, cap=cfg.enumeration_cap)
     print(
         f"selector={selector.value} lambda={_KEYS['lambdas'][1]((lam,))} "
         f"n_prune={selection.n_prune} clamped={'true' if selection.budget_clamped else 'false'}"
     )
-    print(f"protected ({len(protected)}):" + "".join(f" {i}" for i in protected))
+    print(f"protected ({len(problem.protected)}):" + "".join(f" {i}" for i in problem.protected))
     print(f"pruned ({len(selection.pruned)}):" + "".join(f" {i}" for i in selection.pruned))
     print(f"error_sq={format_value(selection.error_sq)}")
     return EXIT_OK

@@ -19,12 +19,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DegenerateInputError, MatrixValidationError
+from .errors import MatrixValidationError
 
 __all__ = [
     "ChannelMatrix",
     "IndexSet",
-    "attention_norm",
     "exact_ceil",
     "reconstruction_error_sq",
 ]
@@ -130,30 +129,19 @@ def reconstruction_error_sq(q: ChannelMatrix, k: ChannelMatrix, pruned: IndexSet
     return _error_sq_blocks(q.data, k.data, pruned.as_array(), (q.rows,))[0]
 
 
-def _error_sq_blocks(q: np.ndarray, k: np.ndarray, idx: np.ndarray, rows: tuple[int, ...]) -> list[float]:
+def _error_sq_blocks(
+    q: np.ndarray, k: np.ndarray, idx: np.ndarray | slice, rows: tuple[int, ...]
+) -> list[float]:
     """||Q_S K_S^T||_F^2 of each row block of the stacked queries `q`, S = `idx`, from one product.
 
-    K_S is gathered once and one GEMM covers every block. Each block is a
-    C-contiguous row slice of the C-order product, so numpy's pairwise
-    `np.add.reduce` sums its squares exactly as it would a separate
-    product's; it is not a BLAS dot, so the bits do not depend on the
-    BLAS thread count.
+    K_S is gathered once (`slice(None)` gathers nothing and gives ||Q K^T||_F^2)
+    and one GEMM covers every block. Each block is a C-contiguous row slice
+    of the C-order product, so numpy's pairwise `np.add.reduce` sums its
+    squares exactly as it would a separate product's; it is not a BLAS dot,
+    so the bits do not depend on the BLAS thread count.
     """
-    product = q[:, idx] @ k[:, idx].T  # all zeros when idx is empty
     with np.errstate(over="ignore"):  # an overflowing error is +inf, without a warning
+        product = q[:, idx] @ k[:, idx].T  # all zeros when idx is empty
         np.square(product, out=product)
     return [float(np.add.reduce(product[end - n : end], axis=None)) for n, end in zip(rows, accumulate(rows))]
 
-
-def attention_norm(q: ChannelMatrix, k: ChannelMatrix, label: str) -> float:
-    """||Q K^T||_F, the denominator of a relative error.
-
-    Raises DegenerateInputError when the product is identically zero or
-    its norm overflows; `label` names the queries in the message.
-    """
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.sum((q.data @ k.data.T) ** 2)))
-    if not 0.0 < norm < math.inf:
-        problem = "identically zero" if norm == 0.0 else "too large: its norm overflows float64"
-        raise DegenerateInputError(f"attention product of {label} queries is {problem}")
-    return norm

@@ -21,6 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import ChannelMatrix, IndexSet, _error_sq_blocks, exact_ceil
+from .errors import DegenerateInputError
 from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _check_capacity, _subsets, build_interaction_graph
 
 __all__ = [
@@ -173,6 +174,16 @@ class Problem:
         self._greedy_order: list[int] = []
         self._greedy_run: Iterator[int] | None = None
         self._oracle_orders: dict[int, tuple[int, ...]] = {}
+
+    def attention_norms(self) -> tuple[float, ...]:
+        """||Q K^T||_F per query window, observed then future, in one evaluator call; refuses 0 and +inf."""
+        squares = _error_sq_blocks(self._queries, self.k.data, slice(None), self._window_rows)
+        norms = tuple(map(math.sqrt, squares))
+        for label, norm in zip(("observed", "future"), norms):
+            if not 0.0 < norm < math.inf:
+                problem = "identically zero" if norm == 0.0 else "too large: its norm overflows float64"
+                raise DegenerateInputError(f"attention product of {label} queries is {problem}")
+        return norms
 
     @cached_property
     def graph(self) -> InteractionGraph:
@@ -468,13 +479,10 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     if not policy.enabled:
         return IndexSet.empty()
     d = k.cols
-    # A row-major copy: summing its rows adds each column's squares in row order. Summed down
-    # a contiguous column, numpy would add them pairwise and move the norms' last bits. At d = 1
-    # the copy is column-contiguous too and is summed pairwise, but there std = 0, so the
-    # clamp alone sets the count and the norm's bits decide nothing.
-    squares = np.array(k.data, order="C")
-    squares *= squares
-    norms = np.sqrt(np.sum(squares, axis=0))
+    norms = _column_norms(k.data, 0)
+    # Outside [2^-400, 2^400] a key's or a deviation's square may leave float64: rescale max|k| to [1/2, 1).
+    if not 2.0**-400 <= norms.max() <= 2.0**400:
+        norms = _column_norms(k.data, math.frexp(float(np.abs(k.data).max()))[1])
     tau = norms.mean() + policy.threshold_sigma * norms.std()
     count = int(np.sum(norms > tau))
     p_raw = count / d
@@ -488,3 +496,14 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     by_norm_desc = np.lexsort((np.arange(d), -norms))
     return IndexSet(tuple(sorted(int(j) for j in by_norm_desc[:n_protect])))
 
+
+def _column_norms(k: np.ndarray, e: int) -> np.ndarray:
+    """Column norms of k * 2^-e (exact), each adding its squares in row order, from a row-major copy.
+
+    numpy sums a contiguous column pairwise, which would move the norms' last bits. At d = 1 the
+    copy is column-contiguous too, but there std = 0 and the clamp alone sets the count.
+    """
+    squares = np.ldexp(k, -e, order="C") if e else np.array(k, order="C")
+    with np.errstate(over="ignore"):  # an overflowing square or sum is rescaled by the caller
+        squares *= squares
+        return np.sqrt(np.sum(squares, axis=0))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -30,6 +31,7 @@ from channelprune.cli import (
 )
 from channelprune import prune
 from channelprune.cli import config, experiment, selfcheck
+from channelprune.cli import main as cli_module
 from channelprune.cli.main import main as cli_main
 from channelprune.cli.experiment import ORACLE_SKIPPED
 from channelprune.graph import build_interaction_graph as real_build
@@ -98,6 +100,10 @@ class TestGrcmFormat:
         with pytest.raises(MatrixFormatError) as err:
             load_matrix(path)
         assert err.value.offset == 5
+        path.write_bytes(struct.pack("<4sBII", b"GRCM", 1, 3, 0))
+        with pytest.raises(MatrixFormatError, match="column count must be positive") as err:
+            load_matrix(path)
+        assert err.value.offset == 9
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         path = tmp_path / "trunc.grcm"
@@ -194,12 +200,18 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config_lines(["nonsense=1"])
+        with pytest.raises(ConfigError, match="line 2: expected key=value, got 'd 12'"):
+            parse_config_lines(["# d=12 below", "d 12"])
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             parse_config_lines(["d=ten"])
         with pytest.raises(ConfigError):
             parse_config_lines(["selectors=bogus"])
+        with pytest.raises(ConfigError, match="protect: expected a boolean, got 'maybe'"):
+            parse_config_lines(["protect=maybe"])
+        with pytest.raises(ConfigError, match="seeds: empty range '3:3'"):
+            parse_config_lines(["seeds=3:3"])
 
     def test_validate_rejects_bad_combinations(self):
         with pytest.raises(ConfigError):
@@ -210,6 +222,23 @@ class TestConfig:
             ExperimentConfig(mode="from-files").validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(selectors=()).validate()
+        with pytest.raises(ConfigError, match="at least one pruning ratio is required"):
+            ExperimentConfig(lambdas=()).validate()
+        with pytest.raises(ConfigError, match="at least one seed is required"):
+            ExperimentConfig(seeds=()).validate()
+
+    @pytest.mark.parametrize(
+        "key, values, shown",
+        [
+            ("lambdas", (0.5, 0.3, 0.5), "0.5"),
+            ("selectors", (Selector.MIES, Selector.MIES), "mies"),
+            ("seeds", (1, 2, 1), "1"),
+        ],
+        ids=["lambdas", "selectors", "seeds"],
+    )
+    def test_validate_rejects_repeated_entries(self, key, values, shown):
+        with pytest.raises(ConfigError, match=f"^{key}: repeated value {shown}$"):
+            ExperimentConfig(**{key: values}).validate()
 
     def test_defaults_come_from_the_owning_types(self):
         assert ExperimentConfig().synthetic_spec(0) == SyntheticSpec()
@@ -248,6 +277,15 @@ class TestConfig:
         from_file = capsys.readouterr().err
         assert cli_main(["sweep", flag, value]) == 2
         assert capsys.readouterr().err == from_file
+
+    def test_every_flag_is_read_by_the_key_table(self, tmp_path, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli_module, "cmd_sweep", lambda cfg: configs.append(cfg) or 0)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seeds=3\nprotect=false\noracle=true\ntiming=true\n")
+        assert cli_main(["sweep", "--seed", "3", "--no-protect", "--oracle", "--timing"]) == 0
+        assert cli_main(["sweep", "--config", str(cfg)]) == 0
+        assert configs[0] == configs[1] == ExperimentConfig(seeds=(3,), protect=False, oracle=True, timing=True)
 
     def test_resolved_items_round_trip(self):
         cfg = ExperimentConfig(d=9, lambdas=(0.5, 0.6), seeds=(3, 4), protect=False)
@@ -399,6 +437,23 @@ class TestRunExperiment:
         tamper_first_row(path, 10, marker)
         assert len(replay_report(path)) == 1
 
+    def test_approx_ratio_of_a_zero_optimum(self):
+        assert experiment._approx_ratio(0.0, 0.0) == 1.0
+        assert experiment._approx_ratio(1e-300, 0.0) == math.inf
+
+    def test_replay_reports_a_malformed_report(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_report(run_experiment(small_cfg()), path)
+        lines = path.read_text().splitlines()
+        header = lines.index(CSV_HEADER)
+        for edited, problem in (
+            (lines[:header] + ["instance,seed"] + lines[header + 1 :], "missing or unexpected header"),
+            (lines[:-1], "row count 3 != replay count 4"),
+            (lines[:-1] + [lines[-1] + ",extra"], "line 5: 13 fields, expected 12"),
+        ):
+            path.write_text("\n".join(edited) + "\n")
+            assert [problem in p for p in replay_report(path)] == [True]
+
     def test_report_matches_golden_bytes(self):
         # tests/data/criterion8_golden.csv was rendered before the selectors
         # shared one evaluator and one W per seed; the bytes must not move.
@@ -427,8 +482,8 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert len(report.rows) == 3 * 3 * 4
         # Every error is scored in Problem.select, observed and future in one evaluator call:
-        # 36 cells and 9 oracle optima.
-        assert calls == {"w": 3, "greedy": 3, "evaluator": 3 * 3 * 4 + 3 * 3}
+        # 36 cells and 9 oracle optima. Each seed's attention norms are one more call.
+        assert calls == {"w": 3, "greedy": 3, "evaluator": 3 * 3 * 4 + 3 * 3 + 3}
         assert not hasattr(experiment, "reconstruction_error_sq")
 
     def test_mies_mean_beats_think_over_sweep(self):
@@ -482,6 +537,27 @@ class TestVerification:
         assert not summary.passed
         symmetry = next(s for s in summary.suites if s.name == "psd-and-symmetry")
         assert symmetry.failures
+
+    def test_score_update_failures_are_reported(self, monkeypatch):
+        real = selfcheck.quadratic_form
+        monkeypatch.setattr(selfcheck, "quadratic_form", lambda g, s: real(g, s) + 1.0)
+        result = selfcheck._check_score_updates(np.random.default_rng(1), 3)
+        assert result.checks > 0 and len(result.failures) == result.checks
+        assert result.failures[0].startswith("instance 0 step 0 candidate ")
+
+    def test_oracle_dominance_failures_are_reported(self, monkeypatch):
+        class Inflated(prune.Problem):
+            def select(self, selector, lam, **kwargs):
+                sel = super().select(selector, lam, **kwargs)
+                if selector is Selector.ORACLE:
+                    return dataclasses.replace(sel, error_sq=2.0 * sel.error_sq + 1.0)
+                return sel
+
+        monkeypatch.setattr(selfcheck, "Problem", Inflated)
+        result = selfcheck._check_oracle_dominance(np.random.default_rng(2), 4)
+        assert result.checks == len(result.failures) == 4
+        for i, failure in enumerate(result.failures):
+            assert failure.startswith(f"instance {i}: oracle ") and " exceeds greedy " in failure
 
     def test_psd_failures_match_one_eigvalsh_per_instance(self, monkeypatch):
         # Every third W is negated (not PSD) and every fifth made asymmetric: the suite must
@@ -572,6 +648,26 @@ class TestCommandLine:
 
     def test_config_error_exit_code(self, capsys):
         assert cli_main(["sweep", "--selector", "bogus"]) == 2
+        assert cli_main(["generate"]) == 2
+        assert "generate requires --out DIRECTORY" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, flags, message",
+        [
+            ("", ["--lambda", "0.5,0.5"], "lambdas: repeated value 0.5"),
+            ("", ["--selector", "mies,mies"], "selectors: repeated value mies"),
+            ("seeds=1,1\n", [], "seeds: repeated value 1"),
+        ],
+        ids=["lambdas", "selectors", "seeds"],
+    )
+    def test_repeated_sweep_entry_exit_code(self, tmp_path, capsys, monkeypatch, line, flags, message):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"d=8\nL=8\nL_obs=4\nL_future=4\n{line}")
+        monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        out = tmp_path / "r.csv"
+        assert cli_main(["sweep", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        assert f"configuration error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_capacity_error_exit_code(self, capsys):
         # d=64 default: exhaustive selection at lambda 0.5 is far beyond the cap
@@ -631,6 +727,19 @@ class TestCommandLine:
         assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
         assert "norm overflows" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_prune_protects_keys_whose_squares_overflow(self, tmp_path, capsys):
+        # Q K^T is finite and nonzero, but the keys' squares overflow; column 2 is 50x the rest.
+        # The random selector builds no W, whose key Gram would overflow too.
+        keys = np.full((4, 6), 1e160)
+        keys[:, 2] *= 50.0
+        q_path, k_path = tmp_path / "q.grcm", tmp_path / "k.grcm"
+        save_matrix(ChannelMatrix(np.full((2, 6), 1e-160)), q_path)
+        save_matrix(ChannelMatrix(keys), k_path)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"mode=from-files\nq_path={q_path}\nk_path={k_path}\nselectors=random\n")
+        assert cli_main(["prune", "--config", str(cfg)]) == 0
+        assert "protected (1): 2\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["outlier_scale", "drift_gamma", "protect_sigma"])

@@ -85,6 +85,13 @@ class TestBuild:
         with pytest.raises(ValueError):
             InteractionGraph(w=np.array([[1.0, 2.0], [3.0, 1.0]]))
 
+    def test_constructor_rejects_a_non_square_or_empty_matrix(self):
+        for w in (np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(ValueError, match="interaction matrix must be square"):
+                InteractionGraph(w)
+        with pytest.raises(ValueError, match="graph needs at least one channel"):
+            InteractionGraph(np.zeros((0, 0)))
+
     def test_psd_over_seeded_instances(self):
         rng = np.random.default_rng(100)
         for _ in range(100):

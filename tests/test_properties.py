@@ -17,7 +17,7 @@ from itertools import combinations, islice
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,9 +26,11 @@ from channelprune import (
     IndexSet,
     InteractionGraph,
     Problem,
+    ProtectionPolicy,
     Selector,
     build_interaction_graph,
     oracle_select,
+    protect_channels,
     quadratic_form,
     reconstruction_error_sq,
     restricted_eigenvalues,
@@ -106,6 +108,19 @@ def test_pruned_avoids_protected_and_meets_exact_budget(instance, lam, seed):
         assert not set(sel.pruned) & set(protected)
         assert len(sel.pruned) == sel.n_prune == budget
         assert sorted(sel.order) == list(sel.pruned)
+
+
+@PROPERTY
+@given(instances(), st.integers(-1000, 1000), st.integers(0, 30))
+@example((None, ChannelMatrix([[0.9], [0.5]]), None), 512, 10)  # no square overflows, but their sum does
+def test_protected_set_does_not_depend_on_a_power_of_two_scale(instance, e, tenths):
+    # Scaling the keys by 2^e is exact while every entry stays finite and normal, so the
+    # protected set must not move, even where the squares overflow or underflow.
+    _, k, _ = instance
+    scaled = np.ldexp(k.data, e)
+    assume(np.all(np.isfinite(scaled)) and np.all(np.abs(scaled) >= np.finfo(np.float64).tiny))
+    policy = ProtectionPolicy(threshold_sigma=tenths / 10, a=0.0, b=1.0)
+    assert protect_channels(ChannelMatrix(scaled), policy) == protect_channels(k, policy)
 
 
 @PROPERTY
@@ -410,9 +425,9 @@ def configs(draw):
         outlier_fraction=draw(unit),
         outlier_scale=draw(st.floats(5e-324, 1e6)),
         drift_gamma=draw(big),
-        lambdas=tuple(draw(st.lists(unit, min_size=1, max_size=4))),
-        selectors=tuple(draw(st.lists(st.sampled_from(Selector), min_size=1, max_size=4))),
-        seeds=tuple(draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4))),
+        lambdas=tuple(draw(st.lists(unit, min_size=1, max_size=4, unique=True))),
+        selectors=tuple(draw(st.lists(st.sampled_from(Selector), min_size=1, max_size=4, unique=True))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True))),
         protect=draw(st.booleans()),
         protect_sigma=draw(big),
         protect_bounds=(a, draw(st.floats(a, 1.0))),

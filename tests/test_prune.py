@@ -15,11 +15,14 @@ import pytest
 from channelprune import (
     CapacityError,
     ChannelMatrix,
+    DegenerateInputError,
     IndexSet,
     Problem,
     ProtectionPolicy,
     Selector,
+    SyntheticSpec,
     build_interaction_graph,
+    generate_instance,
     mies_select,
     oracle_select,
     protect_channels,
@@ -372,11 +375,44 @@ class TestProtectChannels:
                     return
         pytest.fail("no seeded keys where the two summation orders protect different sets")
 
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+    def test_squares_that_overflow_or_underflow_keep_the_protected_set(self, scale):
+        # Column 2 is 50x the rest. At 1e160 its squares overflow and at 1e-170 every square
+        # underflows to 0; the norms come from the keys rescaled by a power of two, without a warning.
+        k = np.ones((4, 6))
+        k[:, 2] = 50.0
+        assert protect_channels(ChannelMatrix(k * scale), ProtectionPolicy()).indices == (2,)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             ProtectionPolicy(a=0.5, b=0.2)
         with pytest.raises(ValueError):
             ProtectionPolicy(threshold_sigma=-1.0)
+
+
+class TestAttentionNorms:
+    def test_one_norm_per_window_equals_one_product_per_window_bitwise(self):
+        for d, L in ((64, 64), (128, 1024), (20, 64)):
+            q, k, q_future = generate_instance(SyntheticSpec(d=d, L=L, L_obs=32, L_future=32, seed=d))
+            expected = tuple(float(np.sqrt(np.sum((m.data @ k.data.T) ** 2))) for m in (q, q_future))
+            assert Problem(q, k, q_future=q_future).attention_norms() == expected
+            assert Problem(q, k).attention_norms() == expected[:1]
+
+    @pytest.mark.parametrize(
+        "q, q_future, k, message",
+        [
+            (0.0, 0.0, 1.0, "observed queries is identically zero"),
+            (1.0, 0.0, 1.0, "future queries is identically zero"),
+            (1e154, 1.0, 1.0, "observed queries is too large: its norm overflows float64"),
+            (1e-200, 1e200, 1e200, "future queries is too large: its norm overflows float64"),
+        ],
+        ids=["observed-zero", "future-zero", "observed-overflow", "future-overflow"],
+    )
+    def test_the_first_degenerate_window_is_refused(self, q, q_future, k, message):
+        # 1e154 overflows the squares of Q K^T and 1e200 * 1e200 the product itself, without a warning.
+        q, q_future, k = (ChannelMatrix(np.full((2, 3), x)) for x in (q, q_future, k))
+        with pytest.raises(DegenerateInputError, match=f"^attention product of {message}$"):
+            Problem(q, k, q_future=q_future).attention_norms()
 
 
 class TestSelectionContracts:
