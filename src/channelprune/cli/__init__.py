@@ -1,6 +1,6 @@
 """Configuration, matrix file I/O, experiment sweeps, and self-checks."""
 
-from .config import ExperimentConfig, parse_config_file, parse_config_lines
+from .config import ExperimentConfig, parse_config_lines
 from .experiment import (
     CSV_HEADER,
     ExperimentReport,
@@ -10,19 +10,15 @@ from .experiment import (
     run_experiment,
     write_report,
 )
-from .matrix_io import GRCM_MAGIC, GRCM_VERSION, load_matrix, save_matrix
-from .selfcheck import VerificationSummary, run_verification
+from .matrix_io import load_matrix, save_matrix
+from .selfcheck import run_verification
 
 __all__ = [
     "CSV_HEADER",
     "ExperimentConfig",
     "ExperimentReport",
-    "GRCM_MAGIC",
-    "GRCM_VERSION",
     "ReportRow",
-    "VerificationSummary",
     "load_matrix",
-    "parse_config_file",
     "parse_config_lines",
     "render_report",
     "replay_report",

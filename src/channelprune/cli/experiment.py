@@ -16,9 +16,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core import ChannelMatrix
 from ..errors import CapacityError
-from ..prune import Problem, ProtectionPolicy, Selector, protect_channels
+from ..prune import Problem, Selector, protect_channels
 from ..sim import generate_instance
 from .config import _KEYS, ExperimentConfig, format_value, parse_config_lines
 from .matrix_io import load_matrix
@@ -27,7 +26,7 @@ __all__ = [
     "CSV_HEADER",
     "ExperimentReport",
     "ReportRow",
-    "load_instance",
+    "load_problem",
     "replay_report",
     "run_experiment",
     "write_report",
@@ -72,23 +71,19 @@ def _approx_ratio(error_sq: float, optimum: float) -> float:
     return 1.0 if error_sq <= 0.0 else math.inf
 
 
-def load_instance(
-    cfg: ExperimentConfig, seed: int
-) -> tuple[str, ChannelMatrix, ChannelMatrix, ChannelMatrix | None]:
-    """(instance name, q, k, q_future) for one seed of the config.
+def load_problem(cfg: ExperimentConfig, seed: int) -> tuple[str, Problem]:
+    """(instance name, `Problem`) for one seed: the seeded draw, or the configured files, protected.
 
-    Synthetic mode draws the seeded instance; from-files mode reads the
-    configured matrices (q_future is None without q_future_path).
+    Without q_future_path, a from-files `Problem` has no future queries.
     """
     if cfg.mode == "synthetic":
+        name = f"syn-{seed}"
         q, k, q_future = generate_instance(cfg.synthetic_spec(seed))
-        return f"syn-{seed}", q, k, q_future
-    q = load_matrix(cfg.q_path)
-    k = load_matrix(cfg.k_path)
-    q_future = load_matrix(cfg.q_future_path) if cfg.q_future_path else None
-    if q.cols != k.cols or (q_future is not None and q_future.cols != k.cols):
-        raise ValueError("loaded matrices disagree on channel count")
-    return f"file-{Path(cfg.q_path).stem}", q, k, q_future
+    else:
+        name = f"file-{Path(cfg.q_path).stem}"
+        q, k = load_matrix(cfg.q_path), load_matrix(cfg.k_path)
+        q_future = load_matrix(cfg.q_future_path) if cfg.q_future_path else None
+    return name, Problem(q, k, protect_channels(k, cfg.policy()), q_future)
 
 
 def _oracle_optimum(problem: Problem, lam: float, cap: int) -> float | str:
@@ -98,16 +93,12 @@ def _oracle_optimum(problem: Problem, lam: float, cap: int) -> float | str:
         return ORACLE_SKIPPED
 
 
-def _check_oracle_capacity(cfg: ExperimentConfig, policy: ProtectionPolicy) -> None:
-    """CapacityError when some (seed, lambda) oracle cell would exceed the cap.
-
-    Loads each instance and protects its channels; builds no W and runs no selector.
-    """
+def _check_oracle_capacity(cfg: ExperimentConfig) -> None:
+    """CapacityError when some (seed, lambda) oracle cell would exceed the cap; builds no W, runs no cell."""
     for seed in cfg.seeds:
-        _, _, k, _ = load_instance(cfg, seed)
-        n_protected = len(protect_channels(k, policy))
+        _, problem = load_problem(cfg, seed)
         for lam in cfg.lambdas:
-            Problem.check_oracle_capacity(k.cols, n_protected, lam, cfg.enumeration_cap)
+            problem.check_oracle_capacity(lam, cfg.enumeration_cap)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -121,13 +112,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     or future, raises DegenerateInputError before any selector runs on it.
     """
     cfg.validate()
-    policy = cfg.policy()
     if Selector.ORACLE in cfg.selectors:
-        _check_oracle_capacity(cfg, policy)
+        _check_oracle_capacity(cfg)
     rows: list[ReportRow] = []
     for seed in cfg.seeds:
-        instance, q, k, q_future = load_instance(cfg, seed)
-        problem = Problem(q, k, protect_channels(k, policy), q_future)
+        instance, problem = load_problem(cfg, seed)
         norms = problem.attention_norms()  # observed, then future when there is one
 
         for lam in cfg.lambdas:
@@ -154,7 +143,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         seed=seed,
                         selector=selection.selector,
                         lam=lam,
-                        protection=policy.enabled,
+                        protection=cfg.protect,
                         n_prune=selection.n_prune,
                         n_protected=len(problem.protected),
                         error_sq=selection.error_sq,

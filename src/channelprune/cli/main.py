@@ -23,9 +23,9 @@ from ..errors import (
     MatrixFormatError,
     MatrixValidationError,
 )
-from ..prune import Problem, protect_channels
+from ..sim import generate_instance
 from .config import _KEYS, ExperimentConfig, _apply_key, format_value, parse_config_file
-from .experiment import load_instance, run_experiment, write_report
+from .experiment import load_problem, run_experiment, write_report
 from .matrix_io import save_matrix
 from .selfcheck import run_verification
 
@@ -67,7 +67,7 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
-    _, q, k, q_future = load_instance(cfg.with_updates(mode="synthetic"), seed)
+    q, k, q_future = generate_instance(cfg.synthetic_spec(seed))
     for name, matrix in (("q_obs", q), ("k", k), ("q_future", q_future)):
         path = out_dir / f"{name}.grcm"
         save_matrix(matrix, path)
@@ -77,9 +77,8 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
 def cmd_prune(cfg: ExperimentConfig) -> int:
     seed = cfg.seeds[0]
-    _, q, k, _ = load_instance(cfg, seed)
-    problem = Problem(q, k, protect_channels(k, cfg.policy()))
-    problem.attention_norms()  # a zero or overflowing product is refused before selecting
+    _, problem = load_problem(cfg, seed)
+    problem.attention_norms()  # a zero or overflowing product, observed or future, is refused before selecting
     lam = cfg.lambdas[0]
     selector = cfg.selectors[0]
     selection = problem.select(selector, lam, seed=seed, cap=cfg.enumeration_cap)

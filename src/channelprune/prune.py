@@ -225,7 +225,7 @@ class Problem:
             drawn = np.random.default_rng(seed).choice(self.candidates, size=n_prune, replace=False)
             order = tuple(int(j) for j in drawn)
         else:
-            self.check_oracle_capacity(self.q.cols, len(self.protected), lam, cap)
+            self.check_oracle_capacity(lam, cap)
             if n_prune not in self._oracle_orders:
                 self._oracle_orders[n_prune] = self._oracle_order(n_prune)
             order = self._oracle_orders[n_prune]
@@ -242,14 +242,13 @@ class Problem:
             error_future_sq=future[0] if future else None,
         )
 
-    @staticmethod
-    def check_oracle_capacity(d: int, n_protected: int, lam: float, cap: int) -> None:
+    def check_oracle_capacity(self, lam: float, cap: int) -> None:
         """CapacityError when the oracle at `lam` would search more than `cap` subsets.
 
         The count is C(d - n_protected, n_prune). `select` applies this
         before any oracle work; a caller may apply it before building W.
         """
-        _check_capacity(d - n_protected, _budget(lam, d, n_protected)[0], cap)
+        _check_capacity(len(self.candidates), _budget(lam, self.q.cols, len(self.protected))[0], cap)
 
     def _oracle_order(self, n_prune: int) -> tuple[int, ...]:
         """Lexicographically smallest minimizer of 1_S^T W 1_S over size-n_prune sets.
@@ -328,18 +327,14 @@ class _BranchAndBound:
         self.slack = 32.0 * (n * n + 2 * n) * eps * total if math.isfinite(64.0 * total) else math.inf
         self.bounded = math.comb(n, k) > _BLOCK
         if self.bounded:
-            # table[s, c - lo[s], j]: the c smallest w[j, i] over i in [s, n) - j, +inf where j < s
-            # or fewer than c remain. A prefix ending at s - 1 holds t <= s positions (t = 0 only
-            # at s = 0) and leaves c = k - 1 - t, so only c from lo[s] = max(1, k - 1 - s) to
-            # min(k - 1, n - s - 1) occur: at most min(k - 1, n - k + 1) of them. s > 0 occurs
-            # only if k > 2.
+            # table[s, c - 1, j]: the c smallest w[j, i] over i in [s, n) - j, for c in [1, k - 1];
+            # +inf where j < s or fewer than c remain. A prefix ending at s - 1 leaves s <= n - 2,
+            # and s > 0 occurs only if k > 2.
             off = np.hstack((w, np.full((n, k), np.inf)))
             np.fill_diagonal(off, np.inf)
-            self.lo = np.maximum(1, k - 1 - np.arange(n - 1 if k > 2 else 1))
-            self.table = np.full((len(self.lo), min(k - 1, n - k + 1), n), np.inf)
-            for s, lo in enumerate(self.lo):
-                smallest = np.cumsum(np.sort(off[s:, s:], axis=1)[:, : k - 1], axis=1).T[lo - 1 :]
-                self.table[s, : len(smallest), s:] = smallest[: self.table.shape[1]]
+            self.table = np.full((n - 1 if k > 2 else 1, k - 1, n), np.inf)
+            for s in range(len(self.table)):
+                self.table[s, :, s:] = np.cumsum(np.sort(off[s:, s:], axis=1)[:, : k - 1], axis=1).T
 
     def gathered(self, sets: np.ndarray) -> np.ndarray:
         """The gathered sum of each row of position sets (b, k)."""
@@ -347,7 +342,7 @@ class _BranchAndBound:
 
     def bounds(self, f: np.ndarray, rs: np.ndarray, first: np.ndarray, r: int) -> np.ndarray:
         """f(P) plus the r smallest c_j over j >= first: a lower bound on every completion."""
-        c = self.table[first, r - 1 - self.lo[first]]
+        c = self.table[first, r - 2]
         c += rs
         c += rs
         c += self.diag

@@ -678,6 +678,7 @@ class TestCommandLine:
         cfg = tmp_path / "cfg"
         cfg.write_text("d=20\nL=16\nL_obs=8\nL_future=8\nseeds=0,1\nlambdas=0.1,0.5\nenumeration_cap=50000\n")
         monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        monkeypatch.setattr(prune, "build_interaction_graph", lambda *args: pytest.fail("W was built"))
         out = tmp_path / "r.csv"
         assert cli_main(["sweep", "--config", str(cfg), "--selector", "mies,oracle", "--out", str(out)]) == 2
         assert "C(19, 10) = 92378 subsets exceed the enumeration cap 50000" in capsys.readouterr().err
@@ -702,8 +703,9 @@ class TestCommandLine:
         save_matrix(ChannelMatrix(np.zeros((2, 3))), zero)
         save_matrix(ChannelMatrix(np.ones((2, 3))), ones)
         out = tmp_path / "r.csv"
-        # prune scores only the observed queries
-        for command, q_path, q_future_path in (("sweep", zero, ones), ("sweep", ones, zero), ("prune", zero, ones)):
+        for command, q_path, q_future_path in (
+            ("sweep", zero, ones), ("sweep", ones, zero), ("prune", zero, ones), ("prune", ones, zero)
+        ):
             cfg = tmp_path / "cfg"
             cfg.write_text(f"mode=from-files\nq_path={q_path}\nk_path={ones}\nq_future_path={q_future_path}\n")
             assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
@@ -728,18 +730,33 @@ class TestCommandLine:
         assert "norm overflows" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_prune_protects_keys_whose_squares_overflow(self, tmp_path, capsys):
+    @pytest.mark.parametrize("selector", ["random", "mies"])
+    def test_prune_protects_keys_whose_squares_overflow(self, tmp_path, capsys, selector):
         # Q K^T is finite and nonzero, but the keys' squares overflow; column 2 is 50x the rest.
-        # The random selector builds no W, whose key Gram would overflow too.
         keys = np.full((4, 6), 1e160)
         keys[:, 2] *= 50.0
         q_path, k_path = tmp_path / "q.grcm", tmp_path / "k.grcm"
         save_matrix(ChannelMatrix(np.full((2, 6), 1e-160)), q_path)
         save_matrix(ChannelMatrix(keys), k_path)
         cfg = tmp_path / "cfg"
-        cfg.write_text(f"mode=from-files\nq_path={q_path}\nk_path={k_path}\nselectors=random\n")
+        cfg.write_text(f"mode=from-files\nq_path={q_path}\nk_path={k_path}\nselectors={selector}\n")
         assert cli_main(["prune", "--config", str(cfg)]) == 0
         assert "protected (1): 2\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, selectors", [("sweep", "mies"), ("prune", "mies"), ("sweep", "oracle")])
+    def test_future_queries_of_the_wrong_width_exit_code(self, tmp_path, capsys, monkeypatch, command, selectors):
+        q_path, narrow = tmp_path / "q.grcm", tmp_path / "narrow.grcm"
+        save_matrix(ChannelMatrix(np.ones((2, 4))), q_path)
+        save_matrix(ChannelMatrix(np.ones((2, 3))), narrow)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            f"mode=from-files\nq_path={q_path}\nk_path={q_path}\nq_future_path={narrow}\nselectors={selectors}\n"
+        )
+        monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        out = tmp_path / "r.csv"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert "validation error: channel count mismatch: q_future has 3, k has 4\n" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["outlier_scale", "drift_gamma", "protect_sigma"])

@@ -14,6 +14,8 @@ from channelprune import (
     EigenCertificate,
     IndexSet,
     InteractionGraph,
+    Problem,
+    Selector,
     build_interaction_graph,
     oracle_select,
     quadratic_form,
@@ -62,6 +64,19 @@ class TestBuild:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             build_interaction_graph(ChannelMatrix(np.ones((2, 3))), ChannelMatrix(np.ones((2, 2))))
+
+    @pytest.mark.parametrize(
+        "q_scale, k_scale", [(1e-160, 1e160), (2.0**-580, 2.0**500)], ids=["1e-160,1e160", "2^-580,2^500"]
+    )
+    def test_a_gram_outside_float64_gives_the_scale_one_orders(self, q_scale, k_scale):
+        # At 1e160 the key Gram overflows; at 2^-580 the query Gram underflows to zero. W fits either way.
+        rng = np.random.default_rng(0)
+        q, k = rng.standard_normal((8, 6)), rng.standard_normal((16, 6))
+        problem = Problem(ChannelMatrix(q * q_scale), ChannelMatrix(k * k_scale))
+        w = build_interaction_graph(ChannelMatrix(q), ChannelMatrix(k)).w
+        np.testing.assert_allclose(problem.graph.w, w * (q_scale * k_scale) ** 2, rtol=1e-13)
+        orders = [problem.select(selector, 0.5).order for selector in (Selector.MIES, Selector.THINK, Selector.ORACLE)]
+        assert orders == [(4, 2, 1), (4, 2, 1), (1, 2, 4)]
 
     def test_exact_symmetry_and_readonly(self):
         rng = np.random.default_rng(7)

@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from channelprune import ChannelMatrix, IndexSet, oracle_select, protect_channels
+from channelprune import ChannelMatrix, IndexSet, oracle_select
 from channelprune.cli import ExperimentConfig
-from channelprune.cli.experiment import load_instance
+from channelprune.cli.experiment import load_problem
 
 GOLDEN = Path(__file__).parent / "data" / "oracle_golden.json"
 
@@ -67,8 +67,8 @@ def oracle_values() -> list[dict]:
     for d, seeds in ((20, (0,)), (24, (0, 1, 2))):
         cfg = EXACT_D20.with_updates(d=d)
         for seed in seeds:
-            _, q, k, _ = load_instance(cfg, seed)
-            sel = oracle_select(q, k, 0.5, protect_channels(k, cfg.policy()))
+            _, problem = load_problem(cfg, seed)
+            sel = oracle_select(problem.q, problem.k, 0.5, problem.protected)
             out.append({"case": f"exact-d{d}-{seed}", "pruned": list(sel.pruned), "error_sq": sel.error_sq.hex()})
     return out
 

@@ -162,6 +162,29 @@ def test_w_equals_the_mirrored_upper_triangle_bytewise(pair):
 
 
 @PROPERTY
+@given(instances(), st.data())
+def test_w_and_orders_do_not_depend_on_exact_channel_scales(instance, data):
+    # Channel j of q times 2^a_j and of k times 2^-a_j leaves W as it is. Those scalings are exact
+    # while every entry stays finite and normal, so W's bytes and every order must not move, even
+    # where a Gram overflows or underflows float64.
+    q, k, protected = instance
+    d = q.cols
+    a = data.draw(
+        st.one_of(
+            st.integers(-1000, 1000).map(lambda e: [e] * d),
+            st.lists(st.integers(-1000, 1000), min_size=d, max_size=d),
+        )
+    )
+    q_scaled, k_scaled = np.ldexp(q.data, a), np.ldexp(k.data, np.negative(a))
+    for m in (q_scaled, k_scaled):
+        assume(np.all(np.isfinite(m)) and np.all(np.abs(m) >= np.finfo(np.float64).tiny))
+    base, scaled = Problem(q, k, protected), Problem(ChannelMatrix(q_scaled), ChannelMatrix(k_scaled), protected)
+    assert scaled.graph.w.tobytes() == base.graph.w.tobytes()
+    for selector in (Selector.MIES, Selector.THINK, Selector.ORACLE):
+        assert scaled.select(selector, 0.5).order == base.select(selector, 0.5).order
+
+
+@PROPERTY
 @given(st.integers(0, 14), st.sampled_from([37, graph._SUBSET_CHUNK]), st.data())
 def test_subsets_chunks_equal_itertools(n, chunk, data):
     # A non-contiguous pool, every size, and a small chunk so that ranks cross chunk boundaries.

@@ -27,9 +27,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from channelprune import Problem, Selector, protect_channels, reconstruction_error_sq
+from channelprune import Selector, reconstruction_error_sq
 from channelprune.cli import ExperimentConfig, run_experiment
-from channelprune.cli.experiment import load_instance
+from channelprune.cli.experiment import load_problem
 
 GOLDEN = Path(__file__).parent / "data" / "selection_golden.json"
 
@@ -47,8 +47,7 @@ def selection_values() -> dict:
     for name, cfg in CONFIGS.items():
         cases = []
         for seed in SEEDS:
-            _, q, k, _ = load_instance(cfg, seed)
-            problem = Problem(q, k, protect_channels(k, cfg.policy()))
+            _, problem = load_problem(cfg, seed)
             cells = [
                 {
                     "lambda": row.lam,
@@ -75,8 +74,8 @@ def selection_values() -> dict:
 def stacked_mismatches(name: str = "d128-L1024", seed: int = 0) -> list[str]:
     """Cells of a golden instance whose stacked errors differ from one-window evaluator calls."""
     cfg = CONFIGS[name]
-    _, q, k, q_future = load_instance(cfg, seed)
-    problem = Problem(q, k, protect_channels(k, cfg.policy()), q_future)
+    _, problem = load_problem(cfg, seed)
+    q, k, q_future = problem.q, problem.k, problem.q_future
     mismatches = []
     for lam in cfg.lambdas:
         for selector in cfg.selectors:
