@@ -86,27 +86,23 @@ def build_interaction_graph(q: ChannelMatrix, k: ChannelMatrix) -> InteractionGr
     rank-k update and mirrors it, so W is exactly symmetric; `+ 0.0` makes a
     -0.0 product +0.0, so a zero entry's bytes ignore its factors' signs. W
     is positive semi-definite as the elementwise product of two Gram matrices.
-    A Gram that may leave float64 is formed from exactly rescaled columns
-    (`_gram`), so W is right whenever it fits.
+    Each Gram is formed from exactly rescaled columns (`_gram`) and W gets
+    the power-of-two scales back, so W is right whenever it fits.
     """
     if q.cols != k.cols:
         raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a Gram's inf - inf is NaN; a W that overflows is refused
+    with np.errstate(over="ignore"):  # a W that overflows float64 is inf here, and refused
         (gram_q, e_q), (gram_k, e_k) = _gram(q.data), _gram(k.data)
-        w, s = gram_q * gram_k + 0.0, e_q + e_k  # s = 0 unless a Gram was rescaled
-        return InteractionGraph(np.ldexp(w, s[:, None] + s) if isinstance(s, np.ndarray) else w)
+        s = e_q + e_k
+        return InteractionGraph(np.ldexp(gram_q * gram_k + 0.0, s[:, None] + s))
 
 
-def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
-    """(G, e) with x.T @ x = G_ij 2^(e_i + e_j); e = 0 while every diagonal entry is in [2^-400, 2^400].
+def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G, e) with x.T @ x = G_ij 2^(e_i + e_j).
 
-    Outside it (at 0 too) a square may have overflowed or underflowed, so G is formed from column j
-    scaled by 2^-e_j, e_j the `frexp` exponent of its largest |entry|: exact, and its Gram fits.
+    G is formed from column j scaled by 2^-e_j, e_j the `frexp` exponent of its largest |entry|:
+    exact, and no square of it overflows, so G fits where x.T @ x itself would not.
     """
-    gram = x.T @ x
-    diag = gram.diagonal()  # sums of squares: never NaN
-    if 2.0**-400 <= diag.min() and diag.max() <= 2.0**400:
-        return gram, 0
     e = np.frexp(np.abs(x).max(axis=0))[1]
     scaled = np.ldexp(x, -e)
     return scaled.T @ scaled, e

@@ -69,7 +69,8 @@ class TestBuild:
         "q_scale, k_scale", [(1e-160, 1e160), (2.0**-580, 2.0**500)], ids=["1e-160,1e160", "2^-580,2^500"]
     )
     def test_a_gram_outside_float64_gives_the_scale_one_orders(self, q_scale, k_scale):
-        # At 1e160 the key Gram overflows; at 2^-580 the query Gram underflows to zero. W fits either way.
+        # At 1e160 a direct key Gram would overflow; at 2^-580 a direct query Gram would underflow to zero.
+        # W fits either way.
         rng = np.random.default_rng(0)
         q, k = rng.standard_normal((8, 6)), rng.standard_normal((16, 6))
         problem = Problem(ChannelMatrix(q * q_scale), ChannelMatrix(k * k_scale))

@@ -166,7 +166,7 @@ def test_w_equals_the_mirrored_upper_triangle_bytewise(pair):
 def test_w_and_orders_do_not_depend_on_exact_channel_scales(instance, data):
     # Channel j of q times 2^a_j and of k times 2^-a_j leaves W as it is. Those scalings are exact
     # while every entry stays finite and normal, so W's bytes and every order must not move, even
-    # where a Gram overflows or underflows float64.
+    # where a direct Gram would overflow or underflow float64.
     q, k, protected = instance
     d = q.cols
     a = data.draw(
