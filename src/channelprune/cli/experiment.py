@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,30 +94,28 @@ def _oracle_optimum(problem: Problem, lam: float, cap: int) -> float | str:
         return ORACLE_SKIPPED
 
 
-def _check_oracle_capacity(cfg: ExperimentConfig) -> None:
-    """CapacityError when some (seed, lambda) oracle cell would exceed the cap; builds no W, runs no cell."""
-    for seed in cfg.seeds:
-        _, problem = load_problem(cfg, seed)
-        for lam in cfg.lambdas:
-            problem.check_oracle_capacity(lam, cfg.enumeration_cap)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full sweep described by the config.
 
     Each seed gets one `Problem`, so W is built at most once, and the
     greedy and the oracle run at most once per seed and budget; a cell's
     wall_time_ms includes whatever of that work it was the first to need.
-    An `oracle` selector over the enumeration cap raises CapacityError
-    before any cell runs. A zero or overflowing attention product, observed
-    or future, raises DegenerateInputError before any selector runs on it.
+    Seeds stream one at a time, except with an `oracle` selector: then every
+    seed is loaded first, each kept until its cells are done, and one over the
+    enumeration cap at some lambda raises CapacityError before any cell runs
+    (building no W). A zero or overflowing attention product, observed or
+    future, raises DegenerateInputError before any selector runs on it.
     """
     cfg.validate()
+    problems = (load_problem(cfg, seed) for seed in cfg.seeds)
     if Selector.ORACLE in cfg.selectors:
-        _check_oracle_capacity(cfg)
+        loaded = deque(problems)
+        for _, problem in loaded:
+            for lam in cfg.lambdas:
+                problem.check_oracle_capacity(lam, cfg.enumeration_cap)
+        problems = (loaded.popleft() for _ in cfg.seeds)  # each released once its cells are done
     rows: list[ReportRow] = []
-    for seed in cfg.seeds:
-        instance, problem = load_problem(cfg, seed)
+    for seed, (instance, problem) in zip(cfg.seeds, problems):
         norms = problem.attention_norms()  # observed, then future when there is one
 
         for lam in cfg.lambdas:

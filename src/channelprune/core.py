@@ -11,6 +11,7 @@ quantity every selection algorithm in this package tries to minimize.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -70,7 +71,7 @@ class IndexSet:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(map(int, self.indices))
+        idx = tuple(map(operator.index, self.indices))  # TypeError for 1.5, not a silent 1
         if idx and min(idx) < 0:
             raise ValueError(f"negative channel index in {idx}")
         if len(set(idx)) != len(idx):

@@ -100,12 +100,21 @@ def build_interaction_graph(q: ChannelMatrix, k: ChannelMatrix) -> InteractionGr
 def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(G, e) with x.T @ x = G_ij 2^(e_i + e_j).
 
-    G is formed from column j scaled by 2^-e_j, e_j the `frexp` exponent of its largest |entry|:
-    exact, and no square of it overflows, so G fits where x.T @ x itself would not.
+    G is formed from column j scaled by 2^-e_j (`_exponents`): exact, and no
+    square of it overflows, so G fits where x.T @ x itself would not.
     """
-    e = np.frexp(np.abs(x).max(axis=0))[1]
+    e = _exponents(x)
     scaled = np.ldexp(x, -e)
     return scaled.T @ scaled, e
+
+
+def _exponents(x: np.ndarray) -> np.ndarray:
+    """Per column j, the `frexp` exponent e_j of its largest |entry| (0 for a zero column).
+
+    Column j scaled by 2^-e_j has its largest |entry| in [1/2, 1); `_gram` and
+    `prune.protect_channels` both scale by it.
+    """
+    return np.frexp(np.abs(x).max(axis=0))[1]
 
 
 def quadratic_form(g: InteractionGraph, s: IndexSet) -> float:

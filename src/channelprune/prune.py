@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import ChannelMatrix, IndexSet, _error_sq_blocks, exact_ceil
 from .errors import DegenerateInputError
-from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _check_capacity, _subsets, build_interaction_graph
+from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, build_interaction_graph
+from .graph import _check_capacity, _exponents, _subsets
 
 __all__ = [
     "Problem",
@@ -51,8 +52,8 @@ class ProtectionPolicy:
     """Statistical shield for high-norm key channels.
 
     Channels whose column norm exceeds mean + threshold_sigma * std are
-    counted, the resulting proportion is clamped to [a, b], and that many
-    top-norm channels are excluded from pruning.
+    counted, the count is clamped to [ceil(a * d), ceil(b * d)], and that
+    many top-norm channels are excluded from pruning.
     """
 
     threshold_sigma: float = 1.0
@@ -467,38 +468,27 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     """Channels whose key-column norm is an outlier under the policy.
 
     The threshold is mean + threshold_sigma * std of all column norms
-    (population std, divisor d). The raw exceedance proportion is clamped
-    to [a, b] and ceil(p * d) top-norm channels are returned, ties going
-    to the lower index. A disabled policy protects nothing.
+    (population std, divisor d). The count of norms above it is clamped to
+    [ceil(a * d), ceil(b * d)], each bound read as the decimal it prints as,
+    and that many top-norm channels are returned, ties going to the lower
+    index. A disabled policy protects nothing. As in the W build, column j
+    is scaled exactly by 2^-e_j (`_exponents`), so no square leaves float64;
+    the norms then share one scale, 2^-e_j for the largest e_j of a nonzero
+    column, which moves neither their order nor their side of tau.
     """
     if not policy.enabled:
         return IndexSet.empty()
     d = k.cols
-    norms = _column_norms(k.data, 0)
-    # Outside [2^-400, 2^400] a key's or a deviation's square may leave float64: rescale max|k| to [1/2, 1).
-    if not 2.0**-400 <= norms.max() <= 2.0**400:
-        norms = _column_norms(k.data, math.frexp(float(np.abs(k.data).max()))[1])
+    e = _exponents(k.data)
+    # Each norm adds its squares in row order, from a row-major copy: numpy sums a contiguous
+    # column pairwise, which would move the norms' last bits. At d = 1 the copy is
+    # column-contiguous too, but there std = 0 and the clamp alone sets the count.
+    squares = np.ldexp(k.data, -e, order="C")
+    squares *= squares
+    norms = np.sqrt(np.sum(squares, axis=0))
+    norms = np.ldexp(norms, e - e.max(where=norms > 0, initial=e.min()))  # a zero column's e (0) sets no scale
     tau = norms.mean() + policy.threshold_sigma * norms.std()
     count = int(np.sum(norms > tau))
-    p_raw = count / d
-    p_protect = min(max(p_raw, policy.a), policy.b)
-    if p_protect == p_raw:
-        n_protect = count
-    else:
-        n_protect = exact_ceil(p_protect, d)
-    if n_protect == 0:
-        return IndexSet.empty()
+    n_protect = min(max(count, exact_ceil(policy.a, d)), exact_ceil(policy.b, d))
     by_norm_desc = np.lexsort((np.arange(d), -norms))
     return IndexSet(tuple(sorted(int(j) for j in by_norm_desc[:n_protect])))
-
-
-def _column_norms(k: np.ndarray, e: int) -> np.ndarray:
-    """Column norms of k * 2^-e (exact), each adding its squares in row order, from a row-major copy.
-
-    numpy sums a contiguous column pairwise, which would move the norms' last bits. At d = 1 the
-    copy is column-contiguous too, but there std = 0 and the clamp alone sets the count.
-    """
-    squares = np.ldexp(k, -e, order="C") if e else np.array(k, order="C")
-    with np.errstate(over="ignore"):  # an overflowing square or sum is rescaled by the caller
-        squares *= squares
-        return np.sqrt(np.sum(squares, axis=0))

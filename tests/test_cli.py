@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import struct
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -485,6 +487,36 @@ class TestRunExperiment:
         # 36 cells and 9 oracle optima. Each seed's attention norms are one more call.
         assert calls == {"w": 3, "greedy": 3, "evaluator": 3 * 3 * 4 + 3 * 3 + 3}
         assert not hasattr(experiment, "reconstruction_error_sq")
+
+    def test_an_oracle_sweep_draws_each_seed_once(self, monkeypatch):
+        # The oracle preflight checks the cap on the same Problems its cells then use.
+        draws = []
+        real = experiment.generate_instance
+        monkeypatch.setattr(experiment, "generate_instance", lambda spec: draws.append(spec.seed) or real(spec))
+        cfg = small_cfg(d=20, L=16, L_obs=8, L_future=8, seeds=(0, 1, 2), selectors=(Selector.MIES, Selector.ORACLE))
+        assert len(run_experiment(cfg).rows) == 3 * 2
+        assert draws == [0, 1, 2]
+
+    def test_an_oracle_sweep_releases_each_seed_once_its_cells_are_done(self, monkeypatch):
+        # The preflight loads every seed first, but a seed's Problem (and its W) goes once its cells are done.
+        refs, alive_earlier = [], []
+        real_load, real_select = experiment.load_problem, experiment.Problem.select
+
+        def load_problem(cfg, seed):
+            name, problem = real_load(cfg, seed)
+            refs.append(weakref.ref(problem))
+            return name, problem
+
+        def select(problem, *args, **kwargs):
+            gc.collect()
+            earlier = refs[: [ref() for ref in refs].index(problem)]
+            alive_earlier.append(sum(ref() is not None for ref in earlier))
+            return real_select(problem, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "load_problem", load_problem)
+        monkeypatch.setattr(experiment.Problem, "select", select)
+        run_experiment(small_cfg(seeds=(0, 1, 2, 3), selectors=(Selector.MIES, Selector.ORACLE)))
+        assert alive_earlier == [0] * 8
 
     def test_mies_mean_beats_think_over_sweep(self):
         # Direction check through the orchestration layer: 100 default

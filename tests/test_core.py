@@ -80,6 +80,13 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             IndexSet((-1,))
 
+    def test_rejects_non_integer_indices(self):
+        # 1.5 used to become 1 silently; numpy integers are still indices.
+        for bad in ((1.5, 2.9), (np.float64(1.0),), ("1",)):
+            with pytest.raises(TypeError):
+                IndexSet(bad)
+        assert IndexSet((np.int64(3), np.intp(0))).indices == (3, 0)
+
     def test_membership_and_order(self):
         s = IndexSet((3, 0, 2))
         assert list(s) == [3, 0, 2]

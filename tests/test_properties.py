@@ -113,12 +113,13 @@ def test_pruned_avoids_protected_and_meets_exact_budget(instance, lam, seed):
 @PROPERTY
 @given(instances(), st.integers(-1000, 1000), st.integers(0, 30))
 @example((None, ChannelMatrix([[0.9], [0.5]]), None), 512, 10)  # no square overflows, but their sum does
+@example((None, ChannelMatrix([[3.0] * 8 + [1.0] * 7 + [0.0]]), None), -565, 10)  # a zero column among tiny ones
 def test_protected_set_does_not_depend_on_a_power_of_two_scale(instance, e, tenths):
-    # Scaling the keys by 2^e is exact while every entry stays finite and normal, so the
-    # protected set must not move, even where the squares overflow or underflow.
+    # Scaling the keys by 2^e is exact while every nonzero entry stays finite and normal, so
+    # the protected set must not move, even where the squares overflow or underflow.
     _, k, _ = instance
     scaled = np.ldexp(k.data, e)
-    assume(np.all(np.isfinite(scaled)) and np.all(np.abs(scaled) >= np.finfo(np.float64).tiny))
+    assume(np.all(np.isfinite(scaled)) and np.all((np.abs(scaled) >= np.finfo(np.float64).tiny) | (k.data == 0)))
     policy = ProtectionPolicy(threshold_sigma=tenths / 10, a=0.0, b=1.0)
     assert protect_channels(ChannelMatrix(scaled), policy) == protect_channels(k, policy)
 

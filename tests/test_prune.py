@@ -383,6 +383,30 @@ class TestProtectChannels:
         k[:, 2] = 50.0
         assert protect_channels(ChannelMatrix(k * scale), ProtectionPolicy()).indices == (2,)
 
+    def test_norms_whose_squares_underflow_at_scale_one_keep_their_order(self):
+        # Columns 1-3 have squares below the smallest subnormal; each column is rescaled on its
+        # own, so their norms keep their order and the largest of them is protected, not the first.
+        k = np.ones((4, 4))
+        k[:, 1:] = [1e-170, 2e-170, 3e-170]
+        assert protect_channels(ChannelMatrix(k), ProtectionPolicy(a=0.5, b=0.5)).indices == (0, 3)
+
+    def test_a_zero_column_does_not_set_the_common_scale_of_tiny_norms(self):
+        # frexp gives the zero column exponent 0, above every other column's; were it the common
+        # scale, the squared deviations of norms near 1e-170 would underflow and tau fall to the mean.
+        k = np.ones((4, 16))
+        k[:, :8] = 3.0
+        k[:, 15] = 0.0
+        for scale in (1.0, 1e-170):
+            assert protect_channels(ChannelMatrix(k * scale), ProtectionPolicy()).indices == (0,)
+
+    def test_count_is_clamped_to_the_exact_ceiling_of_the_printed_bound(self):
+        # 5 of 6 norms exceed tau, and the float 5 / 6 equals a, but a = 0.8333333333333334
+        # is above 5/6 as a decimal: ceil(a * 6) = 6 channels are protected.
+        k = ChannelMatrix(np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 0.0]]))
+        policy = ProtectionPolicy(threshold_sigma=0.0, a=0.8333333333333334, b=1.0)
+        assert len(protect_channels(k, policy)) == 6
+        assert len(protect_channels(k, ProtectionPolicy(threshold_sigma=0.0, a=0.8, b=1.0))) == 5
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             ProtectionPolicy(a=0.5, b=0.2)
