@@ -127,12 +127,10 @@ _KEYS = {
     "out": (_path, _write_path),
 }
 
-CONFIG_KEYS = tuple(_KEYS)
-
 # Keys embedded in reports: everything that determines the rows. The output
 # path is where a report landed, not part of the experiment, so rewriting the
 # same experiment to a different file stays byte-identical in content.
-EMBEDDED_KEYS = tuple(key for key in CONFIG_KEYS if key != "out")
+EMBEDDED_KEYS = tuple(key for key in _KEYS if key != "out")
 
 
 @dataclass(frozen=True)

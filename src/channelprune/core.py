@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -39,9 +39,14 @@ class ChannelMatrix:
     share across threads and never alias a caller's array. Entries must be
     finite; the first non-finite one in row-major order raises
     MatrixValidationError naming its position.
+
+    The column extremes that check this also give the read-only `exponents`,
+    e_j the `frexp` exponent of column j's largest |entry| (0 for a zero
+    column): the `W` build and protection scale channel j exactly by 2^-e_j.
     """
 
     data: np.ndarray
+    exponents: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.data, dtype=np.float64, order="F")  # always a copy
@@ -49,11 +54,16 @@ class ChannelMatrix:
             raise ValueError(f"expected a 2-d array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix must have at least one row and one column, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # Each column's largest |entry| (NaN or inf if it holds one), faster with `initial` than via |arr|.
+        largest = np.maximum(arr.max(axis=0, initial=0.0), -arr.min(axis=0, initial=0.0))
+        if not np.all(np.isfinite(largest)):
             r, c = np.argwhere(~np.isfinite(arr))[0]
             raise MatrixValidationError("non-finite matrix entry", row=int(r), col=int(c))
+        exponents = np.frexp(largest)[1]
         arr.setflags(write=False)
+        exponents.setflags(write=False)
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def rows(self) -> int:

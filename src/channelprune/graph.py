@@ -91,30 +91,19 @@ def build_interaction_graph(q: ChannelMatrix, k: ChannelMatrix) -> InteractionGr
     """
     if q.cols != k.cols:
         raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
+    s = q.exponents + k.exponents
     with np.errstate(over="ignore"):  # a W that overflows float64 is inf here, and refused
-        (gram_q, e_q), (gram_k, e_k) = _gram(q.data), _gram(k.data)
-        s = e_q + e_k
-        return InteractionGraph(np.ldexp(gram_q * gram_k + 0.0, s[:, None] + s))
+        return InteractionGraph(np.ldexp(_gram(q) * _gram(k) + 0.0, s[:, None] + s))
 
 
-def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G, e) with x.T @ x = G_ij 2^(e_i + e_j).
+def _gram(m: ChannelMatrix) -> np.ndarray:
+    """G with m.data.T @ m.data = G_ij 2^(e_i + e_j), e = m.exponents.
 
-    G is formed from column j scaled by 2^-e_j (`_exponents`): exact, and no
-    square of it overflows, so G fits where x.T @ x itself would not.
+    G is formed from column j scaled by 2^-e_j: exact, and no square of it
+    overflows, so G fits where m.data.T @ m.data itself would not.
     """
-    e = _exponents(x)
-    scaled = np.ldexp(x, -e)
-    return scaled.T @ scaled, e
-
-
-def _exponents(x: np.ndarray) -> np.ndarray:
-    """Per column j, the `frexp` exponent e_j of its largest |entry| (0 for a zero column).
-
-    Column j scaled by 2^-e_j has its largest |entry| in [1/2, 1); `_gram` and
-    `prune.protect_channels` both scale by it.
-    """
-    return np.frexp(np.abs(x).max(axis=0))[1]
+    scaled = np.ldexp(m.data, -m.exponents)
+    return scaled.T @ scaled
 
 
 def quadratic_form(g: InteractionGraph, s: IndexSet) -> float:

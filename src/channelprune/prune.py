@@ -23,7 +23,7 @@ import numpy as np
 from .core import ChannelMatrix, IndexSet, _error_sq_blocks, exact_ceil
 from .errors import DegenerateInputError
 from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, build_interaction_graph
-from .graph import _check_capacity, _exponents, _subsets
+from .graph import _check_capacity, _subsets
 
 __all__ = [
     "Problem",
@@ -472,14 +472,14 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     [ceil(a * d), ceil(b * d)], each bound read as the decimal it prints as,
     and that many top-norm channels are returned, ties going to the lower
     index. A disabled policy protects nothing. As in the W build, column j
-    is scaled exactly by 2^-e_j (`_exponents`), so no square leaves float64;
+    is scaled exactly by 2^-e_j (`k.exponents`), so no square leaves float64;
     the norms then share one scale, 2^-e_j for the largest e_j of a nonzero
     column, which moves neither their order nor their side of tau.
     """
     if not policy.enabled:
         return IndexSet.empty()
     d = k.cols
-    e = _exponents(k.data)
+    e = k.exponents
     # Each norm adds its squares in row order, from a row-major copy: numpy sums a contiguous
     # column pairwise, which would move the norms' last bits. At d = 1 the copy is
     # column-contiguous too, but there std = 0 and the clamp alone sets the count.

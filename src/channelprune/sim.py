@@ -64,17 +64,19 @@ def generate_instance(spec: SyntheticSpec) -> tuple[ChannelMatrix, ChannelMatrix
     """
     rng = np.random.default_rng(spec.seed)
     d = spec.d
-    scales = rng.lognormal(LOG_SCALE_MU, LOG_SCALE_SIGMA, d)
-    n_outliers = exact_ceil(spec.outlier_fraction, d)
-    if n_outliers:
-        scales[rng.choice(d, size=n_outliers, replace=False)] *= spec.outlier_scale
+    # A finite spec can still overflow the draw; ChannelMatrix then refuses the inf or NaN entry.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = rng.lognormal(LOG_SCALE_MU, LOG_SCALE_SIGMA, d)
+        n_outliers = exact_ceil(spec.outlier_fraction, d)
+        if n_outliers:
+            scales[rng.choice(d, size=n_outliers, replace=False)] *= spec.outlier_scale
 
-    k_data = rng.standard_normal((spec.L, d))
-    k_data *= scales
+        k_data = rng.standard_normal((spec.L, d))
+        k_data *= scales
 
-    means = scales  # query channel means track key channel scales
-    noise = spec.drift_gamma * np.abs(means)
-    q_obs = means + rng.standard_normal((spec.L_obs, d)) * noise
-    q_future = (means + noise) + rng.standard_normal((spec.L_future, d)) * noise
+        means = scales  # query channel means track key channel scales
+        noise = spec.drift_gamma * np.abs(means)
+        q_obs = means + rng.standard_normal((spec.L_obs, d)) * noise
+        q_future = (means + noise) + rng.standard_normal((spec.L_future, d)) * noise
 
     return ChannelMatrix(q_obs), ChannelMatrix(k_data), ChannelMatrix(q_future)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import struct
+import warnings
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -261,7 +262,6 @@ class TestConfig:
 
     def test_key_table_lists_every_field_in_order(self):
         assert tuple(config._KEYS) == tuple(f.name for f in dataclasses.fields(ExperimentConfig))
-        assert config.CONFIG_KEYS == tuple(config._KEYS)
 
     @pytest.mark.parametrize(
         "flag, key, value",
@@ -729,6 +729,22 @@ class TestCommandLine:
         cfg = tmp_path / "cfg"
         cfg.write_text(f"mode=from-files\nq_path={bad}\nk_path={ok}\n")
         assert cli_main(["prune", "--config", str(cfg)]) == 4
+
+    @pytest.mark.parametrize("command", ["prune", "sweep"])
+    @pytest.mark.parametrize(
+        "setting", ["outlier_scale=1.7e308", "d=16\ndrift_gamma=1e308"], ids=["outlier_scale", "drift_gamma"]
+    )
+    def test_a_draw_that_overflows_exit_code(self, tmp_path, capsys, command, setting):
+        # Both settings are finite and accepted, but the draw overflows: the refusal is the only message.
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{setting}\nseeds=0\n")
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "non-finite matrix entry" in err and "Warning" not in err
+        assert not out.exists()
 
     def test_zero_attention_product_exit_code(self, tmp_path, capsys):
         zero, ones = tmp_path / "zero.grcm", tmp_path / "ones.grcm"

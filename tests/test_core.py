@@ -35,6 +35,14 @@ class TestChannelMatrix:
             ChannelMatrix(bad)
         assert (err.value.row, err.value.col) == (1, 0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_lone_non_finite_entry_among_any_signs(self, value):
+        # The check reads each column's max and min, so a -inf must show through the min.
+        bad = np.array([[1.0, -2.0, 0.0], [-0.0, 3.0, -4.0]])
+        bad[1, 2] = value
+        with pytest.raises(MatrixValidationError, match="row 1, col 2"):
+            ChannelMatrix(bad)
+
     def test_immutable_and_decoupled_from_source(self):
         src = np.ones((2, 2))
         m = ChannelMatrix(src)
@@ -71,6 +79,11 @@ class TestChannelMatrix:
         assert m.data.shape == expected.shape and m.data.tobytes() == expected.tobytes()
         source[...] = 99.0  # the caller's buffer (through the view, the base array's)
         assert m.data.tobytes() == expected.tobytes()
+        assert m.exponents.tolist() == np.frexp(np.abs(expected).max(axis=0))[1].tolist()
+        assert not m.exponents.flags.writeable
+        assert [e for e, column in zip(m.exponents.tolist(), expected.T) if not column.any()] == (
+            [] if layout == "one column" else [0]  # the -0.0 column
+        )
 
 
 class TestIndexSet:

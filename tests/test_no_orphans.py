@@ -1,8 +1,9 @@
 """Guard against orphaned helpers and stale `__all__` entries in the package source.
 
-A top-level private `def` or `class` that nothing else in `src/` names is
-dead code left behind by a refactor; a name in `__all__` that its module
-does not bind breaks `from module import *`. Both are found with `ast`.
+A top-level private `def`, `class` or assigned name (`_NAME = ...`) that
+nothing else in `src/` names is dead code left behind by a refactor; a name
+in `__all__` that its module does not bind breaks `from module import *`.
+Both are found with `ast`.
 """
 
 import ast
@@ -11,43 +12,50 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _defined_names(node):
+    """Names a top-level statement defines: a def's or class's name, or an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return []
+
+
 def _bound_names(tree):
     """Names bound by the module's top-level definitions, imports and assignments."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from (n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        else:
+            yield from _defined_names(node)
 
 
 def _referenced(tree):
-    """(enclosing top-level definition or None, name) for every name, attribute and import in `tree`."""
+    """(enclosing top-level statement, name) for every name, attribute and import in `tree`."""
     for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                yield owner, node.id
+                yield top, node.id
             elif isinstance(node, ast.Attribute):
-                yield owner, node.attr
+                yield top, node.attr
             elif isinstance(node, ast.ImportFrom):
-                yield from ((owner, alias.name) for alias in node.names)
+                yield from ((top, alias.name) for alias in node.names)
 
 
 def find_orphans(sources):
     """Problems in {module name: source text}: unreferenced private definitions, unbound `__all__` names."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    uses = {(module, owner, name) for module, tree in trees.items() for owner, name in _referenced(tree)}
+    uses = {(module, top, name) for module, tree in trees.items() for top, name in _referenced(tree)}
     problems = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_") and not node.name.startswith("__"):
-                if not any(name == node.name and (m, owner) != (module, node.name) for m, owner, name in uses):
-                    problems.append(f"{module}:{node.lineno}: {node.name} is referenced nowhere else")
+            for name in _defined_names(node):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                # A read inside the defining statement (recursion, the assignment itself) does not count.
+                if not any(used == name and (m, top) != (module, node) for m, top, used in uses):
+                    problems.append(f"{module}:{node.lineno}: {name} is referenced nowhere else")
         bound = set(_bound_names(tree))
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
@@ -67,15 +75,19 @@ def test_the_guard_flags_an_orphan_and_a_stale_all_entry():
     sources = {
         "a.py": (
             "__all__ = ['public', 'gone']\n"
-            "def public():\n    return _used() + _recursive(1)\n"
+            "def public():\n    return _used() + _recursive(_LIMIT)\n"
             "def _used():\n    return 0\n"
             "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
             "def _orphan():\n    return _orphan()\n"
             "class _Helper:\n    pass\n"
+            "_LIMIT = 3\n"
+            "_UNUSED = 1\n"
+            "_TABLE: dict = {}\n"
         ),
-        "b.py": "from .a import _Helper\n",
+        "b.py": "from .a import _Helper\nfrom . import a\nprint(a._TABLE)\n",
     }
     assert find_orphans(sources) == [
         "a.py:8: _orphan is referenced nowhere else",
+        "a.py:13: _UNUSED is referenced nowhere else",
         "a.py:1: __all__ names gone, which it does not define",
     ]

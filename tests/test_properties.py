@@ -126,6 +126,23 @@ def test_protected_set_does_not_depend_on_a_power_of_two_scale(instance, e, tent
 
 @PROPERTY
 @given(instances(), st.data())
+def test_exponents_shift_by_an_exact_channel_scale(instance, data):
+    # Column j times 2^a_j is exact while every nonzero entry stays finite and normal, so
+    # exponents[j] moves by exactly a_j; a zero column keeps exponent 0 at any scale.
+    _, k, _ = instance
+    d = k.cols
+    a = np.array(data.draw(st.lists(st.integers(-1000, 1000), min_size=d, max_size=d)), dtype=np.int32)
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    base = np.where(zero, 0.0, k.data)
+    scaled = np.ldexp(base, a)
+    assume(np.all(np.isfinite(scaled)) and np.all((np.abs(scaled) >= np.finfo(np.float64).tiny) | (base == 0)))
+    e = ChannelMatrix(base).exponents
+    assert e[zero].tolist() == [0] * int(zero.sum())
+    assert ChannelMatrix(scaled).exponents.tolist() == np.where(zero, 0, e + a).tolist()
+
+
+@PROPERTY
+@given(instances(), st.data())
 def test_evaluator_matches_longdouble_reference(instance, data):
     q, k, _ = instance
     pruned = IndexSet(tuple(sorted(data.draw(st.sets(st.integers(0, q.cols - 1), min_size=1)))))
