@@ -28,6 +28,7 @@ __all__ = [
     "ExperimentReport",
     "ReportRow",
     "load_problem",
+    "render_report",
     "replay_report",
     "run_experiment",
     "write_report",

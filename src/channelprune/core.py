@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterator
 
@@ -42,7 +42,8 @@ class ChannelMatrix:
 
     The column extremes that check this also give the read-only `exponents`,
     e_j the `frexp` exponent of column j's largest |entry| (0 for a zero
-    column): the `W` build and protection scale channel j exactly by 2^-e_j.
+    column), and `gram`, the Gram of the columns scaled exactly by 2^-e_j,
+    which the `W` build uses and whose diagonal protection reads.
     """
 
     data: np.ndarray
@@ -72,6 +73,18 @@ class ChannelMatrix:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Read-only G with data.T @ data = G_ij 2^(e_i + e_j), e = `exponents`, formed once and kept.
+
+        Column j is scaled exactly by 2^-e_j, so no square overflows and G fits
+        where data.T @ data would not. Concurrent first reads may each form G, with equal bits.
+        """
+        scaled = np.ldexp(self.data, -self.exponents)
+        gram = scaled.T @ scaled
+        gram.setflags(write=False)
+        return gram
 
 
 @dataclass(frozen=True)

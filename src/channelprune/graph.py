@@ -82,28 +82,18 @@ class EigenCertificate:
 def build_interaction_graph(q: ChannelMatrix, k: ChannelMatrix) -> InteractionGraph:
     """Hadamard product of the query and key Gram matrices.
 
-    W[i, j] = (q_i . q_j) * (k_i . k_j). numpy computes x.T @ x by a symmetric
-    rank-k update and mirrors it, so W is exactly symmetric; `+ 0.0` makes a
-    -0.0 product +0.0, so a zero entry's bytes ignore its factors' signs. W
-    is positive semi-definite as the elementwise product of two Gram matrices.
-    Each Gram is formed from exactly rescaled columns (`_gram`) and W gets
-    the power-of-two scales back, so W is right whenever it fits.
+    W[i, j] = (q_i . q_j) * (k_i . k_j). Each Gram is `ChannelMatrix.gram`,
+    formed from exactly rescaled columns by a symmetric rank-k update that
+    numpy mirrors, and W gets the power-of-two scales back, so W is exactly
+    symmetric and right whenever it fits. `+ 0.0` makes a -0.0 product +0.0,
+    so a zero entry's bytes ignore its factors' signs. W is positive
+    semi-definite as the elementwise product of two Gram matrices.
     """
     if q.cols != k.cols:
         raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
     s = q.exponents + k.exponents
     with np.errstate(over="ignore"):  # a W that overflows float64 is inf here, and refused
-        return InteractionGraph(np.ldexp(_gram(q) * _gram(k) + 0.0, s[:, None] + s))
-
-
-def _gram(m: ChannelMatrix) -> np.ndarray:
-    """G with m.data.T @ m.data = G_ij 2^(e_i + e_j), e = m.exponents.
-
-    G is formed from column j scaled by 2^-e_j: exact, and no square of it
-    overflows, so G fits where m.data.T @ m.data itself would not.
-    """
-    scaled = np.ldexp(m.data, -m.exponents)
-    return scaled.T @ scaled
+        return InteractionGraph(np.ldexp(q.gram * k.gram + 0.0, s[:, None] + s))
 
 
 def quadratic_form(g: InteractionGraph, s: IndexSet) -> float:

@@ -471,21 +471,16 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     (population std, divisor d). The count of norms above it is clamped to
     [ceil(a * d), ceil(b * d)], each bound read as the decimal it prints as,
     and that many top-norm channels are returned, ties going to the lower
-    index. A disabled policy protects nothing. As in the W build, column j
-    is scaled exactly by 2^-e_j (`k.exponents`), so no square leaves float64;
-    the norms then share one scale, 2^-e_j for the largest e_j of a nonzero
-    column, which moves neither their order nor their side of tau.
+    index. A disabled policy protects nothing. Column j's norm is the square
+    root of the key Gram's diagonal entry (`k.gram`, the one the W build uses),
+    2^-e_j times the true norm; the norms then share one scale, 2^-e_j for the
+    largest e_j of a nonzero column, which moves neither their order nor their
+    side of tau.
     """
     if not policy.enabled:
         return IndexSet.empty()
-    d = k.cols
-    e = k.exponents
-    # Each norm adds its squares in row order, from a row-major copy: numpy sums a contiguous
-    # column pairwise, which would move the norms' last bits. At d = 1 the copy is
-    # column-contiguous too, but there std = 0 and the clamp alone sets the count.
-    squares = np.ldexp(k.data, -e, order="C")
-    squares *= squares
-    norms = np.sqrt(np.sum(squares, axis=0))
+    d, e = k.cols, k.exponents
+    norms = np.sqrt(np.diag(k.gram))
     norms = np.ldexp(norms, e - e.max(where=norms > 0, initial=e.min()))  # a zero column's e (0) sets no scale
     tau = norms.mean() + policy.threshold_sigma * norms.std()
     count = int(np.sum(norms > tau))

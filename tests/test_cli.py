@@ -488,6 +488,23 @@ class TestRunExperiment:
         assert calls == {"w": 3, "greedy": 3, "evaluator": 3 * 3 * 4 + 3 * 3 + 3}
         assert not hasattr(experiment, "reconstruction_error_sq")
 
+    def test_a_seed_forms_each_gram_once_and_none_for_the_future_queries(self, monkeypatch):
+        # Protection forms the key Gram; the W build reuses that object, and the future queries,
+        # which only the error evaluator reads, never form one.
+        protected_grams = []
+        real = experiment.protect_channels
+
+        def protect_channels(k, policy):
+            protected = real(k, policy)
+            protected_grams.append(vars(k)["gram"])
+            return protected
+
+        monkeypatch.setattr(experiment, "protect_channels", protect_channels)
+        _, problem = experiment.load_problem(small_cfg(), 0)
+        problem.select(Selector.MIES, 0.5)
+        assert vars(problem.k)["gram"] is protected_grams[0]
+        assert "gram" in vars(problem.q) and "gram" not in vars(problem.q_future)
+
     def test_an_oracle_sweep_draws_each_seed_once(self, monkeypatch):
         # The oracle preflight checks the cap on the same Problems its cells then use.
         draws = []

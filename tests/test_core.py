@@ -86,6 +86,17 @@ class TestChannelMatrix:
         )
 
 
+    def test_gram_is_the_read_only_gram_of_the_exactly_rescaled_columns_formed_once(self):
+        # Column 1's squares overflow float64 and column 3's underflow; the -0.0 column has e = 0.
+        base = np.random.default_rng(0).standard_normal((7, 5)) * np.array([1.0, 1e200, -0.0, 1e-200, 3.0])
+        m = ChannelMatrix(base)
+        s = np.ldexp(m.data, -m.exponents)
+        expected = s.T @ s
+        assert m.gram.tobytes() == expected.tobytes() and np.all(np.isfinite(m.gram))
+        assert not m.gram.flags.writeable
+        assert m.gram is m.gram
+
+
 class TestIndexSet:
     def test_rejects_duplicates_and_negatives(self):
         with pytest.raises(ValueError):

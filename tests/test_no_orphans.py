@@ -2,8 +2,10 @@
 
 A top-level private `def`, `class` or assigned name (`_NAME = ...`) that
 nothing else in `src/` names is dead code left behind by a refactor; a name
-in `__all__` that its module does not bind breaks `from module import *`.
-Both are found with `ast`.
+in `__all__` that its module does not bind breaks `from module import *`;
+and a name a package `__init__.py` re-exports with `from .mod import name`
+is part of `mod`'s public surface, so `mod.__all__` must list it. All three
+are found with `ast`.
 """
 
 import ast
@@ -31,6 +33,28 @@ def _bound_names(tree):
             yield from _defined_names(node)
 
 
+def _all_statement(tree):
+    """The module's top-level `__all__ = [...]` assignment, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return node
+    return None
+
+
+def _unlisted_reexports(module, tree, trees):
+    """Problems for each `from .mod import name` of a package `__init__.py` whose `mod.__all__` lacks name."""
+    prefix = module[: -len("__init__.py")]
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            sub = prefix + node.module.replace(".", "/")
+            source = f"{sub}.py" if f"{sub}.py" in trees else f"{sub}/__init__.py"
+            statement = _all_statement(trees[source]) if source in trees else None
+            listed = set(ast.literal_eval(statement.value)) if statement else set()
+            for alias in node.names:
+                if alias.name not in listed:
+                    yield f"{module}:{node.lineno}: re-exports {alias.name}, which {source} leaves out of __all__"
+
+
 def _referenced(tree):
     """(enclosing top-level statement, name) for every name, attribute and import in `tree`."""
     for top in tree.body:
@@ -44,7 +68,8 @@ def _referenced(tree):
 
 
 def find_orphans(sources):
-    """Problems in {module name: source text}: unreferenced private definitions, unbound `__all__` names."""
+    """Problems in {module name: source text}: unreferenced private definitions, unbound `__all__` names,
+    and package re-exports that the submodule's `__all__` leaves out."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     uses = {(module, top, name) for module, tree in trees.items() for top, name in _referenced(tree)}
     problems = []
@@ -57,11 +82,12 @@ def find_orphans(sources):
                 if not any(used == name and (m, top) != (module, node) for m, top, used in uses):
                     problems.append(f"{module}:{node.lineno}: {name} is referenced nowhere else")
         bound = set(_bound_names(tree))
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                for name in ast.literal_eval(node.value):
-                    if name not in bound:
-                        problems.append(f"{module}:{node.lineno}: __all__ names {name}, which it does not define")
+        statement = _all_statement(tree)
+        for name in ast.literal_eval(statement.value) if statement else ():
+            if name not in bound:
+                problems.append(f"{module}:{statement.lineno}: __all__ names {name}, which it does not define")
+        if module.rpartition("/")[2] == "__init__.py":
+            problems.extend(_unlisted_reexports(module, tree, trees))
     return problems
 
 
@@ -90,4 +116,22 @@ def test_the_guard_flags_an_orphan_and_a_stale_all_entry():
         "a.py:8: _orphan is referenced nowhere else",
         "a.py:13: _UNUSED is referenced nowhere else",
         "a.py:1: __all__ names gone, which it does not define",
+    ]
+
+
+def test_the_guard_flags_a_package_reexport_that_the_submodule_leaves_out_of_all():
+    sources = {
+        "pkg/__init__.py": (
+            "from .a import listed, unlisted\n"
+            "from .sub import inner\n"
+            "from . import a\n"
+            "from .. import outer\n"
+        ),
+        "pkg/a.py": "__all__ = ['listed']\nlisted = unlisted = 1\n",
+        "pkg/sub/__init__.py": "from .deep import inner\n__all__ = ['inner']\n",
+        "pkg/sub/deep.py": "inner = 2\n",
+    }
+    assert find_orphans(sources) == [
+        "pkg/__init__.py:1: re-exports unlisted, which pkg/a.py leaves out of __all__",
+        "pkg/sub/__init__.py:1: re-exports inner, which pkg/sub/deep.py leaves out of __all__",
     ]

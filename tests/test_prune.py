@@ -350,11 +350,11 @@ class TestProtectChannels:
         policy = ProtectionPolicy(threshold_sigma=1.0, a=0.0, b=0.5)
         assert len(protect_channels(k, policy)) == 0
 
-    def test_norms_sum_each_column_row_by_row(self):
-        # The column norms add each column's squares in row order, as summing a row-major
-        # array down its rows does. Numpy sums a contiguous column pairwise instead, which
-        # moves the last bits of most norms; find seeded keys and a threshold where that
-        # moves a channel across tau, and check that the row-order sets are protected.
+    def test_norms_are_the_square_roots_of_the_key_gram_diagonal(self):
+        # The column norms are the square roots of the diagonal of the key Gram that the W build
+        # uses, not each column's squares added in row order: the two differ in the last bits of
+        # most norms. Find seeded keys and a threshold where that moves a channel across tau,
+        # and check that the Gram-diagonal set is protected.
         def protected_by(norms, sigma):
             tau = norms.mean() + sigma * norms.std()
             count = int(np.sum(norms > tau))
@@ -366,14 +366,15 @@ class TestProtectChannels:
             for row in keys:
                 by_rows += row * row
             by_rows = np.sqrt(by_rows)
-            pairwise = np.sqrt(np.sum(np.asfortranarray(keys * keys), axis=0))
-            sigmas = [(by_rows[j] - by_rows.mean()) / by_rows.std() for j in range(16)]
+            columns = np.asfortranarray(keys)
+            by_gram = np.sqrt(np.diag(columns.T @ columns))
+            sigmas = [(by_gram[j] - by_gram.mean()) / by_gram.std() for j in range(16)]
             for sigma in (s for t in sigmas if t >= 0.0 for s in (t, np.nextafter(t, 0.0), np.nextafter(t, 1.0))):
-                if protected_by(by_rows, sigma) != protected_by(pairwise, sigma):
+                if protected_by(by_rows, sigma) != protected_by(by_gram, sigma):
                     policy = ProtectionPolicy(threshold_sigma=float(sigma), a=0.0, b=1.0)
-                    assert protect_channels(ChannelMatrix(keys), policy).indices == protected_by(by_rows, sigma)
+                    assert protect_channels(ChannelMatrix(keys), policy).indices == protected_by(by_gram, sigma)
                     return
-        pytest.fail("no seeded keys where the two summation orders protect different sets")
+        pytest.fail("no seeded keys where row-order and Gram-diagonal norms protect different sets")
 
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
     def test_squares_that_overflow_or_underflow_keep_the_protected_set(self, scale):
