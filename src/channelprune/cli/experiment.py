@@ -15,6 +15,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from ..errors import CapacityError
@@ -98,17 +99,22 @@ def _oracle_optimum(problem: Problem, lam: float, cap: int) -> float | str:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full sweep described by the config.
 
-    Each seed gets one `Problem`, so W is built at most once, and the
-    greedy and the oracle run at most once per seed and budget; a cell's
+    Each instance gets one `Problem`, so W is built at most once, and the
+    greedy and the oracle run at most once per instance and budget; a cell's
     wall_time_ms includes whatever of that work it was the first to need.
-    Seeds stream one at a time, except with an `oracle` selector: then every
-    seed is loaded first, each kept until its cells are done, and one over the
-    enumeration cap at some lambda raises CapacityError before any cell runs
-    (building no W). A zero or overflowing attention product, observed or
-    future, raises DegenerateInputError before any selector runs on it.
+    The seeds of a from-files sweep read the same files, so they share one
+    `Problem`, loaded once. Synthetic seeds stream one at a time, except with
+    an `oracle` selector: then every seed is loaded first, each kept until its
+    cells are done, and one over the enumeration cap at some lambda raises
+    CapacityError before any cell runs (building no W). A zero or overflowing
+    attention product, observed or future, raises DegenerateInputError before
+    any selector runs on it.
     """
     cfg.validate()
-    problems = (load_problem(cfg, seed) for seed in cfg.seeds)
+    if cfg.mode == "synthetic":
+        problems = (load_problem(cfg, seed) for seed in cfg.seeds)
+    else:
+        problems = repeat(load_problem(cfg, cfg.seeds[0]), len(cfg.seeds))
     if Selector.ORACLE in cfg.selectors:
         loaded = deque(problems)
         for _, problem in loaded:
@@ -158,18 +164,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(config=cfg, rows=tuple(rows))
 
 
-def _format_row(row: ReportRow, timing: bool) -> str:
+def _fields(row: ReportRow, timing: bool, lam: str) -> list[str]:
+    """A row's CSV fields; `lam` is its lambda as the embedded config's lossless writer prints it."""
     if row.approx_ratio is None:
         approx = ""
     elif isinstance(row.approx_ratio, str):
         approx = row.approx_ratio
     else:
         approx = format_value(row.approx_ratio)
-    fields = [
+    return [
         row.instance,
         str(row.seed),
         row.selector.value,
-        _KEYS["lambdas"][1]((row.lam,)),  # the embedded config's lossless writer
+        lam,
         "true" if row.protection else "false",
         str(row.n_prune),
         str(row.n_protected),
@@ -179,17 +186,26 @@ def _format_row(row: ReportRow, timing: bool) -> str:
         approx,
         format_value(row.wall_time_ms) if timing else "",
     ]
-    line = io.StringIO()
-    csv.writer(line, lineterminator="").writerow(fields)  # quotes a field holding a comma or a quote
-    return line.getvalue()
+
+
+def _lambda_text(lam: float) -> str:
+    return _KEYS["lambdas"][1]((lam,))
 
 
 def render_report(report: ExperimentReport) -> str:
     """Render the report as CSV text with the resolved config on top."""
-    lines = [f"# {key}={value}" for key, value in report.config.resolved_items()]
-    lines.append(CSV_HEADER)
-    lines.extend(_format_row(row, report.config.timing) for row in report.rows)
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    out.writelines(f"# {key}={value}\n" for key, value in report.config.resolved_items())
+    out.write(CSV_HEADER + "\n")
+    writer = csv.writer(out, lineterminator="")  # quotes a field holding a comma or a quote
+    texts: dict[tuple[float, float], str] = {}  # each lambda printed once; the sign tells -0.0 from 0.0
+    for row in report.rows:
+        key = (row.lam, math.copysign(1.0, row.lam))
+        if key not in texts:
+            texts[key] = _lambda_text(row.lam)
+        writer.writerow(_fields(row, report.config.timing, texts[key]))
+        out.write("\n")
+    return out.getvalue()
 
 
 def write_report(report: ExperimentReport, path: str | Path) -> None:
@@ -234,7 +250,7 @@ def replay_report(path: str | Path) -> list[str]:
         if len(fields) != len(columns):
             problems.append(f"line {lineno}: {len(fields)} fields, expected {len(columns)}")
             continue
-        replayed = next(csv.reader([_format_row(row, timing=False)]))
+        replayed = _fields(row, False, _lambda_text(row.lam))
         for name, recorded, expected in zip(columns, fields, replayed):
             if name == "wall_time_ms" or recorded == expected:
                 continue

@@ -15,7 +15,6 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -56,8 +55,9 @@ class ChannelMatrix:
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix must have at least one row and one column, got shape {arr.shape}")
         # Each column's largest |entry| (NaN or inf if it holds one), faster with `initial` than via |arr|.
-        largest = np.maximum(arr.max(axis=0, initial=0.0), -arr.min(axis=0, initial=0.0))
-        if not np.all(np.isfinite(largest)):
+        top = np.maximum.reduce(arr, axis=0, initial=0.0)
+        largest = np.maximum(top, -np.minimum.reduce(arr, axis=0, initial=0.0))
+        if not np.isfinite(largest).all():
             r, c = np.argwhere(~np.isfinite(arr))[0]
             raise MatrixValidationError("non-finite matrix entry", row=int(r), col=int(c))
         exponents = np.frexp(largest)[1]
@@ -150,13 +150,13 @@ def reconstruction_error_sq(q: ChannelMatrix, k: ChannelMatrix, pruned: IndexSet
     if q.cols != k.cols:
         raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
     pruned.validate_within(q.cols)
-    return _error_sq_blocks(q.data, k.data, pruned.as_array(), (q.rows,))[0]
+    return _error_sq_blocks(q.data, k.data, pruned.as_array(), (slice(None),))[0]
 
 
 def _error_sq_blocks(
-    q: np.ndarray, k: np.ndarray, idx: np.ndarray | slice, rows: tuple[int, ...]
+    q: np.ndarray, k: np.ndarray, idx: np.ndarray | slice, blocks: tuple[slice, ...]
 ) -> list[float]:
-    """||Q_S K_S^T||_F^2 of each row block of the stacked queries `q`, S = `idx`, from one product.
+    """||Q_S K_S^T||_F^2 of each row slice in `blocks` of the stacked queries `q`, S = `idx`, from one product.
 
     K_S is gathered once (`slice(None)` gathers nothing and gives ||Q K^T||_F^2)
     and one GEMM covers every block. Each block is a C-contiguous row slice
@@ -167,5 +167,5 @@ def _error_sq_blocks(
     with np.errstate(over="ignore"):  # an overflowing error is +inf, without a warning
         product = q[:, idx] @ k[:, idx].T  # all zeros when idx is empty
         np.square(product, out=product)
-    return [float(np.add.reduce(product[end - n : end], axis=None)) for n, end in zip(rows, accumulate(rows))]
+    return [float(np.add.reduce(product[rows], axis=None)) for rows in blocks]
 

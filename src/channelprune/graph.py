@@ -45,7 +45,7 @@ class InteractionGraph:
             raise ValueError(f"interaction matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("graph needs at least one channel")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("interaction matrix has non-finite entries")
         if not np.array_equal(arr, arr.T):
             raise ValueError("interaction matrix must be exactly symmetric")
@@ -62,8 +62,11 @@ class EigenCertificate:
     """Extremal eigenvalues of all size-k principal submatrices of W.
 
     kappa is mu_max / mu_min, or +inf when mu_min is not strictly
-    positive. Every support is enumerated and solved, so kappa bounds
-    the greedy's approximation ratio.
+    positive. Every support is enumerated and solved, so for every size-k
+    set S, k * mu_min <= f(S) = 1_S^T W 1_S <= k * mu_max (the Rayleigh
+    quotient of W[S][:, S] at 1_S, whose squared norm is k). Hence kappa
+    bounds the ratio f(S) / f(S') of any two size-k sets: the approximation
+    ratio of every selector at that size, not only the greedy's.
     """
 
     k: int

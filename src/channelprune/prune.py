@@ -117,15 +117,23 @@ def _greedy(
 
     The work is over the candidate block alone: W[cand][:, cand] is doubled
     once (an overflowing entry is +inf, without a warning; W is symmetric, so
-    row i is candidate i's column), and the scores, +inf once pruned, are
-    updated in place only where still active. W's other entries, such as a
-    protected channel's, are never read. `candidates` must be ascending.
+    row i is candidate i's column) into a private block. Pruning candidate i
+    sets its score and the block's column i to +inf, so each step adds
+    doubled[i] + gap (gap = the chosen score minus the previous one) to every
+    score, unmasked: a pruned channel's increment is +inf + gap = +inf, so its
+    score stays +inf, and each active score gets the same sums, with the same
+    bits and floating-point warnings, as an update of the active scores alone.
+    Only a gap of NaN or -inf, reachable once scores overflow, would make
+    +inf + gap NaN; such a step updates the active scores alone. W's other
+    entries, such as a protected channel's, are never read. `candidates` must
+    be ascending.
     """
     with np.errstate(over="ignore"):
         doubled = 2.0 * w[candidates][:, candidates]
     active = np.ones(len(candidates), dtype=bool)
     scores = w[candidates, candidates]
     increment = np.empty(len(candidates))
+    channels = candidates.tolist()
     accumulated = 0.0  # f(pruned so far)
     for _ in range(len(candidates)):
         if steps is not None:
@@ -136,10 +144,16 @@ def _greedy(
         chosen = float(scores[i])
         active[i] = False
         scores[i] = np.inf
-        np.add(doubled[i], chosen - accumulated, out=increment, where=active)
-        np.add(scores, increment, out=scores, where=active)
+        doubled[:, i] = np.inf
+        gap = chosen - accumulated
+        if gap > -math.inf:
+            np.add(doubled[i], gap, out=increment)
+            scores += increment
+        else:  # NaN or -inf
+            np.add(doubled[i], gap, out=increment, where=active)
+            np.add(scores, increment, out=scores, where=active)
         accumulated = chosen
-        yield int(candidates[i])
+        yield channels[i]
 
 
 class Problem:
@@ -152,7 +166,9 @@ class Problem:
     again for a budget costs nothing; mies and think answer each ratio
     with a prefix. The greedy is resumed, not restarted, when a larger
     budget asks for more of its order, so it never runs past the largest
-    budget requested.
+    budget requested. The random selector keeps the last seed's generator
+    and rewinds it for each call, so each draw is that of a fresh
+    `np.random.default_rng(seed)`.
     """
 
     def __init__(
@@ -167,7 +183,7 @@ class Problem:
         windows = (q,) if q_future is None else (q, q_future)
         self._queries = np.asfortranarray(np.concatenate([m.data for m in windows]))  # one GEMM scores both
         self._queries.setflags(write=False)
-        self._window_rows = tuple(m.rows for m in windows)
+        self._windows = (slice(0, q.rows),) if q_future is None else (slice(0, q.rows), slice(q.rows, None))
         self.protected = protected
         mask = np.ones(q.cols, dtype=bool)
         mask[protected.as_array()] = False
@@ -175,10 +191,11 @@ class Problem:
         self._greedy_order: list[int] = []
         self._greedy_run: Iterator[int] | None = None
         self._oracle_orders: dict[int, tuple[int, ...]] = {}
+        self._random: tuple[int, np.random.Generator, dict] | None = None  # the last seed's generator
 
     def attention_norms(self) -> tuple[float, ...]:
         """||Q K^T||_F per query window, observed then future, in one evaluator call; refuses 0 and +inf."""
-        squares = _error_sq_blocks(self._queries, self.k.data, slice(None), self._window_rows)
+        squares = _error_sq_blocks(self._queries, self.k.data, slice(None), self._windows)
         norms = tuple(map(math.sqrt, squares))
         for label, norm in zip(("observed", "future"), norms):
             if not 0.0 < norm < math.inf:
@@ -205,8 +222,8 @@ class Problem:
         W_jj = ||q_j||^2 ||k_j||^2 is ThinK's independent score ||q_j|| ||k_j||
         squared, which keeps its order: the greedy's first-step scores, never updated.
         """
-        scores = np.diag(self.graph.w)[self.candidates]
-        return tuple(int(j) for j in self.candidates[np.argsort(scores, kind="stable")])
+        scores = self.graph.w.diagonal()[self.candidates]
+        return tuple(self.candidates[np.argsort(scores, kind="stable")].tolist())
 
     def select(
         self, selector: Selector, lam: float, seed: int = 0, cap: int = DEFAULT_ENUMERATION_CAP
@@ -223,15 +240,15 @@ class Problem:
         elif selector is Selector.THINK:
             order = self._think_order[:n_prune]
         elif selector is Selector.RANDOM:
-            drawn = np.random.default_rng(seed).choice(self.candidates, size=n_prune, replace=False)
-            order = tuple(int(j) for j in drawn)
+            drawn = self._generator(seed).choice(self.candidates, size=n_prune, replace=False)
+            order = tuple(drawn.tolist())
         else:
             self.check_oracle_capacity(lam, cap)
             if n_prune not in self._oracle_orders:
                 self._oracle_orders[n_prune] = self._oracle_order(n_prune)
             order = self._oracle_orders[n_prune]
         pruned = IndexSet(tuple(sorted(order)))
-        error_sq, *future = _error_sq_blocks(self._queries, self.k.data, pruned.as_array(), self._window_rows)
+        error_sq, *future = _error_sq_blocks(self._queries, self.k.data, pruned.as_array(), self._windows)
         return PruneSelection(
             selector=selector,
             lam=lam,
@@ -242,6 +259,15 @@ class Problem:
             budget_clamped=clamped,
             error_future_sq=future[0] if future else None,
         )
+
+    def _generator(self, seed: int) -> np.random.Generator:
+        """`np.random.default_rng(seed)` in its initial state; the last seed's is built once, then rewound."""
+        if self._random is None or self._random[0] != seed:
+            rng = np.random.default_rng(seed)
+            self._random = seed, rng, rng.bit_generator.state
+        _, rng, start = self._random
+        rng.bit_generator.state = start
+        return rng
 
     def check_oracle_capacity(self, lam: float, cap: int) -> None:
         """CapacityError when the oracle at `lam` would search more than `cap` subsets.
@@ -263,7 +289,7 @@ class Problem:
         if search.bounded:
             greedy = np.searchsorted(pool, sorted(self._greedy_prefix(n_prune)))
             incumbent = float(search.gathered(greedy[None, :])[0])
-        return tuple(int(j) for j in pool[search.run(incumbent)])
+        return tuple(pool[search.run(incumbent)].tolist())
 
 
 _BLOCK = 4096  # prefixes bounded, expanded or screened together
@@ -322,20 +348,25 @@ class _BranchAndBound:
     def __init__(self, w: np.ndarray, k: int):
         n = len(w)
         self.w, self.n, self.k = w, n, k
-        self.diag = np.diag(w)
+        self.diag = w.diagonal()
         total = float(np.abs(w).sum())
         eps = np.finfo(np.float64).eps
         self.slack = 32.0 * (n * n + 2 * n) * eps * total if math.isfinite(64.0 * total) else math.inf
         self.bounded = math.comb(n, k) > _BLOCK
         if self.bounded:
-            # table[s, c - 1, j]: the c smallest w[j, i] over i in [s, n) - j, for c in [1, k - 1];
-            # +inf where j < s or fewer than c remain. A prefix ending at s - 1 leaves s <= n - 2,
-            # and s > 0 occurs only if k > 2.
-            off = np.hstack((w, np.full((n, k), np.inf)))
+            # A prefix ending at s - 1 holds at most s channels and leaves r >= 2 to choose from
+            # [s, n), so it asks for the c = r - 1 smallest entries only for c from lo[s] + 1 =
+            # max(1, k - 1 - s) to min(k - 1, n - s - 1): at most min(k - 1, n - k + 1) counts.
+            # table[s, c - 1 - lo[s], j] is the sum of the c smallest w[j, i] over i in [s, n) - j,
+            # +inf where j < s. A prefix leaves s <= n - 2, and s > 0 occurs only if k > 2.
+            off = w.copy()
             np.fill_diagonal(off, np.inf)
-            self.table = np.full((n - 1 if k > 2 else 1, k - 1, n), np.inf)
+            self.lo = np.maximum(k - 2 - np.arange(n), 0)
+            self.table = np.full((n - 1 if k > 2 else 1, min(k - 1, n - k + 1), n), np.inf)
             for s in range(len(self.table)):
-                self.table[s, :, s:] = np.cumsum(np.sort(off[s:, s:], axis=1)[:, : k - 1], axis=1).T
+                c = min(k - 1, n - s - 1)
+                sums = np.cumsum(np.sort(off[s:, s:], axis=1)[:, :c], axis=1)
+                self.table[s, : c - self.lo[s], s:] = sums[:, self.lo[s] :].T
 
     def gathered(self, sets: np.ndarray) -> np.ndarray:
         """The gathered sum of each row of position sets (b, k)."""
@@ -343,7 +374,7 @@ class _BranchAndBound:
 
     def bounds(self, f: np.ndarray, rs: np.ndarray, first: np.ndarray, r: int) -> np.ndarray:
         """f(P) plus the r smallest c_j over j >= first: a lower bound on every completion."""
-        c = self.table[first, r - 2]
+        c = self.table[first, r - 2 - self.lo[first]]
         c += rs
         c += rs
         c += self.diag
@@ -480,10 +511,12 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     if not policy.enabled:
         return IndexSet.empty()
     d, e = k.cols, k.exponents
-    norms = np.sqrt(np.diag(k.gram))
+    norms = np.sqrt(k.gram.diagonal())
     norms = np.ldexp(norms, e - e.max(where=norms > 0, initial=e.min()))  # a zero column's e (0) sets no scale
-    tau = norms.mean() + policy.threshold_sigma * norms.std()
-    count = int(np.sum(norms > tau))
+    mean = np.add.reduce(norms) / d  # norms.mean(), and below norms.std(), by numpy's own two passes
+    deviations = norms - mean
+    tau = mean + policy.threshold_sigma * math.sqrt(np.add.reduce(deviations * deviations) / d)
+    count = np.count_nonzero(norms > tau)
     n_protect = min(max(count, exact_ceil(policy.a, d)), exact_ceil(policy.b, d))
     by_norm_desc = np.lexsort((np.arange(d), -norms))
-    return IndexSet(tuple(sorted(int(j) for j in by_norm_desc[:n_protect])))
+    return IndexSet(tuple(sorted(by_norm_desc[:n_protect].tolist())))

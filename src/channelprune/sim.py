@@ -76,7 +76,11 @@ def generate_instance(spec: SyntheticSpec) -> tuple[ChannelMatrix, ChannelMatrix
 
         means = scales  # query channel means track key channel scales
         noise = spec.drift_gamma * np.abs(means)
-        q_obs = means + rng.standard_normal((spec.L_obs, d)) * noise
-        q_future = (means + noise) + rng.standard_normal((spec.L_future, d)) * noise
+        q_obs = rng.standard_normal((spec.L_obs, d))
+        q_obs *= noise
+        q_obs += means
+        q_future = rng.standard_normal((spec.L_future, d))
+        q_future *= noise
+        q_future += means + noise
 
     return ChannelMatrix(q_obs), ChannelMatrix(k_data), ChannelMatrix(q_future)

@@ -514,6 +514,23 @@ class TestRunExperiment:
         assert len(run_experiment(cfg).rows) == 3 * 2
         assert draws == [0, 1, 2]
 
+    @pytest.mark.parametrize("selectors", [(Selector.MIES, Selector.RANDOM), (Selector.MIES, Selector.ORACLE)])
+    def test_a_from_files_sweep_loads_its_files_once(self, tmp_path, monkeypatch, selectors):
+        rng = np.random.default_rng(0)
+        paths = {}
+        for name in ("q_path", "k_path", "q_future_path"):
+            paths[name] = str(tmp_path / f"{name}.grcm")
+            save_matrix(ChannelMatrix(rng.standard_normal((6, 8))), paths[name])
+        loads, builds = [], []
+        load, build = experiment.load_matrix, prune.build_interaction_graph
+        monkeypatch.setattr(experiment, "load_matrix", lambda path: loads.append(path) or load(path))
+        monkeypatch.setattr(prune, "build_interaction_graph", lambda q, k: builds.append(1) or build(q, k))
+        report = run_experiment(small_cfg(mode="from-files", seeds=(0, 1, 2), selectors=selectors, **paths))
+        assert sorted(loads) == sorted(paths.values())
+        assert len(builds) == 1
+        assert [row.seed for row in report.rows] == [0, 0, 1, 1, 2, 2]
+        assert len({row.error_sq for row in report.rows if row.selector is Selector.MIES}) == 1
+
     def test_an_oracle_sweep_releases_each_seed_once_its_cells_are_done(self, monkeypatch):
         # The preflight loads every seed first, but a seed's Problem (and its W) goes once its cells are done.
         refs, alive_earlier = [], []

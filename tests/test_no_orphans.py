@@ -1,11 +1,11 @@
-"""Guard against orphaned helpers and stale `__all__` entries in the package source.
+"""Guard against orphaned helpers, unused imports and stale `__all__` entries in the package source.
 
 A top-level private `def`, `class` or assigned name (`_NAME = ...`) that
-nothing else in `src/` names is dead code left behind by a refactor; a name
-in `__all__` that its module does not bind breaks `from module import *`;
-and a name a package `__init__.py` re-exports with `from .mod import name`
-is part of `mod`'s public surface, so `mod.__all__` must list it. All three
-are found with `ast`.
+nothing else in `src/` names is dead code left behind by a refactor, and so
+is a top-level import that its module never names; a name in `__all__` that
+its module does not bind breaks `from module import *`; and a name a package
+`__init__.py` re-exports with `from .mod import name` is part of `mod`'s
+public surface, so `mod.__all__` must list it. All four are found with `ast`.
 """
 
 import ast
@@ -91,6 +91,29 @@ def find_orphans(sources):
     return problems
 
 
+def find_unused_imports(sources):
+    """Problems for each top-level import of a non-`__init__` module that its module never names.
+
+    A name counts as used when the module reads it (`np.add` reads `np`) or lists it in
+    `__all__`; a package `__init__.py` imports to re-export, and `__future__` imports bind nothing.
+    """
+    problems = []
+    for module, text in sources.items():
+        if module.rpartition("/")[2] == "__init__.py":
+            continue
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        statement = _all_statement(tree)
+        read.update(ast.literal_eval(statement.value) if statement else ())
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        problems.append(f"{module}:{node.lineno}: imports {name}, which it never names")
+    return problems
+
+
 def test_no_orphaned_private_helpers_or_stale_all_entries():
     sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
     assert sources
@@ -134,4 +157,32 @@ def test_the_guard_flags_a_package_reexport_that_the_submodule_leaves_out_of_all
     assert find_orphans(sources) == [
         "pkg/__init__.py:1: re-exports unlisted, which pkg/a.py leaves out of __all__",
         "pkg/sub/__init__.py:1: re-exports inner, which pkg/sub/deep.py leaves out of __all__",
+    ]
+
+
+def test_no_unused_imports():
+    sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
+    assert sources
+    assert find_unused_imports(sources) == []
+
+
+def test_the_guard_flags_an_unused_import():
+    sources = {
+        "pkg/__init__.py": "from .a import public\n",
+        "pkg/a.py": (
+            "from __future__ import annotations\n"
+            "import math\n"
+            "import os.path\n"
+            "import numpy as np\n"
+            "from itertools import accumulate, chain\n"
+            "from .b import exported\n"
+            "__all__ = ['exported', 'public']\n"
+            "def public(x: Iterator) -> float:\n"
+            "    import json\n"
+            "    return np.add(x, math.pi) + len(list(chain(x)))\n"
+        ),
+    }
+    assert find_unused_imports(sources) == [
+        "pkg/a.py:3: imports os, which it never names",
+        "pkg/a.py:5: imports accumulate, which it never names",
     ]

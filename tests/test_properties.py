@@ -70,6 +70,18 @@ def test_mies_and_think_orders_are_prefix_consistent(instance, lams):
 
 
 @PROPERTY
+@given(instances(), st.lists(st.tuples(st.integers(0, 3), ratios), min_size=1, max_size=8))
+def test_each_random_draw_equals_a_fresh_generators(instance, cells):
+    # One Problem keeps the last seed's generator and rewinds it for every call.
+    q, k, protected = instance
+    shared = Problem(q, k, protected)
+    for seed, lam in cells:
+        sel = shared.select(Selector.RANDOM, lam, seed=seed)
+        fresh = np.random.default_rng(seed).choice(shared.candidates, size=sel.n_prune, replace=False)
+        assert sel.order == tuple(fresh.tolist())
+
+
+@PROPERTY
 @given(instances(), ratios)
 def test_recorded_steps_pick_the_order(instance, lam):
     # Each (candidates, scores) snapshot of the greedy that `Problem` runs has its
@@ -319,6 +331,59 @@ def test_greedy_equals_the_masked_loop_bitwise(inputs):
     assert len(got[1]) == len(want[1]) == len(candidates)
     for (got_c, got_s), (want_c, want_s) in zip(got[1], want[1]):
         assert got_c.tobytes() == want_c.tobytes() and got_s.tobytes() == want_s.tobytes()
+
+
+def masked_block_greedy(w, candidates, steps):
+    """The greedy whose two adds per step were masked to the active scores."""
+    with np.errstate(over="ignore"):
+        doubled = 2.0 * w[candidates][:, candidates]
+    active = np.ones(len(candidates), dtype=bool)
+    scores = w[candidates, candidates]
+    increment = np.empty(len(candidates))
+    accumulated = 0.0
+    for _ in range(len(candidates)):
+        steps.append((candidates[active], scores[active]))
+        i = int(scores.argmin())
+        if not active[i]:
+            i = int(active.argmax())
+        chosen = float(scores[i])
+        active[i] = False
+        scores[i] = np.inf
+        np.add(doubled[i], chosen - accumulated, out=increment, where=active)
+        np.add(scores, increment, out=scores, where=active)
+        accumulated = chosen
+        yield int(candidates[i])
+
+
+@st.composite
+def overflowing_greedy_inputs(draw):
+    """A symmetric W with entries near +-1e307, where sums of a few overflow, and an ascending candidate subset.
+
+    Entries up to +-1.7e308 double to +-inf, so a score can fall to -inf, a step's gap can be -inf or NaN,
+    and a later score can be NaN.
+    """
+    n = draw(st.integers(1, 9))
+    near = st.sampled_from([1e307, -1e307, 4e307, -4e307, 1.7e308, -1.7e308, 0.0, 1.0])
+    entries = st.lists(near | st.floats(-1.7e308, 1.7e308), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)
+    w = np.zeros((n, n))
+    w[np.triu_indices(n)] = draw(entries)
+    w += np.triu(w, 1).T
+    candidates = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
+    return w, candidates
+
+
+@settings(PROPERTY, max_examples=400)
+@given(overflowing_greedy_inputs())
+def test_the_unmasked_greedy_step_equals_the_masked_one_bitwise(inputs):
+    # Orders, every (candidates, scores) snapshot and the warnings raised, in order, must all match.
+    w, candidates = inputs
+    runs = []
+    for greedy in (masked_block_greedy, prune._greedy):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            order, steps = greedy_run(greedy, w, candidates)
+        runs.append((order, [(c.tobytes(), s.tobytes()) for c, s in steps], [(c.category, str(c.message)) for c in caught]))
+    assert runs[1] == runs[0]
 
 
 def test_greedy_never_reads_a_protected_channels_entries():

@@ -281,6 +281,21 @@ class TestOracleSelect:
         assert sel.pruned.indices == tuple(range(10))
         assert peak <= 8 * 2**20
 
+    def test_a_high_ratio_bound_table_keeps_only_reachable_counts(self):
+        # d=200 at lambda=0.99 prunes k = 198: C(200, 198) = 19,900 subsets, within the cap. A prefix
+        # ending at s - 1 can ask for at most min(k - 1, n - k + 1) = 3 counts of smallest entries;
+        # a table of every count 1..k - 1 per start is (199, 197, 200) floats, 60 MiB.
+        rng = np.random.default_rng(0)
+        q, k = (ChannelMatrix(rng.standard_normal((16, 200))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            sel = oracle_select(q, k, 0.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sel.n_prune == 198
+        assert peak <= 8 * 2**20
+
 
 class TestRandomSelect:
     def test_lambda_zero(self):
