@@ -7,7 +7,8 @@ self-describing and replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from ..errors import ConfigError
@@ -101,61 +102,39 @@ def _write_path(path: str | None) -> str:
     return path or ""
 
 
-# The one place that knows how each setting is read and written, in the
-# canonical key order of config files and embedded report configs.
-_KEYS = {
-    "mode": (lambda key, value: value, str),
-    "d": (_int, str),
-    "L": (_int, str),
-    "L_obs": (_int, str),
-    "L_future": (_int, str),
-    "outlier_fraction": (_float, _embedded),
-    "outlier_scale": (_float, _embedded),
-    "drift_gamma": (_float, _embedded),
-    "q_path": (_path, _write_path),
-    "k_path": (_path, _write_path),
-    "q_future_path": (_path, _write_path),
-    "lambdas": (_each(_float), _joined(_embedded)),
-    "selectors": (_each(_selector), _joined(lambda s: s.value)),
-    "seeds": (_seeds, _joined(str)),
-    "protect": (_bool, _write_bool),
-    "protect_sigma": (_float, _embedded),
-    "protect_bounds": (_bounds, _joined(_embedded)),
-    "oracle": (_bool, _write_bool),
-    "enumeration_cap": (_int, str),
-    "timing": (_bool, _write_bool),
-    "out": (_path, _write_path),
-}
-
-# Keys embedded in reports: everything that determines the rows. The output
-# path is where a report landed, not part of the experiment, so rewriting the
-# same experiment to a different file stays byte-identical in content.
-EMBEDDED_KEYS = tuple(key for key in _KEYS if key != "out")
+def _setting(default, parse, write):
+    """A config field: its default, and the parser and writer of its text form."""
+    return field(default=default, metadata={"parse": parse, "write": write})
 
 
+# Each field declares one setting; the field order is the canonical key order.
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str = "synthetic"
-    d: int = SyntheticSpec.d
-    L: int = SyntheticSpec.L
-    L_obs: int = SyntheticSpec.L_obs
-    L_future: int = SyntheticSpec.L_future
-    outlier_fraction: float = SyntheticSpec.outlier_fraction
-    outlier_scale: float = SyntheticSpec.outlier_scale
-    drift_gamma: float = SyntheticSpec.drift_gamma
-    q_path: str | None = None
-    k_path: str | None = None
-    q_future_path: str | None = None
-    lambdas: tuple[float, ...] = (0.5,)
-    selectors: tuple[Selector, ...] = (Selector.MIES, Selector.THINK)
-    seeds: tuple[int, ...] = (0,)
-    protect: bool = ProtectionPolicy.enabled
-    protect_sigma: float = ProtectionPolicy.threshold_sigma
-    protect_bounds: tuple[float, float] = (ProtectionPolicy.a, ProtectionPolicy.b)
-    oracle: bool = False
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    timing: bool = False
-    out: str | None = None
+    mode: str = _setting("synthetic", lambda key, value: value, str)
+    d: int = _setting(SyntheticSpec.d, _int, str)
+    L: int = _setting(SyntheticSpec.L, _int, str)
+    L_obs: int = _setting(SyntheticSpec.L_obs, _int, str)
+    L_future: int = _setting(SyntheticSpec.L_future, _int, str)
+    outlier_fraction: float = _setting(SyntheticSpec.outlier_fraction, _float, _embedded)
+    outlier_scale: float = _setting(SyntheticSpec.outlier_scale, _float, _embedded)
+    drift_gamma: float = _setting(SyntheticSpec.drift_gamma, _float, _embedded)
+    q_path: str | None = _setting(None, _path, _write_path)
+    k_path: str | None = _setting(None, _path, _write_path)
+    q_future_path: str | None = _setting(None, _path, _write_path)
+    lambdas: tuple[float, ...] = _setting((0.5,), _each(_float), _joined(_embedded))
+    selectors: tuple[Selector, ...] = _setting(
+        (Selector.MIES, Selector.THINK), _each(_selector), _joined(lambda s: s.value)
+    )
+    seeds: tuple[int, ...] = _setting((0,), _seeds, _joined(str))
+    protect: bool = _setting(ProtectionPolicy.enabled, _bool, _write_bool)
+    protect_sigma: float = _setting(ProtectionPolicy.threshold_sigma, _float, _embedded)
+    protect_bounds: tuple[float, float] = _setting(
+        (ProtectionPolicy.a, ProtectionPolicy.b), _bounds, _joined(_embedded)
+    )
+    oracle: bool = _setting(False, _bool, _write_bool)
+    enumeration_cap: int = _setting(DEFAULT_ENUMERATION_CAP, _int, str)
+    timing: bool = _setting(False, _bool, _write_bool)
+    out: str | None = _setting(None, _path, _write_path)
 
     def validate(self) -> "ExperimentConfig":
         if self.mode not in MODES:
@@ -198,16 +177,7 @@ class ExperimentConfig:
         return ProtectionPolicy(threshold_sigma=self.protect_sigma, a=a, b=b, enabled=self.protect)
 
     def synthetic_spec(self, seed: int) -> SyntheticSpec:
-        return SyntheticSpec(
-            d=self.d,
-            L=self.L,
-            L_obs=self.L_obs,
-            L_future=self.L_future,
-            outlier_fraction=self.outlier_fraction,
-            outlier_scale=self.outlier_scale,
-            drift_gamma=self.drift_gamma,
-            seed=seed,
-        )
+        return SyntheticSpec(*_spec_settings(self), seed=seed)
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """(key, value) pairs of row-determining settings, for report embedding."""
@@ -215,6 +185,17 @@ class ExperimentConfig:
 
     def with_updates(self, **changes) -> "ExperimentConfig":
         return replace(self, **changes)
+
+
+_KEYS = {f.name: (f.metadata["parse"], f.metadata["write"]) for f in fields(ExperimentConfig)}
+
+# Keys embedded in reports: everything that determines the rows. The output
+# path is where a report landed, not part of the experiment, so rewriting the
+# same experiment to a different file stays byte-identical in content.
+EMBEDDED_KEYS = tuple(key for key in _KEYS if key != "out")
+
+# SyntheticSpec's fields but its trailing seed, in order; each is the setting of the same name.
+_spec_settings = attrgetter(*(f.name for f in fields(SyntheticSpec)[:-1]))
 
 
 def _apply_key(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:

@@ -21,7 +21,7 @@ from pathlib import Path
 from ..errors import CapacityError
 from ..prune import Problem, Selector, protect_channels
 from ..sim import generate_instance
-from .config import _KEYS, ExperimentConfig, format_value, parse_config_lines
+from .config import _KEYS, ExperimentConfig, _write_bool, format_value, parse_config_lines
 from .matrix_io import load_matrix
 
 __all__ = [
@@ -177,7 +177,7 @@ def _fields(row: ReportRow, timing: bool, lam: str) -> list[str]:
         str(row.seed),
         row.selector.value,
         lam,
-        "true" if row.protection else "false",
+        _write_bool(row.protection),
         str(row.n_prune),
         str(row.n_protected),
         format_value(row.error_sq),

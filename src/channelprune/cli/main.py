@@ -16,16 +16,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..errors import (
-    CapacityError,
-    ConfigError,
-    DegenerateInputError,
-    MatrixFormatError,
-    MatrixValidationError,
-)
+from ..errors import CapacityError, ConfigError, MatrixFormatError
 from ..sim import generate_instance
-from .config import _KEYS, ExperimentConfig, _apply_key, format_value, parse_config_file
-from .experiment import load_problem, run_experiment, write_report
+from .config import _KEYS, ExperimentConfig, _apply_key, _write_bool, format_value, parse_config_file
+from .experiment import _lambda_text, load_problem, run_experiment, write_report
 from .matrix_io import save_matrix
 from .selfcheck import run_verification
 
@@ -83,8 +77,8 @@ def cmd_prune(cfg: ExperimentConfig) -> int:
     selector = cfg.selectors[0]
     selection = problem.select(selector, lam, seed=seed, cap=cfg.enumeration_cap)
     print(
-        f"selector={selector.value} lambda={_KEYS['lambdas'][1]((lam,))} "
-        f"n_prune={selection.n_prune} clamped={'true' if selection.budget_clamped else 'false'}"
+        f"selector={selector.value} lambda={_lambda_text(lam)} "
+        f"n_prune={selection.n_prune} clamped={_write_bool(selection.budget_clamped)}"
     )
     print(f"protected ({len(problem.protected)}):" + "".join(f" {i}" for i in problem.protected))
     print(f"pruned ({len(selection.pruned)}):" + "".join(f" {i}" for i in selection.pruned))
@@ -93,8 +87,10 @@ def cmd_prune(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    report = run_experiment(cfg)
     out = cfg.out or "report.csv"
+    if Path(out).is_dir() or not Path(out).parent.is_dir():  # refused before any cell runs
+        raise OSError(f"cannot write the report to {out!r}: it is a directory, or its directory does not exist")
+    report = run_experiment(cfg)
     write_report(report, out)
     print(f"wrote {out} ({len(report.rows)} rows)")
     return EXIT_OK
@@ -139,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     except (MatrixFormatError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (MatrixValidationError, DegenerateInputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

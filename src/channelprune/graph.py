@@ -102,8 +102,6 @@ def build_interaction_graph(q: ChannelMatrix, k: ChannelMatrix) -> InteractionGr
 def quadratic_form(g: InteractionGraph, s: IndexSet) -> float:
     """f(S) = 1_S^T W 1_S, the summed principal submatrix."""
     s.validate_within(g.dim)
-    if len(s) == 0:
-        return 0.0
     idx = s.as_array()
     return float(g.w[np.ix_(idx, idx)].sum())
 

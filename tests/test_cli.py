@@ -755,6 +755,25 @@ class TestCommandLine:
         cfg.write_text(f"mode=from-files\nq_path={tmp_path}/missing.grcm\nk_path={tmp_path}/m2.grcm\n")
         assert cli_main(["prune", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("target", ["missing/r.csv", "existing"], ids=["missing-directory", "directory"])
+    def test_an_unwritable_report_path_is_refused_before_any_cell(self, tmp_path, capsys, monkeypatch, target):
+        (tmp_path / "existing").mkdir()
+        monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        out = tmp_path / target
+        assert cli_main(["sweep", "--seed", "0", "--lambda", "0.3,0.5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"I/O error: cannot write the report to {str(out)!r}")
+        assert [p.name for p in tmp_path.iterdir()] == ["existing"] and not any((tmp_path / "existing").iterdir())
+
+    def test_a_failed_sweep_leaves_the_old_report(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("a cell failed")
+
+        monkeypatch.setattr(prune.Problem, "select", failing)
+        out = tmp_path / "r.csv"
+        out.write_text("old report\n")
+        assert cli_main(["sweep", "--seed", "0", "--out", str(out)]) == 4
+        assert out.read_text() == "old report\n"
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "nan.grcm"
         bad.write_bytes(struct.pack("<4sBII", b"GRCM", 1, 1, 2) + struct.pack("<2d", 1.0, np.nan))

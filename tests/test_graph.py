@@ -130,6 +130,11 @@ class TestQuadraticForm:
         g = InteractionGraph(w=np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert quadratic_form(g, IndexSet.empty()) == 0.0
 
+    def test_empty_is_positive_zero_bit_for_bit(self):
+        # The gathered sum of an empty block, even of a negative W, is +0.0 and warns of nothing.
+        g = InteractionGraph(w=np.array([[-2.0, -1.0], [-1.0, -2.0]]))
+        assert quadratic_form(g, IndexSet.empty()).hex() == (0.0).hex() == "0x0.0p+0"
+
     def test_worked_pair(self):
         g = InteractionGraph(w=np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert quadratic_form(g, IndexSet((0, 1))) == 6.0
