@@ -162,8 +162,9 @@ class ExperimentConfig:
             raise ConfigError("from-files mode requires q_path and k_path")
         for key in ("q_path", "k_path", "q_future_path"):
             path = str(getattr(self, key) or "")
-            if "".join(path.splitlines()) != path:  # a report embeds each path on one '#' line
-                raise ConfigError(f"{key} must not contain a line break, got {path!r}")
+            # A report embeds each path on one '#' line, and reading it back strips each value.
+            if "".join(path.splitlines()) != path or path != path.strip():
+                raise ConfigError(f"{key} must not contain a line break or begin or end with whitespace, got {path!r}")
         try:
             self.policy()
             if self.mode == "synthetic":

@@ -1,13 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: the generate, prune, sweep and verify commands.
 
-Commands:
-    generate  write synthetic GRCM matrix files
-    prune     run one selection and print the result
-    sweep     run the configured experiment grid, write a CSV report
-    verify    run the built-in invariant suites
-
-Exit codes: 0 success, 2 configuration error, 3 I/O or file-format
-error, 4 input-validation error, 5 invariant failure.
+Each command takes only the flags its handler reads; argparse refuses any
+other with its usage error, exit 2, before any work. Exit codes: 0 success,
+2 configuration error, 3 I/O or file-format error, 4 input-validation
+error, 5 invariant failure.
 """
 
 from __future__ import annotations
@@ -32,19 +28,18 @@ EXIT_VALIDATION = 4
 EXIT_INVARIANT = 5
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    # Each flag's dest is its configuration key, read by that key's parser.
-    parser.add_argument("--config", metavar="PATH", help="key=value config file")
-    parser.add_argument("--seed", dest="seeds", type=int, metavar="N", help="single seed (overrides seeds)")
-    parser.add_argument("--lambda", dest="lambdas", metavar="X[,X...]", help="pruning ratio list")
-    parser.add_argument("--selector", dest="selectors", metavar="NAME[,NAME...]", help="selector list")
-    parser.add_argument(
-        "--protect", action=argparse.BooleanOptionalAction, default=None, help="toggle channel protection"
-    )
-    parser.add_argument("--protect-bounds", metavar="A,B", help="clamp bounds for the protected proportion")
-    parser.add_argument("--oracle", action="store_true", default=None, help="also report the exact optimum and ratio")
-    parser.add_argument("--timing", action="store_true", default=None, help="write wall-clock timings")
-    parser.add_argument("--out", metavar="PATH", help="output path")
+# Each flag's add_argument keywords. Its dest is its configuration key, read by that key's parser.
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="key=value config file"),
+    "--seed": dict(dest="seeds", type=int, metavar="N", help="single seed (overrides seeds)"),
+    "--lambda": dict(dest="lambdas", metavar="X[,X...]", help="pruning ratio list"),
+    "--selector": dict(dest="selectors", metavar="NAME[,NAME...]", help="selector list"),
+    "--protect": dict(action=argparse.BooleanOptionalAction, default=None, help="toggle channel protection"),
+    "--protect-bounds": dict(metavar="A,B", help="clamp bounds for the protected proportion"),
+    "--oracle": dict(action="store_true", default=None, help="also report the exact optimum and ratio"),
+    "--timing": dict(action="store_true", default=None, help="write wall-clock timings"),
+    "--out": dict(metavar="PATH", help="output path"),
+}
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -56,6 +51,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_generate(cfg: ExperimentConfig) -> int:
+    if cfg.mode != "synthetic":
+        raise ConfigError(f"generate writes synthetic matrices only: mode must be synthetic, got {cfg.mode!r}")
     if cfg.out is None:
         raise ConfigError("generate requires --out DIRECTORY")
     out_dir = Path(cfg.out)
@@ -108,24 +105,25 @@ def main(argv: list[str] | None = None) -> int:
         description="Graph-guided channel pruning for attention-weight reconstruction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("generate", "write synthetic GRCM matrix files"),
-        ("prune", "run one selection and print the pruned channels"),
-        ("sweep", "run the experiment grid and write a CSV report"),
-        ("verify", "run the built-in invariant suites"),
+    for name, help_text, handler, flags in (
+        ("generate", "write synthetic GRCM matrix files", cmd_generate, ("--config", "--seed", "--out")),
+        (
+            "prune",
+            "run one selection and print the pruned channels",
+            cmd_prune,
+            ("--config", "--seed", "--lambda", "--selector", "--protect", "--protect-bounds"),
+        ),
+        ("sweep", "run the experiment grid and write a CSV report", cmd_sweep, tuple(_FLAGS)),
+        ("verify", "run the built-in invariant suites", cmd_verify, ("--config", "--seed")),
     ):
-        _add_common_flags(sub.add_parser(name, help=help_text))
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
 
     args = parser.parse_args(argv)
-    handlers = {
-        "generate": cmd_generate,
-        "prune": cmd_prune,
-        "sweep": cmd_sweep,
-        "verify": cmd_verify,
-    }
     try:
-        cfg = build_config(args)
-        return handlers[args.command](cfg)
+        return args.handler(build_config(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -41,6 +41,24 @@ from channelprune.graph import build_interaction_graph as real_build
 
 GOLDEN = Path(__file__).parent / "data" / "criterion8_golden.csv"
 
+# The flags that each command but sweep reads; sweep reads every flag.
+FLAGS_READ = {
+    "generate": {"--config", "--seed", "--out"},
+    "prune": {"--config", "--seed", "--lambda", "--selector", "--protect", "--no-protect", "--protect-bounds"},
+    "verify": {"--config", "--seed"},
+}
+# Each flag that some command does not read, as it would be given.
+NARROWED_FLAGS = {
+    "--lambda": ["--lambda", "0.5"],
+    "--selector": ["--selector", "mies"],
+    "--protect": ["--protect"],
+    "--no-protect": ["--no-protect"],
+    "--protect-bounds": ["--protect-bounds", "0.1,0.9"],
+    "--oracle": ["--oracle"],
+    "--timing": ["--timing"],
+    "--out": ["--out", "r.csv"],
+}
+
 
 def tamper_first_row(path, column, value):
     """Overwrite one field of the first data row of a report in place."""
@@ -289,6 +307,30 @@ class TestConfig:
         assert cli_main(["sweep", "--config", str(cfg)]) == 0
         assert configs[0] == configs[1] == ExperimentConfig(seeds=(3,), protect=False, oracle=True, timing=True)
 
+    @pytest.mark.parametrize(
+        "command, flags, lines, expected",
+        [
+            ("generate", ["--seed", "3", "--out", "gen"], "seeds=3\nout=gen\n", dict(seeds=(3,), out="gen")),
+            (
+                "prune",
+                "--seed 3 --lambda 0.25 --selector think --no-protect --protect-bounds 0.1,0.9".split(),
+                "seeds=3\nlambdas=0.25\nselectors=think\nprotect=false\nprotect_bounds=0.1,0.9\n",
+                dict(
+                    seeds=(3,), lambdas=(0.25,), selectors=(Selector.THINK,), protect=False, protect_bounds=(0.1, 0.9)
+                ),
+            ),
+            ("verify", ["--seed", "3"], "seeds=3\n", dict(seeds=(3,))),
+        ],
+    )
+    def test_every_accepted_flag_reaches_the_handler(self, tmp_path, monkeypatch, command, flags, lines, expected):
+        configs = []
+        monkeypatch.setattr(cli_module, f"cmd_{command}", lambda cfg: configs.append(cfg) or 0)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(lines)
+        assert cli_main([command, *flags]) == 0
+        assert cli_main([command, "--config", str(cfg)]) == 0
+        assert configs[0] == configs[1] == ExperimentConfig(**expected)
+
     def test_resolved_items_round_trip(self):
         cfg = ExperimentConfig(d=9, lambdas=(0.5, 0.6), seeds=(3, 4), protect=False)
         lines = [f"{k}={v}" for k, v in cfg.resolved_items()]
@@ -412,15 +454,20 @@ class TestRunExperiment:
         assert replay_report(path) == []
 
     @pytest.mark.parametrize("key", ["q_path", "k_path", "q_future_path"])
-    @pytest.mark.parametrize("brk", ["\n", "\x0c", "\u2028"])
+    @pytest.mark.parametrize("brk", ["\n", "\x0c", "\u2028", " ", "\t"])
     def test_line_break_in_a_matrix_path_is_refused_before_any_cell(self, tmp_path, monkeypatch, key, brk):
         # The report embeds each path on a '# key=' line and replay splits the text with
         # str.splitlines, so a path holding any line boundary could not be replayed.
+        # Other whitespace is legal inside a file name, but replay strips each value, so a
+        # path that begins or ends with it could not be replayed either.
+        inside = len(f"a{brk}a".splitlines()) == 2
         rng = np.random.default_rng(0)
         paths = {}
         for name in ("q_path", "k_path", "q_future_path"):
-            paths[name] = str(tmp_path / (f"{name[0]}{brk}a.grcm" if name == key else f"{name}.grcm"))
+            paths[name] = str(tmp_path / (f"{name[0]}{brk}a.grcm" if name == key and inside else f"{name}.grcm"))
             save_matrix(ChannelMatrix(rng.standard_normal((6, 8))), paths[name])
+        if not inside:  # a space leads the path, a tab ends it
+            paths[key] = f"{brk}{paths[key]}" if brk == " " else f"{paths[key]}{brk}"
         monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
         with pytest.raises(ConfigError, match=f"{key} must not contain a line break"):
             run_experiment(small_cfg(mode="from-files", **paths))
@@ -718,6 +765,30 @@ class TestCommandLine:
         assert "generate requires --out DIRECTORY" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, read in FLAGS_READ.items() for flag in NARROWED_FLAGS if flag not in read],
+    )
+    def test_a_flag_the_command_does_not_read_is_refused(self, tmp_path, capsys, monkeypatch, command, flag):
+        for name in ("generate", "prune", "sweep", "verify"):
+            monkeypatch.setattr(cli_module, f"cmd_{name}", lambda cfg: pytest.fail("a handler ran"))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli_main([command, "--seed", "0", *NARROWED_FLAGS[flag]])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(NARROWED_FLAGS[flag])}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_generate_refuses_from_files_mode(self, tmp_path, capsys):
+        q_path = tmp_path / "q.grcm"
+        save_matrix(ChannelMatrix(np.ones((2, 4))), q_path)
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(f"mode=from-files\nq_path={q_path}\nk_path={q_path}\n")
+        out = tmp_path / "gen"
+        assert cli_main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "mode must be synthetic, got 'from-files'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "line, flags, message",
         [
             ("", ["--lambda", "0.5,0.5"], "lambdas: repeated value 0.5"),
@@ -794,7 +865,7 @@ class TestCommandLine:
         out = tmp_path / "r.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
+            assert cli_main([command, "--config", str(cfg), *(["--out", str(out)] if command == "sweep" else [])]) == 4
         err = capsys.readouterr().err
         assert "non-finite matrix entry" in err and "Warning" not in err
         assert not out.exists()
@@ -809,7 +880,7 @@ class TestCommandLine:
         ):
             cfg = tmp_path / "cfg"
             cfg.write_text(f"mode=from-files\nq_path={q_path}\nk_path={ones}\nq_future_path={q_future_path}\n")
-            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
+            assert cli_main([command, "--config", str(cfg), *(["--out", str(out)] if command == "sweep" else [])]) == 4
         assert "identically zero" in capsys.readouterr().err
         assert not out.exists()
 
@@ -827,7 +898,7 @@ class TestCommandLine:
         cfg.write_text(f"mode=from-files\nq_path={big}\nk_path={ones}\nprotect=false\nselectors={selectors}\n")
         monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
         out = tmp_path / "r.csv"
-        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert cli_main([command, "--config", str(cfg), *(["--out", str(out)] if command == "sweep" else [])]) == 4
         assert "norm overflows" in capsys.readouterr().err
         assert not out.exists()
 
@@ -855,7 +926,7 @@ class TestCommandLine:
         )
         monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
         out = tmp_path / "r.csv"
-        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert cli_main([command, "--config", str(cfg), *(["--out", str(out)] if command == "sweep" else [])]) == 4
         assert "validation error: channel count mismatch: q_future has 3, k has 4\n" in capsys.readouterr().err
         assert not out.exists()
 
@@ -867,7 +938,7 @@ class TestCommandLine:
         monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
         out = tmp_path / "r.csv"
         for command in ("sweep", "prune"):
-            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert cli_main([command, "--config", str(cfg), *(["--out", str(out)] if command == "sweep" else [])]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
