@@ -117,9 +117,8 @@ def _check_capacity(n: int, k: int, cap: int) -> int:
 def _subsets(n: int, k: int, cap: int) -> Iterator[np.ndarray]:
     """Every size-k subset of range(n) in lexicographic order, as (<= 4096, k) index arrays.
 
-    The package's one full-subset walk: the certificate's supports, and
-    the prefixes of the oracle's one-block case. Raises CapacityError
-    before the first chunk when C(n, k) exceeds `cap`.
+    The certificate's supports. Raises CapacityError before the first
+    chunk when C(n, k) exceeds `cap`.
     """
     total = _check_capacity(n, k, cap)
     walk = combinations(range(n), k)

@@ -22,8 +22,7 @@ import numpy as np
 
 from .core import ChannelMatrix, IndexSet, _error_sq_blocks, exact_ceil
 from .errors import DegenerateInputError
-from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, build_interaction_graph
-from .graph import _check_capacity, _subsets
+from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _check_capacity, build_interaction_graph
 
 __all__ = [
     "Problem",
@@ -293,7 +292,7 @@ class Problem:
 
 
 _BLOCK = 4096  # prefixes bounded, expanded or screened together
-_GATHER = 1024  # leaves gathered together, as (1024, k, k) floats
+_GATHER = 2**16  # floats of leaves gathered together: max(1, _GATHER // k^2) leaves of (k, k)
 
 
 def _unpruned(bounds: np.ndarray, limit: float) -> np.ndarray:
@@ -310,28 +309,28 @@ class _BranchAndBound:
     no earlier set beats with a strict `<` (the k-cluster problem; Feige,
     Peleg & Kortsarz, Algorithmica 2001).
 
-    The search grows sorted prefixes P, with r = k - |P| left to choose,
-    in blocks of at most `_BLOCK` rows. A block is its (b, |P|)
-    positions; one BLAS product over its 0/1 indicator rows gives the row
-    sums sum_{p in P} w[p, :] and from them f(P). A completion R of P lies
-    in [s, n), s one past P's last position, and f(P + R) >= f(P) +
-    sum_{j in R} c_j with c_j = w_jj + 2 sum_{p in P} w[p, j] + (the sum of
-    the r - 1 smallest w[j, i], i in [s, n) - j). So f(P) plus the r
-    smallest c_j bounds every completion from below; the smallest-entry
-    sums depend only on (s, r) and are tabulated once. A row whose bound
-    exceeds min(best, incumbent) + slack is dropped, and the survivors'
-    children are pushed in blocks, last first, so the stack pops them in
-    lexicographic order. At r = 1 a prefix's children are leaves, each
-    valued f(P) + w_jj + 2 sum_{p in P} w[p, j]; a leaf is gathered only
-    if that value is within 2 * slack of the block's smallest and within
-    slack of min(best, incumbent), or is NaN. With C(n, k) <= `_BLOCK`
-    nothing is bounded: every prefix of k - 1 positions is built at once
-    and the whole problem is one screened leaf block.
+    The search grows sorted prefixes P from the empty one, with r = k - |P|
+    left to choose, in blocks of at most `_BLOCK` rows. A block is its
+    (b, |P|) positions, each row's f(P) and its row sums rs_P = sum_{p in P}
+    w[p, :], carried from its parent: f(P + j) = f(P) + w_jj + 2 rs_P[j] and
+    rs_{P + j} = rs_P + w[j, :]. A completion R of P lies in [s, n), s one
+    past P's last position, and f(P + R) >= f(P) + sum_{j in R} c_j with
+    c_j = w_jj + 2 rs_P[j] + (the sum of the r - 1 smallest w[j, i], i in
+    [s, n) - j). So f(P) plus the r smallest c_j bounds every completion
+    from below; the smallest-entry sums depend only on (s, r) and are
+    tabulated once. A row whose bound exceeds min(best, incumbent) + slack
+    is dropped, and the survivors' children are pushed in blocks, last
+    first, so the stack pops them in lexicographic order. At r = 1 a
+    prefix's children are leaves, each valued f(P) + w_jj + 2 rs_P[j]; a
+    leaf is gathered only if that value is within 2 * slack of the block's
+    smallest and within slack of min(best, incumbent), or is NaN. With C(n, k) <= `_BLOCK`
+    nothing is bounded, and no level holds more than one block.
 
     Slack. Every value compared (a bound, a leaf's value, a gathered sum)
     is a floating-point sum of at most D = n^2 + 2n terms +-w_ij or
-    +-2 w_ij (the 0/1 products are exact), whose absolute values total at
-    most 20 M, M = sum |w|. In any order such a sum is within
+    +-2 w_ij (a carried f(P) or rs_P adds the same terms as a gathered sum
+    in another order, and doubling is exact), whose absolute values total
+    at most 20 M, M = sum |w|. In any order such a sum is within
     gamma_D * 20 M of its exact value (gamma_D = D u / (1 - D u),
     u = eps / 2; Higham, Accuracy and Stability of Numerical Algorithms,
     4.2). A bound takes the r smallest computed c_j, which sum to no more
@@ -386,10 +385,7 @@ class _BranchAndBound:
         n, k = self.n, self.k
         if k == 0:
             return np.arange(0)
-        if self.bounded:
-            cand = np.empty((1, 0), dtype=np.intp)
-        else:  # one leaf block: every prefix of k - 1 positions
-            cand = np.concatenate(list(_subsets(n - 1, k - 1, _BLOCK)))
+        cand, f, rs = np.empty((1, 0), dtype=np.intp), np.zeros(1), np.zeros((1, n))  # the empty prefix
         best, best_value = None, math.inf
         pending = []
         while True:
@@ -397,7 +393,7 @@ class _BranchAndBound:
             first = cand[:, -1] + 1 if cand.shape[1] else np.zeros(len(cand), dtype=np.intp)
             limit = min(best_value, incumbent) + self.slack
             if r == 1:
-                for sets in self._leaves(cand, *self._values(cand), first, limit):
+                for sets in self._leaves(cand, f, rs, first, limit):
                     values = self.gathered(sets)
                     if best is None:
                         best, best_value = sets[0], values[0]
@@ -405,32 +401,30 @@ class _BranchAndBound:
                     if values[pos] < best_value:  # strict: the first minimum is lexicographically smallest
                         best, best_value = sets[pos], values[pos]
             else:
-                keep = _unpruned(self.bounds(*self._values(cand), first, r), limit)
-                cand, first = cand[keep], first[keep]
+                if self.bounded:
+                    keep = _unpruned(self.bounds(f, rs, first, r), limit)
+                    cand, f, rs, first = cand[keep], f[keep], rs[keep], first[keep]
                 ends = np.cumsum(n - r + 1 - first)  # children j in [first, n - r]
                 base = n - r + 1 - ends  # child rank i of row p is j = base[p] + i
                 total = int(ends[-1]) if len(ends) else 0
                 for lo in reversed(range(0, total, _BLOCK)):
-                    pending.append((cand, ends, base, lo, min(lo + _BLOCK, total)))
+                    pending.append((cand, f, rs, ends, base, lo, min(lo + _BLOCK, total)))
             if not pending:
                 return best
-            cand = self._children(*pending.pop())
+            cand, f, rs = self._children(*pending.pop())
 
-    def _values(self, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f(P) and the row sums sum_{p in P} w[p, :] of a block of prefixes, via its 0/1 indicator rows."""
-        indicator = np.zeros((len(cand), self.n))
-        indicator[np.arange(len(cand))[:, None], cand] = 1.0
-        rs = indicator @ self.w
-        return np.einsum("ij,ij->i", indicator, rs), rs
-
-    def _children(self, cand, ends, base, lo, hi):
-        """Children of ranks [lo, hi) of a block, in lexicographic order."""
+    def _children(self, cand, f, rs, ends, base, lo, hi):
+        """Children of ranks [lo, hi) of a block, in lexicographic order, valued from their parents."""
         ranks = np.arange(lo, hi)
         parent = np.searchsorted(ends, ranks, side="right")
-        return np.concatenate((cand[parent], (base[parent] + ranks)[:, None]), axis=1)
+        j = base[parent] + ranks
+        child_f = f[parent] + self.diag[j] + 2.0 * rs[parent, j]
+        child_rs = rs[parent]
+        child_rs += self.w[j]
+        return np.concatenate((cand[parent], j[:, None]), axis=1), child_f, child_rs
 
     def _leaves(self, cand, f, rs, first, limit):
-        """The screened leaves under a block of r = 1 prefixes, as (<= _GATHER, k) position sets."""
+        """Screened leaves under a block of r = 1 prefixes: (b, k) position sets, b <= max(1, _GATHER // k^2)."""
         values = 2.0 * rs
         values += self.diag
         values += f[:, None]
@@ -440,8 +434,9 @@ class _BranchAndBound:
             threshold = limit
         rows, cols = np.nonzero(valid & ~(values > threshold))
         del values, valid
-        for lo in range(0, len(rows), _GATHER):
-            yield np.concatenate((cand[rows[lo : lo + _GATHER]], cols[lo : lo + _GATHER, None]), axis=1)
+        step = max(1, _GATHER // (self.k * self.k))
+        for lo in range(0, len(rows), step):
+            yield np.concatenate((cand[rows[lo : lo + step]], cols[lo : lo + step, None]), axis=1)
 
 
 def think_select(

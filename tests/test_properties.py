@@ -257,11 +257,14 @@ def tie_heavy_instances(draw):
     return ChannelMatrix(q), ChannelMatrix(k), protected
 
 
-@PROPERTY
-@given(tie_heavy_instances(), ratios)
-def test_oracle_is_the_first_minimizer(instance, lam):
+@settings(PROPERTY, max_examples=120)
+@given(tie_heavy_instances(), ratios, st.sampled_from([(prune._BLOCK, prune._GATHER), (5, 5)]))
+def test_oracle_is_the_first_minimizer(instance, lam, sizes):
+    # Blocks of 5 send ties, zero and duplicated columns through the bound table, the
+    # carried sums and children split across pending blocks that share a parent.
     q, k, protected = instance
-    sel = oracle_select(q, k, lam, protected)
+    with mock.patch.object(prune, "_BLOCK", sizes[0]), mock.patch.object(prune, "_GATHER", sizes[1]):
+        sel = oracle_select(q, k, lam, protected)
     assert tuple(sel.pruned) == first_minimizer(q, k, protected, sel.n_prune)
 
 
@@ -440,6 +443,30 @@ def test_block_bounds_never_exceed_a_completion(d, seed, scales, data):
             bound = search.bounds(np.array([w[np.ix_(rows, rows)].sum()]), w[rows].sum(axis=0)[None, :], np.array([first]), r)[0]
             sets = [rows + list(rest) for rest in combinations(range(first, d), r)]
             assert bound <= search.gathered(np.array(sets)).min() + search.slack
+
+
+@PROPERTY
+@given(st.integers(3, 9), st.integers(0, 2**32 - 1), st.sampled_from(SCALES), st.data())
+def test_carried_values_and_row_sums_stay_within_the_slack(d, seed, scales, data):
+    # Every block the search expands, against its prefixes' gathered f(P) and row sums.
+    rng = np.random.default_rng(seed)
+    q, k = (ChannelMatrix(rng.standard_normal((3, d)) * scale) for scale in scales)
+    w = build_interaction_graph(q, k).w
+    search = prune._BranchAndBound(w, data.draw(st.integers(2, d)))
+    assert math.isfinite(search.slack)
+    blocks, children = [], search._children
+
+    def recorded(*args):
+        blocks.append(children(*args))
+        return blocks[-1]
+
+    with mock.patch.object(search, "_children", recorded):
+        search.run(math.inf)
+    assert blocks
+    for cand, f, rs in blocks:
+        for rows, value, sums in zip(cand.tolist(), f, rs):
+            assert abs(value - w[np.ix_(rows, rows)].sum()) <= search.slack
+            assert np.all(np.abs(sums - w[rows].sum(axis=0)) <= search.slack)
 
 
 def test_nan_or_infinite_bounds_never_prune():

@@ -296,6 +296,19 @@ class TestOracleSelect:
         assert sel.n_prune == 198
         assert peak <= 8 * 2**20
 
+    def test_the_leaf_gather_is_bounded_by_floats_not_leaves(self):
+        # C(90, 88) = 4,005 tied subsets, far inside the cap, all screened in: gathered
+        # 1,024 leaves of 88 x 88 at a time, one chunk alone would be 60 MiB.
+        ones = ChannelMatrix(np.ones((4, 90)))
+        tracemalloc.start()
+        try:
+            sel = oracle_select(ones, ones, 88 / 90)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sel.pruned.indices == tuple(range(88))
+        assert peak <= 16 * 2**20
+
 
 class TestRandomSelect:
     def test_lambda_zero(self):
