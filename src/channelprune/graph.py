@@ -5,13 +5,14 @@ channel's standalone contribution to the reconstruction error, edge
 weights (off-diagonal) are the pairwise interaction terms. The stored
 matrix W satisfies f(S) = 1_S^T W 1_S, i.e. the factor 2 on each edge is
 realized by symmetric double counting rather than stored explicitly.
+One lexicographic walk over size-k sets, `_BranchAndBound`, serves the
+oracle (bounded) and the certificate (at an infinite slack, every set).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from typing import Iterator
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
 
 # The oracle and the certificate refuse problems with more subsets than this.
 DEFAULT_ENUMERATION_CAP = 2_000_000
-_SUBSET_CHUNK = 4096  # subsets enumerated, gathered and reduced together
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,18 +114,148 @@ def _check_capacity(n: int, k: int, cap: int) -> int:
     return total
 
 
-def _subsets(n: int, k: int, cap: int) -> Iterator[np.ndarray]:
-    """Every size-k subset of range(n) in lexicographic order, as (<= 4096, k) index arrays.
+_BLOCK = 4096  # prefixes bounded, expanded or screened together
+_GATHER = 2**16  # floats of leaves gathered together: max(1, _GATHER // k^2) leaves of (k, k)
 
-    The certificate's supports. Raises CapacityError before the first
-    chunk when C(n, k) exceeds `cap`.
+
+def _unpruned(bounds: np.ndarray, limit: float) -> np.ndarray:
+    """Rows whose bound does not exceed `limit`; a NaN or infinite bound never prunes."""
+    return ~(bounds > limit) | ~np.isfinite(bounds)
+
+
+def _rounding_slack(w: np.ndarray) -> float:
+    """32 D eps sum|w|, D = n^2 + 2n, or +inf when 64 sum|w| overflows: see `_BranchAndBound`."""
+    n, total = len(w), float(np.abs(w).sum())
+    return 32.0 * (n * n + 2 * n) * np.finfo(np.float64).eps * total if math.isfinite(64.0 * total) else math.inf
+
+
+class _BranchAndBound:
+    """Depth-first walk over the size-k sets of positions, in lexicographic order, bounded by a slack.
+
+    `w` is a symmetric matrix over positions 0..n-1 (the oracle's W restricted
+    to its pool, or the certificate's W). A set's value is its gathered sum
+    w[S][:, S].sum(). `leaves` yields, in lexicographic order, every size-k set
+    that the bound and the screen below cannot rule out. The oracle folds them
+    into the first set whose value no earlier set beats with a strict `<`, the
+    first minimizer (the k-cluster problem; Feige, Peleg & Kortsarz,
+    Algorithmica 2001), lowering `limit`, the smallest value it knows (+inf at
+    first), as it goes. The certificate passes an infinite slack and gets every set.
+
+    The walk grows sorted prefixes P from the empty one, with r = k - |P|
+    left to choose, in blocks of at most `_BLOCK` rows. A block is its
+    (b, |P|) positions, each row's f(P) and its row sums rs_P = sum_{p in P}
+    w[p, :], carried from its parent: f(P + j) = f(P) + w_jj + 2 rs_P[j] and
+    rs_{P + j} = rs_P + w[j, :]. A completion R of P lies in [s, n), s one
+    past P's last position, and f(P + R) >= f(P) + sum_{j in R} c_j with
+    c_j = w_jj + 2 rs_P[j] + (the sum of the r - 1 smallest w[j, i], i in
+    [s, n) - j). So f(P) plus the r smallest c_j bounds every completion
+    from below; the smallest-entry sums depend only on (s, r) and are
+    tabulated once. A row whose bound exceeds limit + slack is dropped, and
+    the survivors' children are pushed in blocks, last first, so the stack
+    pops them in lexicographic order. At r = 1 a prefix's children are
+    leaves, each valued f(P) + w_jj + 2 rs_P[j]; a leaf is yielded only if
+    that value is within 2 * slack of the block's smallest and within slack
+    of `limit`, or is NaN. With C(n, k) <= `_BLOCK`, or an infinite slack,
+    nothing is bounded and no table is built.
+
+    Slack. Every value compared (a bound, a leaf's value, a gathered sum)
+    is a floating-point sum of at most D = n^2 + 2n terms +-w_ij or
+    +-2 w_ij (a carried f(P) or rs_P adds the same terms as a gathered sum
+    in another order, and doubling is exact), whose absolute values total
+    at most 20 M, M = sum |w|. In any order such a sum is within
+    gamma_D * 20 M of its exact value (gamma_D = D u / (1 - D u),
+    u = eps / 2; Higham, Accuracy and Stability of Numerical Algorithms,
+    4.2). A bound takes the r smallest computed c_j, which sum to no more
+    than any completion's computed c_j, so a bound exceeds a completion's
+    gathered sum by at most the errors of the two, and a leaf's value
+    differs from its gathered sum by at most the same: 2 gamma_D * 20 M,
+    about 20 D eps M. `_rounding_slack` is 32 D eps M, which also covers the
+    rounding of M, of the slack and of `limit + slack`. Sums below
+    2^-1021 are exact, so tiny W needs no floor. When 64 M overflows, a
+    partial sum may overflow too, and the slack is +inf: nothing is
+    pruned and nothing is screened out.
     """
-    total = _check_capacity(n, k, cap)
-    walk = combinations(range(n), k)
-    for start in range(0, total, _SUBSET_CHUNK):
-        rows = min(_SUBSET_CHUNK, total - start)
-        flat = chain.from_iterable(islice(walk, rows))
-        yield np.fromiter(flat, dtype=np.intp, count=rows * k).reshape(rows, k)
+
+    def __init__(self, w: np.ndarray, k: int, slack: float):
+        n = len(w)
+        self.w, self.n, self.k, self.slack, self.limit = w, n, k, slack, math.inf
+        self.diag = w.diagonal()
+        self.bounded = math.isfinite(slack) and math.comb(n, k) > _BLOCK
+        if self.bounded:
+            # A prefix ending at s - 1 holds at most s channels and leaves r >= 2 to choose from
+            # [s, n), so it asks for the c = r - 1 smallest entries only for c from lo[s] + 1 =
+            # max(1, k - 1 - s) to min(k - 1, n - s - 1): at most min(k - 1, n - k + 1) counts.
+            # table[s, c - 1 - lo[s], j] is the sum of the c smallest w[j, i] over i in [s, n) - j,
+            # +inf where j < s. A prefix leaves s <= n - 2, and s > 0 occurs only if k > 2.
+            off = w.copy()
+            np.fill_diagonal(off, np.inf)
+            self.lo = np.maximum(k - 2 - np.arange(n), 0)
+            self.table = np.full((n - 1 if k > 2 else 1, min(k - 1, n - k + 1), n), np.inf)
+            for s in range(len(self.table)):
+                c = min(k - 1, n - s - 1)
+                sums = np.cumsum(np.sort(off[s:, s:], axis=1)[:, :c], axis=1)
+                self.table[s, : c - self.lo[s], s:] = sums[:, self.lo[s] :].T
+
+    def gathered(self, sets: np.ndarray) -> np.ndarray:
+        """The gathered sum of each row of position sets (b, k)."""
+        return self.w[sets[:, :, None], sets[:, None, :]].sum(axis=(1, 2))
+
+    def bounds(self, f: np.ndarray, rs: np.ndarray, first: np.ndarray, r: int) -> np.ndarray:
+        """f(P) plus the r smallest c_j over j >= first: a lower bound on every completion."""
+        c = self.table[first, r - 2 - self.lo[first]]
+        c += rs
+        c += rs
+        c += self.diag
+        c.partition(r - 1, axis=1)
+        return f + c[:, :r].sum(axis=1)
+
+    def leaves(self) -> Iterator[np.ndarray]:
+        """Screened leaves in lexicographic order: (b, k) position sets, b <= max(1, _GATHER // k^2); k >= 1.
+
+        `limit` is read as each block is popped, so what a caller sets between chunks prunes what follows.
+        """
+        n, k = self.n, self.k
+        cand, f, rs = np.empty((1, 0), dtype=np.intp), np.zeros(1), np.zeros((1, n))  # the empty prefix
+        pending = []
+        while True:
+            r = k - cand.shape[1]
+            first = cand[:, -1] + 1 if cand.shape[1] else np.zeros(len(cand), dtype=np.intp)
+            limit = self.limit + self.slack
+            if r == 1:
+                values = 2.0 * rs
+                values += self.diag
+                values += f[:, None]
+                valid = np.arange(n) >= first[:, None]
+                threshold = np.min(values, where=valid, initial=np.inf) + 2.0 * self.slack
+                if limit < threshold:
+                    threshold = limit
+                rows, cols = np.nonzero(valid & ~(values > threshold))
+                del values, valid
+                step = max(1, _GATHER // (k * k))
+                for lo in range(0, len(rows), step):
+                    yield np.concatenate((cand[rows[lo : lo + step]], cols[lo : lo + step, None]), axis=1)
+            else:
+                if self.bounded:
+                    keep = _unpruned(self.bounds(f, rs, first, r), limit)
+                    cand, f, rs, first = cand[keep], f[keep], rs[keep], first[keep]
+                ends = np.cumsum(n - r + 1 - first)  # children j in [first, n - r]
+                base = n - r + 1 - ends  # child rank i of row p is j = base[p] + i
+                total = int(ends[-1]) if len(ends) else 0
+                for lo in reversed(range(0, total, _BLOCK)):
+                    pending.append((cand, f, rs, ends, base, lo, min(lo + _BLOCK, total)))
+            if not pending:
+                return
+            cand, f, rs = self._children(*pending.pop())
+
+    def _children(self, cand, f, rs, ends, base, lo, hi):
+        """Children of ranks [lo, hi) of a block, in lexicographic order, valued from their parents."""
+        ranks = np.arange(lo, hi)
+        parent = np.searchsorted(ends, ranks, side="right")
+        j = base[parent] + ranks
+        child_f = f[parent] + self.diag[j] + 2.0 * rs[parent, j]
+        child_rs = rs[parent]
+        child_rs += self.w[j]
+        return np.concatenate((cand[parent], j[:, None]), axis=1), child_f, child_rs
 
 
 def restricted_eigenvalues(
@@ -134,19 +264,22 @@ def restricted_eigenvalues(
     """Exact restricted eigenvalues over every support of size exactly k.
 
     mu_min (mu_max) is the smallest (largest) eigenvalue over all k x k
-    principal submatrices of W, each chunk of supports gathered into one
-    stack and solved by one LAPACK `eigvalsh` call: the first support, in
-    lexicographic order, that attains it gives its bits. Each eigenvalue
-    is within p(k) eps ||A||_2 <= 16 k^2 eps k max|w_ij| of the exact one
-    (LAPACK Users' Guide, 4.7), at any scale of W. Raises CapacityError,
-    with the same message as the oracle, when C(d, k) exceeds `cap`.
+    principal submatrices of W. `_BranchAndBound` at an infinite slack walks
+    every support, in lexicographic chunks of at most 2^16 floats (or one
+    support), each gathered into one stack and solved by one LAPACK `eigvalsh`
+    call: the first support, in lexicographic order, that attains it gives
+    its bits. Each eigenvalue is within p(k) eps ||A||_2 <= 16 k^2 eps k max|w_ij|
+    of the exact one (LAPACK Users' Guide, 4.7), at any scale of W. Raises
+    CapacityError, with the oracle's message, before any work when C(d, k) > `cap`.
     """
     if not 1 <= k <= g.dim:
         raise ValueError(f"subset size {k} out of range for dimension {g.dim}")
+    _check_capacity(g.dim, k, cap)
     mu_min, mu_max = math.inf, -math.inf
-    for rows in _subsets(g.dim, k, cap):
-        eig = np.linalg.eigvalsh(g.w[rows[:, :, None], rows[:, None, :]])
-        # First extremum of the chunk, and an earlier chunk keeps a tie.
-        mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
-        mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # the walk's carried sums, unread here, may overflow
+        for rows in _BranchAndBound(g.w, k, math.inf).leaves():
+            eig = np.linalg.eigvalsh(g.w[rows[:, :, None], rows[:, None, :]])
+            # First extremum of the chunk, and an earlier chunk keeps a tie.
+            mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
+            mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))
     return EigenCertificate(k=k, mu_min=mu_min, mu_max=mu_max)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import ChannelMatrix, IndexSet, _error_sq_blocks, exact_ceil
 from .errors import DegenerateInputError
-from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _check_capacity, build_interaction_graph
+from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _BranchAndBound, _check_capacity, _rounding_slack
+from .graph import build_interaction_graph
 
 __all__ = [
     "Problem",
@@ -279,164 +280,29 @@ class Problem:
     def _oracle_order(self, n_prune: int) -> tuple[int, ...]:
         """Lexicographically smallest minimizer of 1_S^T W 1_S over size-n_prune sets.
 
-        The greedy prefix, when the search bounds at all, is the incumbent
-        that prunes before the first leaf is reached.
+        A strict `<` over the walk's leaves keeps the first minimum, and the walk's
+        `limit` is the smaller of the best sum and the incumbent: the greedy prefix's
+        sum when the search bounds at all, which prunes before the first leaf is reached.
         """
         pool = self.candidates
-        search = _BranchAndBound(self.graph.w[np.ix_(pool, pool)], n_prune)
+        w = self.graph.w[np.ix_(pool, pool)]
+        if n_prune == 0:
+            return ()
+        search = _BranchAndBound(w, n_prune, _rounding_slack(w))
         incumbent = math.inf
         if search.bounded:
             greedy = np.searchsorted(pool, sorted(self._greedy_prefix(n_prune)))
-            incumbent = float(search.gathered(greedy[None, :])[0])
-        return tuple(pool[search.run(incumbent)].tolist())
-
-
-_BLOCK = 4096  # prefixes bounded, expanded or screened together
-_GATHER = 2**16  # floats of leaves gathered together: max(1, _GATHER // k^2) leaves of (k, k)
-
-
-def _unpruned(bounds: np.ndarray, limit: float) -> np.ndarray:
-    """Rows whose bound does not exceed `limit`; a NaN or infinite bound never prunes."""
-    return ~(bounds > limit) | ~np.isfinite(bounds)
-
-
-class _BranchAndBound:
-    """Depth-first branch and bound for the first minimizer of the gathered sum over size-k sets.
-
-    `w` is W restricted to the pool; positions index its rows. A set's
-    value is its gathered sum w[S][:, S].sum(), the one number that
-    decides, and the winner is the lexicographically first set whose value
-    no earlier set beats with a strict `<` (the k-cluster problem; Feige,
-    Peleg & Kortsarz, Algorithmica 2001).
-
-    The search grows sorted prefixes P from the empty one, with r = k - |P|
-    left to choose, in blocks of at most `_BLOCK` rows. A block is its
-    (b, |P|) positions, each row's f(P) and its row sums rs_P = sum_{p in P}
-    w[p, :], carried from its parent: f(P + j) = f(P) + w_jj + 2 rs_P[j] and
-    rs_{P + j} = rs_P + w[j, :]. A completion R of P lies in [s, n), s one
-    past P's last position, and f(P + R) >= f(P) + sum_{j in R} c_j with
-    c_j = w_jj + 2 rs_P[j] + (the sum of the r - 1 smallest w[j, i], i in
-    [s, n) - j). So f(P) plus the r smallest c_j bounds every completion
-    from below; the smallest-entry sums depend only on (s, r) and are
-    tabulated once. A row whose bound exceeds min(best, incumbent) + slack
-    is dropped, and the survivors' children are pushed in blocks, last
-    first, so the stack pops them in lexicographic order. At r = 1 a
-    prefix's children are leaves, each valued f(P) + w_jj + 2 rs_P[j]; a
-    leaf is gathered only if that value is within 2 * slack of the block's
-    smallest and within slack of min(best, incumbent), or is NaN. With C(n, k) <= `_BLOCK`
-    nothing is bounded, and no level holds more than one block.
-
-    Slack. Every value compared (a bound, a leaf's value, a gathered sum)
-    is a floating-point sum of at most D = n^2 + 2n terms +-w_ij or
-    +-2 w_ij (a carried f(P) or rs_P adds the same terms as a gathered sum
-    in another order, and doubling is exact), whose absolute values total
-    at most 20 M, M = sum |w|. In any order such a sum is within
-    gamma_D * 20 M of its exact value (gamma_D = D u / (1 - D u),
-    u = eps / 2; Higham, Accuracy and Stability of Numerical Algorithms,
-    4.2). A bound takes the r smallest computed c_j, which sum to no more
-    than any completion's computed c_j, so a bound exceeds a completion's
-    gathered sum by at most the errors of the two, and a leaf's value
-    differs from its gathered sum by at most the same: 2 gamma_D * 20 M,
-    about 20 D eps M. `slack` is 32 D eps M, which also covers the
-    rounding of M, of the slack and of `limit + slack`. Sums below
-    2^-1021 are exact, so tiny W needs no floor. When 64 M overflows, a
-    partial sum may overflow too, and the slack is +inf: nothing is
-    pruned and nothing is screened out.
-    """
-
-    def __init__(self, w: np.ndarray, k: int):
-        n = len(w)
-        self.w, self.n, self.k = w, n, k
-        self.diag = w.diagonal()
-        total = float(np.abs(w).sum())
-        eps = np.finfo(np.float64).eps
-        self.slack = 32.0 * (n * n + 2 * n) * eps * total if math.isfinite(64.0 * total) else math.inf
-        self.bounded = math.comb(n, k) > _BLOCK
-        if self.bounded:
-            # A prefix ending at s - 1 holds at most s channels and leaves r >= 2 to choose from
-            # [s, n), so it asks for the c = r - 1 smallest entries only for c from lo[s] + 1 =
-            # max(1, k - 1 - s) to min(k - 1, n - s - 1): at most min(k - 1, n - k + 1) counts.
-            # table[s, c - 1 - lo[s], j] is the sum of the c smallest w[j, i] over i in [s, n) - j,
-            # +inf where j < s. A prefix leaves s <= n - 2, and s > 0 occurs only if k > 2.
-            off = w.copy()
-            np.fill_diagonal(off, np.inf)
-            self.lo = np.maximum(k - 2 - np.arange(n), 0)
-            self.table = np.full((n - 1 if k > 2 else 1, min(k - 1, n - k + 1), n), np.inf)
-            for s in range(len(self.table)):
-                c = min(k - 1, n - s - 1)
-                sums = np.cumsum(np.sort(off[s:, s:], axis=1)[:, :c], axis=1)
-                self.table[s, : c - self.lo[s], s:] = sums[:, self.lo[s] :].T
-
-    def gathered(self, sets: np.ndarray) -> np.ndarray:
-        """The gathered sum of each row of position sets (b, k)."""
-        return self.w[sets[:, :, None], sets[:, None, :]].sum(axis=(1, 2))
-
-    def bounds(self, f: np.ndarray, rs: np.ndarray, first: np.ndarray, r: int) -> np.ndarray:
-        """f(P) plus the r smallest c_j over j >= first: a lower bound on every completion."""
-        c = self.table[first, r - 2 - self.lo[first]]
-        c += rs
-        c += rs
-        c += self.diag
-        c.partition(r - 1, axis=1)
-        return f + c[:, :r].sum(axis=1)
-
-    def run(self, incumbent: float) -> np.ndarray:
-        """Positions of the first minimizer; `incumbent` is some set's gathered sum, or +inf."""
-        n, k = self.n, self.k
-        if k == 0:
-            return np.arange(0)
-        cand, f, rs = np.empty((1, 0), dtype=np.intp), np.zeros(1), np.zeros((1, n))  # the empty prefix
+            search.limit = incumbent = float(search.gathered(greedy[None, :])[0])
         best, best_value = None, math.inf
-        pending = []
-        while True:
-            r = k - cand.shape[1]
-            first = cand[:, -1] + 1 if cand.shape[1] else np.zeros(len(cand), dtype=np.intp)
-            limit = min(best_value, incumbent) + self.slack
-            if r == 1:
-                for sets in self._leaves(cand, f, rs, first, limit):
-                    values = self.gathered(sets)
-                    if best is None:
-                        best, best_value = sets[0], values[0]
-                    pos = int(np.argmin(np.where(np.isnan(values), np.inf, values)))
-                    if values[pos] < best_value:  # strict: the first minimum is lexicographically smallest
-                        best, best_value = sets[pos], values[pos]
-            else:
-                if self.bounded:
-                    keep = _unpruned(self.bounds(f, rs, first, r), limit)
-                    cand, f, rs, first = cand[keep], f[keep], rs[keep], first[keep]
-                ends = np.cumsum(n - r + 1 - first)  # children j in [first, n - r]
-                base = n - r + 1 - ends  # child rank i of row p is j = base[p] + i
-                total = int(ends[-1]) if len(ends) else 0
-                for lo in reversed(range(0, total, _BLOCK)):
-                    pending.append((cand, f, rs, ends, base, lo, min(lo + _BLOCK, total)))
-            if not pending:
-                return best
-            cand, f, rs = self._children(*pending.pop())
-
-    def _children(self, cand, f, rs, ends, base, lo, hi):
-        """Children of ranks [lo, hi) of a block, in lexicographic order, valued from their parents."""
-        ranks = np.arange(lo, hi)
-        parent = np.searchsorted(ends, ranks, side="right")
-        j = base[parent] + ranks
-        child_f = f[parent] + self.diag[j] + 2.0 * rs[parent, j]
-        child_rs = rs[parent]
-        child_rs += self.w[j]
-        return np.concatenate((cand[parent], j[:, None]), axis=1), child_f, child_rs
-
-    def _leaves(self, cand, f, rs, first, limit):
-        """Screened leaves under a block of r = 1 prefixes: (b, k) position sets, b <= max(1, _GATHER // k^2)."""
-        values = 2.0 * rs
-        values += self.diag
-        values += f[:, None]
-        valid = np.arange(self.n) >= first[:, None]
-        threshold = np.min(values, where=valid, initial=np.inf) + 2.0 * self.slack
-        if limit < threshold:
-            threshold = limit
-        rows, cols = np.nonzero(valid & ~(values > threshold))
-        del values, valid
-        step = max(1, _GATHER // (self.k * self.k))
-        for lo in range(0, len(rows), step):
-            yield np.concatenate((cand[rows[lo : lo + step]], cols[lo : lo + step, None]), axis=1)
+        for sets in search.leaves():
+            values = search.gathered(sets)
+            if best is None:
+                best, best_value = sets[0], values[0]
+            pos = int(np.argmin(np.where(np.isnan(values), np.inf, values)))
+            if values[pos] < best_value:  # strict: the first minimum is lexicographically smallest
+                best, best_value = sets[pos], values[pos]
+            search.limit = min(best_value, incumbent)
+        return tuple(pool[best].tolist())
 
 
 def think_select(

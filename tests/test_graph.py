@@ -7,7 +7,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from channelprune import graph
 from channelprune import (
     CapacityError,
     ChannelMatrix,
@@ -167,24 +166,6 @@ class TestQuadraticForm:
             size = int(rng.integers(1, 9))
             s = IndexSet(tuple(sorted(rng.choice(8, size=size, replace=False).tolist())))
             assert quadratic_form(g, s) >= -1e-8 * float(np.linalg.norm(g.w))
-
-
-class TestSubsets:
-    def test_chunks_enumerate_every_subset_in_order(self):
-        pool = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
-        chunks = list(graph._subsets(len(pool), 8, cap=math.comb(16, 8)))
-        assert [len(c) for c in chunks] == [4096, 4096, 4096, 582]
-        flat = [tuple(int(j) for j in row) for chunk in chunks for row in pool[chunk]]
-        assert flat == list(combinations(pool.tolist(), 8))
-
-    def test_empty_subset_is_one_row(self):
-        (chunk,) = graph._subsets(4, 0, cap=1)
-        assert chunk.shape == (1, 0)
-
-    def test_cap_raises_before_the_first_chunk(self):
-        chunks = graph._subsets(20, 10, cap=1000)
-        with pytest.raises(CapacityError, match="184756 subsets exceed the enumeration cap 1000"):
-            next(chunks)
 
 
 class TestRestrictedEigenvalues:

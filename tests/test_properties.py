@@ -1,5 +1,5 @@
-"""Property-based tests for the selection invariants, the subset
-enumerator, the branch-and-bound oracle and its bound, the chunked
+"""Property-based tests for the selection invariants, the lexicographic
+subset walk, the branch-and-bound oracle and its bound, the chunked
 certificate and the configuration and matrix round-trips.
 
 Instances are seeded normal matrices, with about one column in ten scaled
@@ -215,17 +215,21 @@ def test_w_and_orders_do_not_depend_on_exact_channel_scales(instance, data):
 
 
 @PROPERTY
-@given(st.integers(0, 14), st.sampled_from([37, graph._SUBSET_CHUNK]), st.data())
-def test_subsets_chunks_equal_itertools(n, chunk, data):
-    # A non-contiguous pool, every size, and a small chunk so that ranks cross chunk boundaries.
-    pool = np.array(sorted(data.draw(st.sets(st.integers(0, 60), min_size=n, max_size=n))), dtype=np.intp)
-    with mock.patch.object(graph, "_SUBSET_CHUNK", chunk):
-        for k in range(n + 1):
-            expected = list(combinations(pool.tolist(), k))
-            chunks = list(graph._subsets(n, k, cap=len(expected)))
-            assert [len(rows) for rows in chunks] == [min(chunk, len(expected) - s) for s in range(0, len(expected), chunk)]
-            assert all(rows.dtype == np.intp and rows.shape[1:] == (k,) for rows in chunks)
-            assert [tuple(row) for rows in chunks for row in pool[rows].tolist()] == expected
+@given(st.integers(1, 14), st.sampled_from([(5, 37), (graph._BLOCK, graph._GATHER)]), st.integers(0, 2**32 - 1))
+def test_walk_at_infinite_slack_yields_every_subset_in_order(n, sizes, seed):
+    # Small blocks and chunks split every level and every leaf block; W holds ties and zeros,
+    # which an infinite slack must neither prune nor screen out.
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-1, 2, (n, n)).astype(np.float64)
+    w = a + a.T
+    with mock.patch.object(graph, "_BLOCK", sizes[0]), mock.patch.object(graph, "_GATHER", sizes[1]):
+        for k in range(1, n + 1):
+            search = graph._BranchAndBound(w, k, math.inf)
+            assert not search.bounded  # an infinite slack builds no bound table
+            chunks = list(search.leaves())
+            assert all(rows.dtype == np.intp and rows.ndim == 2 and rows.shape[1] == k for rows in chunks)
+            assert all(1 <= len(rows) <= max(1, sizes[1] // (k * k)) for rows in chunks)
+            assert [tuple(row) for rows in chunks for row in rows.tolist()] == list(combinations(range(n), k))
 
 
 def first_minimizer(q, k, protected, size):
@@ -258,12 +262,12 @@ def tie_heavy_instances(draw):
 
 
 @settings(PROPERTY, max_examples=120)
-@given(tie_heavy_instances(), ratios, st.sampled_from([(prune._BLOCK, prune._GATHER), (5, 5)]))
+@given(tie_heavy_instances(), ratios, st.sampled_from([(graph._BLOCK, graph._GATHER), (5, 5)]))
 def test_oracle_is_the_first_minimizer(instance, lam, sizes):
     # Blocks of 5 send ties, zero and duplicated columns through the bound table, the
     # carried sums and children split across pending blocks that share a parent.
     q, k, protected = instance
-    with mock.patch.object(prune, "_BLOCK", sizes[0]), mock.patch.object(prune, "_GATHER", sizes[1]):
+    with mock.patch.object(graph, "_BLOCK", sizes[0]), mock.patch.object(graph, "_GATHER", sizes[1]):
         sel = oracle_select(q, k, lam, protected)
     assert tuple(sel.pruned) == first_minimizer(q, k, protected, sel.n_prune)
 
@@ -409,12 +413,12 @@ def tie_free_instances(draw):
 
 
 @PROPERTY
-@given(tie_free_instances(), ratios, st.sampled_from([5, 64, prune._BLOCK]))
+@given(tie_free_instances(), ratios, st.sampled_from([5, 64, graph._BLOCK]))
 def test_branch_and_bound_is_the_first_minimizer(instance, lam, block):
     # At d <= 14 every problem fits one leaf block of the default size; smaller
     # blocks make the search bound every level and split blocks mid-expansion.
     q, k, protected = instance
-    with mock.patch.object(prune, "_BLOCK", block), mock.patch.object(prune, "_GATHER", block):
+    with mock.patch.object(graph, "_BLOCK", block), mock.patch.object(graph, "_GATHER", block):
         sel = oracle_select(q, k, lam, protected)
     assert tuple(sel.pruned) == first_minimizer(q, k, protected, sel.n_prune)
 
@@ -432,8 +436,8 @@ def test_block_bounds_never_exceed_a_completion(d, seed, scales, data):
     q, k = (ChannelMatrix(rng.standard_normal((3, d)) * scale) for scale in scales)
     w = build_interaction_graph(q, k).w
     size = data.draw(st.integers(2, d - 2))
-    with mock.patch.object(prune, "_BLOCK", 0):  # tabulate even when one leaf block would do
-        search = prune._BranchAndBound(w, size)
+    with mock.patch.object(graph, "_BLOCK", 0):  # tabulate even when one leaf block would do
+        search = graph._BranchAndBound(w, size, graph._rounding_slack(w))
     assert math.isfinite(search.slack)
     for t in range(size - 1):
         r = size - t
@@ -452,7 +456,7 @@ def test_carried_values_and_row_sums_stay_within_the_slack(d, seed, scales, data
     rng = np.random.default_rng(seed)
     q, k = (ChannelMatrix(rng.standard_normal((3, d)) * scale) for scale in scales)
     w = build_interaction_graph(q, k).w
-    search = prune._BranchAndBound(w, data.draw(st.integers(2, d)))
+    search = graph._BranchAndBound(w, data.draw(st.integers(2, d)), graph._rounding_slack(w))
     assert math.isfinite(search.slack)
     blocks, children = [], search._children
 
@@ -461,7 +465,7 @@ def test_carried_values_and_row_sums_stay_within_the_slack(d, seed, scales, data
         return blocks[-1]
 
     with mock.patch.object(search, "_children", recorded):
-        search.run(math.inf)
+        list(search.leaves())
     assert blocks
     for cand, f, rs in blocks:
         for rows, value, sums in zip(cand.tolist(), f, rs):
@@ -471,12 +475,12 @@ def test_carried_values_and_row_sums_stay_within_the_slack(d, seed, scales, data
 
 def test_nan_or_infinite_bounds_never_prune():
     bounds = np.array([np.nan, np.inf, -np.inf, 1.0, 3.0])
-    assert prune._unpruned(bounds, 2.0).tolist() == [True, True, True, True, False]
-    assert prune._unpruned(bounds, np.nan).all()
-    # sum |W| overflows, so the slack is +inf: the bounded search still reaches the first minimizer.
+    assert graph._unpruned(bounds, 2.0).tolist() == [True, True, True, True, False]
+    assert graph._unpruned(bounds, np.nan).all()
+    # sum |W| overflows, so the slack is +inf and nothing is bounded: the search still reaches the first minimizer.
     v = np.array([1e154, 1e154, 1e154, 1.0, 2.0, -3.0])
     q, k = ChannelMatrix(v[None, :]), ChannelMatrix(np.ones((1, 6)))
-    with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(prune, "_BLOCK", 1):
+    with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(graph, "_BLOCK", 1):
         assert tuple(oracle_select(q, k, 0.5).pruned) == first_minimizer(q, k, (), 3) == (3, 4, 5)
 
 
@@ -521,10 +525,10 @@ def certificate_graphs(draw):
 
 
 @PROPERTY
-@given(certificate_graphs(), st.sampled_from([7, graph._SUBSET_CHUNK]), st.data())
+@given(certificate_graphs(), st.sampled_from([7, graph._GATHER]), st.data())
 def test_chunked_certificate_is_one_support_at_a_time_bitwise(g, chunk, data):
     # A small chunk carries ties and extremes across chunks; k = 1 and k = dim always run.
-    with mock.patch.object(graph, "_SUBSET_CHUNK", chunk):
+    with mock.patch.object(graph, "_GATHER", chunk):
         for k in sorted({1, data.draw(st.integers(1, g.dim)), g.dim}):
             assert certificate_hex(g, k) == one_support_at_a_time(g, k)
 

@@ -29,6 +29,7 @@ from channelprune import (
     quadratic_form,
     random_select,
     reconstruction_error_sq,
+    restricted_eigenvalues,
     think_select,
 )
 from channelprune import prune
@@ -308,6 +309,21 @@ class TestOracleSelect:
             tracemalloc.stop()
         assert sel.pruned.indices == tuple(range(88))
         assert peak <= 16 * 2**20
+
+    def test_the_certificate_gather_is_bounded_by_floats_not_supports(self):
+        # The certificate walks the oracle's leaves: C(64, 62) = 2,016 supports, solved 17 of
+        # 62 x 62 at a time; one stack of them all would be 59 MiB.
+        rng = np.random.default_rng(0)
+        q, k = (ChannelMatrix(rng.standard_normal((8, 64))) for _ in range(2))
+        g = build_interaction_graph(q, k)
+        tracemalloc.start()
+        try:
+            cert = restricted_eigenvalues(g, 62)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= cert.mu_min <= cert.mu_max
+        assert peak <= 8 * 2**20
 
 
 class TestRandomSelect:
