@@ -2,11 +2,13 @@ import math
 import warnings
 from functools import cache
 from itertools import combinations
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 
+from channelprune import graph
 from channelprune import (
     CapacityError,
     ChannelMatrix,
@@ -166,6 +168,35 @@ class TestQuadraticForm:
             size = int(rng.integers(1, 9))
             s = IndexSet(tuple(sorted(rng.choice(8, size=size, replace=False).tolist())))
             assert quadratic_form(g, s) >= -1e-8 * float(np.linalg.norm(g.w))
+
+
+class TestSubsets:
+    def test_chunks_enumerate_every_subset_in_order(self):
+        pool = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
+        chunks = list(graph._BranchAndBound(np.zeros((16, 16)), 8, math.inf).leaves())
+        assert all(1 <= len(c) <= graph._GATHER // 64 for c in chunks)  # (8, 8) leaves of 2^16 floats
+        assert sum(len(c) for c in chunks) == math.comb(16, 8)
+        flat = [tuple(int(j) for j in row) for chunk in chunks for row in pool[chunk]]
+        assert flat == list(combinations(pool.tolist(), 8))
+
+    def test_empty_subset_is_one_row(self):
+        # The walk starts from the empty prefix, one row: its children are the singletons,
+        # and at k = n its one leaf is the full set. The oracle answers k = 0 without a walk.
+        (chunk,) = graph._BranchAndBound(np.eye(4), 1, math.inf).leaves()
+        assert chunk.tolist() == [[0], [1], [2], [3]]
+        (chunk,) = graph._BranchAndBound(np.eye(4), 4, math.inf).leaves()
+        assert chunk.tolist() == [[0, 1, 2, 3]]
+        problem = Problem(ChannelMatrix(np.eye(4)), ChannelMatrix(np.eye(4)))
+        with mock.patch.object(graph._BranchAndBound, "leaves") as leaves:
+            assert problem._oracle_order(0) == ()
+        leaves.assert_not_called()
+
+    def test_cap_raises_before_the_first_chunk(self):
+        g = InteractionGraph(w=np.eye(20))
+        with mock.patch.object(graph, "_BranchAndBound") as walk:
+            with pytest.raises(CapacityError, match="184756 subsets exceed the enumeration cap 1000"):
+                restricted_eigenvalues(g, 10, cap=1000)
+        walk.assert_not_called()
 
 
 class TestRestrictedEigenvalues:
