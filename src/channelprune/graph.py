@@ -114,7 +114,7 @@ def _check_capacity(n: int, k: int, cap: int) -> int:
     return total
 
 
-_BLOCK = 4096  # prefixes bounded, expanded or screened together
+_BLOCK = 4096  # prefixes bounded or expanded together
 _GATHER = 2**16  # floats of leaves gathered together: max(1, _GATHER // k^2) leaves of (k, k)
 
 
@@ -135,28 +135,26 @@ class _BranchAndBound:
     `w` is a symmetric matrix over positions 0..n-1 (the oracle's W restricted
     to its pool, or the certificate's W). A set's value is its gathered sum
     w[S][:, S].sum(). `leaves` yields, in lexicographic order, every size-k set
-    that the bound and the screen below cannot rule out. The oracle folds them
-    into the first set whose value no earlier set beats with a strict `<`, the
-    first minimizer (the k-cluster problem; Feige, Peleg & Kortsarz,
-    Algorithmica 2001), lowering `limit`, the smallest value it knows (+inf at
-    first), as it goes. The certificate passes an infinite slack and gets every set.
+    that the bound below cannot rule out. The oracle folds them into the first
+    set whose value no earlier set beats with a strict `<`, the first minimizer
+    (the k-cluster problem; Feige, Peleg & Kortsarz, Algorithmica 2001),
+    lowering `limit`, the smallest value it knows (+inf at first), as it goes.
+    With C(n, k) <= `_BLOCK`, or an infinite slack (the certificate's), the
+    walk does not bound: it enumerates every set and carries no values.
 
     The walk grows sorted prefixes P from the empty one, with r = k - |P|
-    left to choose, in blocks of at most `_BLOCK` rows. A block is its
-    (b, |P|) positions, each row's f(P) and its row sums rs_P = sum_{p in P}
-    w[p, :], carried from its parent: f(P + j) = f(P) + w_jj + 2 rs_P[j] and
-    rs_{P + j} = rs_P + w[j, :]. A completion R of P lies in [s, n), s one
-    past P's last position, and f(P + R) >= f(P) + sum_{j in R} c_j with
-    c_j = w_jj + 2 rs_P[j] + (the sum of the r - 1 smallest w[j, i], i in
-    [s, n) - j). So f(P) plus the r smallest c_j bounds every completion
-    from below; the smallest-entry sums depend only on (s, r) and are
-    tabulated once. A row whose bound exceeds limit + slack is dropped, and
-    the survivors' children are pushed in blocks, last first, so the stack
-    pops them in lexicographic order. At r = 1 a prefix's children are
-    leaves, each valued f(P) + w_jj + 2 rs_P[j]; a leaf is yielded only if
-    that value is within 2 * slack of the block's smallest and within slack
-    of `limit`, or is NaN. With C(n, k) <= `_BLOCK`, or an infinite slack,
-    nothing is bounded and no table is built.
+    left to choose, in blocks of at most `_BLOCK` rows, pushed last first so
+    the stack pops them in lexicographic order. A bounded block also holds
+    each row's f(P) and its row sums rs_P = sum_{p in P} w[p, :], carried from
+    its parent: f(P + j) = f(P) + w_jj + 2 rs_P[j] and rs_{P + j} = rs_P +
+    w[j, :]. A completion R of P lies in [s, n), s one past P's last
+    position, and f(P + R) >= f(P) + sum_{j in R} c_j with c_j = w_jj +
+    2 rs_P[j] + (the sum of the r - 1 smallest w[j, i], i in [s, n) - j).
+    So f(P) plus the r smallest c_j bounds every completion from below; the
+    smallest-entry sums depend only on (s, r) and are tabulated once. At
+    r = 1 a prefix's children are leaves, and a leaf's bound is its value
+    f(P) + w_jj + 2 rs_P[j]. One rule drops a prefix or a leaf: its bound
+    exceeds limit + slack (a NaN or infinite bound never drops, `_unpruned`).
 
     Slack. Every value compared (a bound, a leaf's value, a gathered sum)
     is a floating-point sum of at most D = n^2 + 2n terms +-w_ij or
@@ -173,7 +171,7 @@ class _BranchAndBound:
     rounding of M, of the slack and of `limit + slack`. Sums below
     2^-1021 are exact, so tiny W needs no floor. When 64 M overflows, a
     partial sum may overflow too, and the slack is +inf: nothing is
-    pruned and nothing is screened out.
+    bounded.
     """
 
     def __init__(self, w: np.ndarray, k: int, slack: float):
@@ -210,32 +208,33 @@ class _BranchAndBound:
         return f + c[:, :r].sum(axis=1)
 
     def leaves(self) -> Iterator[np.ndarray]:
-        """Screened leaves in lexicographic order: (b, k) position sets, b <= max(1, _GATHER // k^2); k >= 1.
+        """Unpruned leaves in lexicographic order: (b, k) position sets, b <= max(1, _GATHER // k^2); k >= 1.
 
         `limit` is read as each block is popped, so what a caller sets between chunks prunes what follows.
         """
-        n, k = self.n, self.k
-        cand, f, rs = np.empty((1, 0), dtype=np.intp), np.zeros(1), np.zeros((1, n))  # the empty prefix
+        n, k, bounded = self.n, self.k, self.bounded
+        cand = np.empty((1, 0), dtype=np.intp)  # the empty prefix
+        f, rs = (np.zeros(1), np.zeros((1, n))) if bounded else (None, None)
         pending = []
         while True:
             r = k - cand.shape[1]
             first = cand[:, -1] + 1 if cand.shape[1] else np.zeros(len(cand), dtype=np.intp)
             limit = self.limit + self.slack
             if r == 1:
-                values = 2.0 * rs
-                values += self.diag
-                values += f[:, None]
-                valid = np.arange(n) >= first[:, None]
-                threshold = np.min(values, where=valid, initial=np.inf) + 2.0 * self.slack
-                if limit < threshold:
-                    threshold = limit
-                rows, cols = np.nonzero(valid & ~(values > threshold))
-                del values, valid
+                keep = np.arange(n) >= first[:, None]
+                if bounded:
+                    values = 2.0 * rs
+                    values += self.diag
+                    values += f[:, None]
+                    keep &= _unpruned(values, limit)
+                    del values
+                rows, cols = np.nonzero(keep)
+                del keep
                 step = max(1, _GATHER // (k * k))
                 for lo in range(0, len(rows), step):
                     yield np.concatenate((cand[rows[lo : lo + step]], cols[lo : lo + step, None]), axis=1)
             else:
-                if self.bounded:
+                if bounded:
                     keep = _unpruned(self.bounds(f, rs, first, r), limit)
                     cand, f, rs, first = cand[keep], f[keep], rs[keep], first[keep]
                 ends = np.cumsum(n - r + 1 - first)  # children j in [first, n - r]
@@ -248,14 +247,16 @@ class _BranchAndBound:
             cand, f, rs = self._children(*pending.pop())
 
     def _children(self, cand, f, rs, ends, base, lo, hi):
-        """Children of ranks [lo, hi) of a block, in lexicographic order, valued from their parents."""
+        """Children of ranks [lo, hi) of a block, in lexicographic order, valued from their parents if bounded."""
         ranks = np.arange(lo, hi)
         parent = np.searchsorted(ends, ranks, side="right")
         j = base[parent] + ranks
-        child_f = f[parent] + self.diag[j] + 2.0 * rs[parent, j]
+        children = np.concatenate((cand[parent], j[:, None]), axis=1)
+        if not self.bounded:
+            return children, None, None
         child_rs = rs[parent]
         child_rs += self.w[j]
-        return np.concatenate((cand[parent], j[:, None]), axis=1), child_f, child_rs
+        return children, f[parent] + self.diag[j] + 2.0 * rs[parent, j], child_rs
 
 
 def restricted_eigenvalues(
@@ -276,10 +277,9 @@ def restricted_eigenvalues(
         raise ValueError(f"subset size {k} out of range for dimension {g.dim}")
     _check_capacity(g.dim, k, cap)
     mu_min, mu_max = math.inf, -math.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # the walk's carried sums, unread here, may overflow
-        for rows in _BranchAndBound(g.w, k, math.inf).leaves():
-            eig = np.linalg.eigvalsh(g.w[rows[:, :, None], rows[:, None, :]])
-            # First extremum of the chunk, and an earlier chunk keeps a tie.
-            mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
-            mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))
+    for rows in _BranchAndBound(g.w, k, math.inf).leaves():
+        eig = np.linalg.eigvalsh(g.w[rows[:, :, None], rows[:, None, :]])
+        # First extremum of the chunk, and an earlier chunk keeps a tie.
+        mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
+        mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))
     return EigenCertificate(k=k, mu_min=mu_min, mu_max=mu_max)

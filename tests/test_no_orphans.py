@@ -6,6 +6,10 @@ is a top-level import that its module never names; a name in `__all__` that
 its module does not bind breaks `from module import *`; and a name a package
 `__init__.py` re-exports with `from .mod import name` is part of `mod`'s
 public surface, so `mod.__all__` must list it. All four are found with `ast`.
+
+Also with `ast`: no `yield` inside a `with np.errstate(...)` block. numpy's
+error state is a context variable, so a generator paused inside one would
+hand that state to its consumer until it resumes.
 """
 
 import ast
@@ -114,6 +118,30 @@ def find_unused_imports(sources):
     return problems
 
 
+def _own_scope(node):
+    """Nodes under `node` that run in its scope: nested defs, lambdas and classes are not entered."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            yield child
+            yield from _own_scope(child)
+
+
+def find_yields_in_errstate(sources):
+    """Problems for each `yield` or `yield from` that runs inside a `with ... errstate(...)` block."""
+    problems = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.With, ast.AsyncWith)):
+                continue
+            managers = [item.context_expr for item in node.items if isinstance(item.context_expr, ast.Call)]
+            if not any(getattr(call.func, "attr", getattr(call.func, "id", None)) == "errstate" for call in managers):
+                continue
+            for inner in _own_scope(node):
+                if isinstance(inner, (ast.Yield, ast.YieldFrom)):
+                    problems.append(f"{module}:{inner.lineno}: yields inside the errstate block of line {node.lineno}")
+    return problems
+
+
 def test_no_orphaned_private_helpers_or_stale_all_entries():
     sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
     assert sources
@@ -185,4 +213,40 @@ def test_the_guard_flags_an_unused_import():
     assert find_unused_imports(sources) == [
         "pkg/a.py:3: imports os, which it never names",
         "pkg/a.py:5: imports accumulate, which it never names",
+    ]
+
+
+def test_no_yield_inside_an_errstate_block():
+    sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
+    assert sources
+    assert find_yields_in_errstate(sources) == []
+
+
+def test_the_guard_flags_a_yield_inside_an_errstate_block():
+    sources = {
+        "a.py": (
+            "import numpy as np\n"
+            "from numpy import errstate\n"
+            "def chunks(xs):\n"
+            "    with np.errstate(over='ignore'):\n"
+            "        for x in xs:\n"
+            "            yield x * x\n"
+            "def inner(xs):\n"
+            "    with open('f') as f, errstate(invalid='ignore'):\n"
+            "        if xs:\n"
+            "            yield from xs\n"
+            "def fine(xs):\n"
+            "    with np.errstate(over='ignore'):\n"
+            "        squares = [x * x for x in xs]\n"
+            "        def later():\n"
+            "            yield squares\n"
+            "        total = sum(x for x in xs)\n"
+            "    yield total\n"
+            "    with open('f'):\n"
+            "        yield later\n"
+        ),
+    }
+    assert find_yields_in_errstate(sources) == [
+        "a.py:6: yields inside the errstate block of line 4",
+        "a.py:10: yields inside the errstate block of line 8",
     ]

@@ -1,6 +1,7 @@
 """Property-based tests for the selection invariants, the lexicographic
 subset walk, the branch-and-bound oracle and its bound, the chunked
-certificate and the configuration and matrix round-trips.
+certificate, the configuration and matrix round-trips and the sweep's
+report contract.
 
 Instances are seeded normal matrices, with about one column in ten scaled
 up as an outlier, and a random protected set. Ratios are two-decimal
@@ -13,15 +14,17 @@ import re
 import string
 import warnings
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from channelprune import (
+    CapacityError,
     ChannelMatrix,
     IndexSet,
     InteractionGraph,
@@ -29,6 +32,7 @@ from channelprune import (
     ProtectionPolicy,
     Selector,
     build_interaction_graph,
+    generate_instance,
     oracle_select,
     protect_channels,
     quadratic_form,
@@ -36,7 +40,16 @@ from channelprune import (
     restricted_eigenvalues,
 )
 from channelprune import graph, prune
-from channelprune.cli import ExperimentConfig, load_matrix, parse_config_lines, render_report, save_matrix
+from channelprune.cli import (
+    ExperimentConfig,
+    load_matrix,
+    parse_config_lines,
+    render_report,
+    replay_report,
+    run_experiment,
+    save_matrix,
+    write_report,
+)
 from channelprune.cli.experiment import ExperimentReport
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -216,16 +229,19 @@ def test_w_and_orders_do_not_depend_on_exact_channel_scales(instance, data):
 
 @PROPERTY
 @given(st.integers(1, 14), st.sampled_from([(5, 37), (graph._BLOCK, graph._GATHER)]), st.integers(0, 2**32 - 1))
-def test_walk_at_infinite_slack_yields_every_subset_in_order(n, sizes, seed):
-    # Small blocks and chunks split every level and every leaf block; W holds ties and zeros,
-    # which an infinite slack must neither prune nor screen out.
+def test_a_walk_that_does_not_bound_yields_every_subset_in_order(n, sizes, seed):
+    # Small blocks and chunks split every level and every leaf block; W holds ties and zeros.
+    # An infinite slack never bounds, nor does a finite one when C(n, k) <= _BLOCK: either
+    # walk enumerates, with nothing pruned or dropped.
     rng = np.random.default_rng(seed)
     a = rng.integers(-1, 2, (n, n)).astype(np.float64)
     w = a + a.T
     with mock.patch.object(graph, "_BLOCK", sizes[0]), mock.patch.object(graph, "_GATHER", sizes[1]):
-        for k in range(1, n + 1):
-            search = graph._BranchAndBound(w, k, math.inf)
-            assert not search.bounded  # an infinite slack builds no bound table
+        for k, slack in product(range(1, n + 1), (math.inf, graph._rounding_slack(w))):
+            if math.comb(n, k) > graph._BLOCK and math.isfinite(slack):
+                continue
+            search = graph._BranchAndBound(w, k, slack)
+            assert not search.bounded  # a walk that does not bound builds no bound table
             chunks = list(search.leaves())
             assert all(rows.dtype == np.intp and rows.ndim == 2 and rows.shape[1] == k for rows in chunks)
             assert all(1 <= len(rows) <= max(1, sizes[1] // (k * k)) for rows in chunks)
@@ -456,8 +472,9 @@ def test_carried_values_and_row_sums_stay_within_the_slack(d, seed, scales, data
     rng = np.random.default_rng(seed)
     q, k = (ChannelMatrix(rng.standard_normal((3, d)) * scale) for scale in scales)
     w = build_interaction_graph(q, k).w
-    search = graph._BranchAndBound(w, data.draw(st.integers(2, d)), graph._rounding_slack(w))
-    assert math.isfinite(search.slack)
+    with mock.patch.object(graph, "_BLOCK", 1):  # only a bounding walk carries values; C(d, d) = 1 never bounds
+        search = graph._BranchAndBound(w, data.draw(st.integers(2, d - 1)), graph._rounding_slack(w))
+    assert search.bounded
     blocks, children = [], search._children
 
     def recorded(*args):
@@ -477,7 +494,8 @@ def test_nan_or_infinite_bounds_never_prune():
     bounds = np.array([np.nan, np.inf, -np.inf, 1.0, 3.0])
     assert graph._unpruned(bounds, 2.0).tolist() == [True, True, True, True, False]
     assert graph._unpruned(bounds, np.nan).all()
-    # sum |W| overflows, so the slack is +inf and nothing is bounded: the search still reaches the first minimizer.
+    # sum |W| overflows, so the slack is +inf and the walk only enumerates: the fold, whose gathered sums
+    # overflow, still reaches the first minimizer.
     v = np.array([1e154, 1e154, 1e154, 1.0, 2.0, -3.0])
     q, k = ChannelMatrix(v[None, :]), ChannelMatrix(np.ones((1, 6)))
     with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(graph, "_BLOCK", 1):
@@ -591,3 +609,72 @@ def test_grcm_round_trip_is_bit_exact(tmp_path_factory, values, order):
     save_matrix(ChannelMatrix(np.asarray(values, order=order)), path)
     assert path.read_bytes().endswith(values.tobytes(order="C"))
     assert load_matrix(path).data.tobytes() == values.tobytes()
+
+
+@st.composite
+def small_sweeps(draw):
+    """A synthetic sweep config of d <= 12, with ratios at 0, 1, integer lambda * d and two decimals."""
+    d = draw(st.integers(1, 12))
+    L_obs = draw(st.integers(1, 8))
+    ratio = st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, d).map(lambda i: i / d), ratios)
+    return ExperimentConfig(
+        d=d,
+        L=draw(st.integers(L_obs, 8)),
+        L_obs=L_obs,
+        L_future=draw(st.integers(1, 8)),
+        lambdas=tuple(draw(st.lists(ratio, min_size=1, max_size=4, unique=True))),
+        selectors=tuple(draw(st.lists(st.sampled_from(Selector), min_size=1, max_size=4, unique=True))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True))),
+        protect=draw(st.booleans()),
+        oracle=draw(st.booleans()),
+    ).validate()
+
+
+@PROPERTY
+@given(small_sweeps(), st.data())
+def test_a_sweep_report_keeps_its_contract(tmp_path_factory, cfg, data):
+    # Each seed's instance, rebuilt from its spec, fixes the expected budgets, errors and subset counts.
+    problems = {}
+    for seed in cfg.seeds:
+        q, k, q_future = generate_instance(cfg.synthetic_spec(seed))
+        problems[seed] = Problem(q, k, protect_channels(k, cfg.policy()), q_future)
+    budgets = {
+        (seed, lam): min(math.ceil(Fraction(str(lam)) * cfg.d), cfg.d - len(problem.protected))
+        for seed, problem in problems.items()
+        for lam in cfg.lambdas
+    }
+    subsets = {cell: math.comb(cfg.d - len(problems[cell[0]].protected), n) for cell, n in budgets.items()}
+    cap = data.draw(st.sampled_from(sorted(set(subsets.values())))) - data.draw(st.integers(0, 1))  # some cells over it
+    cfg = cfg.with_updates(enumeration_cap=cap)
+    over = {cell for cell, count in subsets.items() if count > cfg.enumeration_cap}
+
+    if Selector.ORACLE in cfg.selectors and over:
+        with mock.patch.object(Problem, "select", autospec=True, side_effect=Problem.select) as select:
+            with pytest.raises(CapacityError):
+                run_experiment(cfg)
+        assert not select.called  # refused before any cell
+        return
+    report = run_experiment(cfg)
+    grid = [(seed, lam, selector) for seed in sorted(cfg.seeds) for lam in sorted(cfg.lambdas)
+            for selector in sorted(cfg.selectors, key=lambda s: s.value)]
+    assert [(row.seed, row.lam, row.selector) for row in report.rows] == grid
+    for row in report.rows:
+        problem = problems[row.seed]
+        norms = problem.attention_norms()
+        expected = problem.select(row.selector, row.lam, seed=row.seed)
+        assert row.n_prune == expected.n_prune == budgets[row.seed, row.lam]
+        assert row.n_protected == len(problem.protected)
+        assert row.error_sq == expected.error_sq
+        assert row.relative_error == math.sqrt(expected.error_sq) / norms[0]
+        assert row.error_future == math.sqrt(expected.error_future_sq) / norms[1]
+        if not cfg.oracle:
+            assert row.approx_ratio is None
+        elif (row.seed, row.lam) in over:
+            assert row.approx_ratio == "oracle_skipped"
+        else:
+            assert row.approx_ratio >= 1.0 - 1e-12
+
+    path = tmp_path_factory.getbasetemp() / "sweep.csv"
+    write_report(report, path)
+    assert replay_report(path) == []
+    assert render_report(run_experiment(cfg)) == path.read_text(encoding="utf-8")

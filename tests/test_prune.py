@@ -258,7 +258,7 @@ class TestOracleSelect:
 
     def test_every_sum_overflowing_keeps_the_budget(self):
         # Every gathered sum is +inf: the first subset is the lexicographic minimum.
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in the screen is NaN
+        with np.errstate(over="ignore", invalid="ignore"):  # the fold's gathered sums overflow
             sel = oracle_select(ChannelMatrix(np.full((1, 6), 1e154)), ChannelMatrix(np.ones((1, 6))), 0.5)
         assert sel.n_prune == 3
         assert sel.pruned.indices == (0, 1, 2)
