@@ -7,10 +7,14 @@ matrix W satisfies f(S) = 1_S^T W 1_S, i.e. the factor 2 on each edge is
 realized by symmetric double counting rather than stored explicitly.
 One lexicographic walk over size-k sets, `_BranchAndBound`, serves the
 oracle (bounded) and the certificate (at an infinite slack, every set).
+A walk that does not bound and whose sets fit one gather chunk (C(n, k) k^2
+<= `_GATHER`) reads them, and their flat offsets, from one memoized table.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -118,6 +122,17 @@ _BLOCK = 4096  # prefixes bounded or expanded together
 _GATHER = 2**16  # floats of leaves gathered together: max(1, _GATHER // k^2) leaves of (k, k)
 
 
+@functools.lru_cache(maxsize=8)  # an entry holds at most _GATHER offsets and _GATHER // k positions
+def _lexicographic(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only: the size-k sets of range(n) in lexicographic order (C(n, k), k), and their
+    flat offsets into an n x n matrix, (C(n, k), k, k) with [b, a, c] = n S[b, a] + S[b, c]."""
+    sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    offsets = sets[:, :, None] * n + sets[:, None, :]
+    for table in (sets, offsets):
+        table.setflags(write=False)
+    return sets, offsets
+
+
 def _unpruned(bounds: np.ndarray, limit: float) -> np.ndarray:
     """Rows whose bound does not exceed `limit`; a NaN or infinite bound never prunes."""
     return ~(bounds > limit) | ~np.isfinite(bounds)
@@ -140,7 +155,13 @@ class _BranchAndBound:
     (the k-cluster problem; Feige, Peleg & Kortsarz, Algorithmica 2001),
     lowering `limit`, the smallest value it knows (+inf at first), as it goes.
     With C(n, k) <= `_BLOCK`, or an infinite slack (the certificate's), the
-    walk does not bound: it enumerates every set and carries no values.
+    walk does not bound: it enumerates every set and carries no values. If
+    then C(n, k) k^2 <= `_GATHER` (read at construction), every set fits one
+    chunk: `leaves` yields the memoized `_lexicographic(n, k)` table, and
+    `stack` gathers it by its flat offsets, `w.ravel()[offsets]`, the same
+    C-order stack as the fancy index and so the same bits. Each of the
+    memo's 8 entries holds at most `_GATHER` offsets and its sets, about
+    60 KB for C(10, 5).
 
     The walk grows sorted prefixes P from the empty one, with r = k - |P|
     left to choose, in blocks of at most `_BLOCK` rows, pushed last first so
@@ -151,7 +172,9 @@ class _BranchAndBound:
     position, and f(P + R) >= f(P) + sum_{j in R} c_j with c_j = w_jj +
     2 rs_P[j] + (the sum of the r - 1 smallest w[j, i], i in [s, n) - j).
     So f(P) plus the r smallest c_j bounds every completion from below; the
-    smallest-entry sums depend only on (s, r) and are tabulated once. At
+    smallest-entry sums depend only on (s, r) and are tabulated once. The
+    empty prefix is not bounded: its bound is at most any set's gathered sum
+    plus the slack, the greedy incumbent's included, so it prunes nothing. At
     r = 1 a prefix's children are leaves, and a leaf's bound is its value
     f(P) + w_jj + 2 rs_P[j]. One rule drops a prefix or a leaf: its bound
     exceeds limit + slack (a NaN or infinite bound never drops, `_unpruned`).
@@ -179,6 +202,7 @@ class _BranchAndBound:
         self.w, self.n, self.k, self.slack, self.limit = w, n, k, slack, math.inf
         self.diag = w.diagonal()
         self.bounded = math.isfinite(slack) and math.comb(n, k) > _BLOCK
+        self.lex = None if self.bounded or math.comb(n, k) * k * k > _GATHER else _lexicographic(n, k)
         if self.bounded:
             # A prefix ending at s - 1 holds at most s channels and leaves r >= 2 to choose from
             # [s, n), so it asks for the c = r - 1 smallest entries only for c from lo[s] + 1 =
@@ -194,9 +218,15 @@ class _BranchAndBound:
                 sums = np.cumsum(np.sort(off[s:, s:], axis=1)[:, :c], axis=1)
                 self.table[s, : c - self.lo[s], s:] = sums[:, self.lo[s] :].T
 
+    def stack(self, sets: np.ndarray) -> np.ndarray:
+        """The (b, k, k) C-order stack of w[S][:, S] over rows S of position sets (b, k)."""
+        if self.lex is not None and sets is self.lex[0]:
+            return self.w.ravel()[self.lex[1]]  # `take` would copy the read-only offsets first
+        return self.w[sets[:, :, None], sets[:, None, :]]
+
     def gathered(self, sets: np.ndarray) -> np.ndarray:
         """The gathered sum of each row of position sets (b, k)."""
-        return self.w[sets[:, :, None], sets[:, None, :]].sum(axis=(1, 2))
+        return self.stack(sets).sum(axis=(1, 2))
 
     def bounds(self, f: np.ndarray, rs: np.ndarray, first: np.ndarray, r: int) -> np.ndarray:
         """f(P) plus the r smallest c_j over j >= first: a lower bound on every completion."""
@@ -212,6 +242,9 @@ class _BranchAndBound:
 
         `limit` is read as each block is popped, so what a caller sets between chunks prunes what follows.
         """
+        if self.lex is not None:
+            yield self.lex[0]
+            return
         n, k, bounded = self.n, self.k, self.bounded
         cand = np.empty((1, 0), dtype=np.intp)  # the empty prefix
         f, rs = (np.zeros(1), np.zeros((1, n))) if bounded else (None, None)
@@ -234,7 +267,7 @@ class _BranchAndBound:
                 for lo in range(0, len(rows), step):
                     yield np.concatenate((cand[rows[lo : lo + step]], cols[lo : lo + step, None]), axis=1)
             else:
-                if bounded:
+                if bounded and r < k:
                     keep = _unpruned(self.bounds(f, rs, first, r), limit)
                     cand, f, rs, first = cand[keep], f[keep], rs[keep], first[keep]
                 ends = np.cumsum(n - r + 1 - first)  # children j in [first, n - r]
@@ -267,18 +300,20 @@ def restricted_eigenvalues(
     mu_min (mu_max) is the smallest (largest) eigenvalue over all k x k
     principal submatrices of W. `_BranchAndBound` at an infinite slack walks
     every support, in lexicographic chunks of at most 2^16 floats (or one
-    support), each gathered into one stack and solved by one LAPACK `eigvalsh`
-    call: the first support, in lexicographic order, that attains it gives
-    its bits. Each eigenvalue is within p(k) eps ||A||_2 <= 16 k^2 eps k max|w_ij|
-    of the exact one (LAPACK Users' Guide, 4.7), at any scale of W. Raises
-    CapacityError, with the oracle's message, before any work when C(d, k) > `cap`.
+    support), each stacked by the walk's `stack` (from flat offsets when
+    C(d, k) k^2 <= 2^16 makes the one chunk the memoized table) and solved by
+    one LAPACK `eigvalsh` call: the first support, in lexicographic order,
+    that attains it gives its bits. Each eigenvalue is within p(k) eps ||A||_2 <=
+    16 k^2 eps k max|w_ij| of the exact one (LAPACK Users' Guide, 4.7), at any scale
+    of W. Raises CapacityError, with the oracle's message, before any work when C(d, k) > `cap`.
     """
     if not 1 <= k <= g.dim:
         raise ValueError(f"subset size {k} out of range for dimension {g.dim}")
     _check_capacity(g.dim, k, cap)
     mu_min, mu_max = math.inf, -math.inf
-    for rows in _BranchAndBound(g.w, k, math.inf).leaves():
-        eig = np.linalg.eigvalsh(g.w[rows[:, :, None], rows[:, None, :]])
+    search = _BranchAndBound(g.w, k, math.inf)
+    for rows in search.leaves():
+        eig = np.linalg.eigvalsh(search.stack(rows))
         # First extremum of the chunk, and an earlier chunk keeps a tie.
         mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
         mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))

@@ -191,6 +191,29 @@ class TestSubsets:
             assert problem._oracle_order(0) == ()
         leaves.assert_not_called()
 
+    def test_the_memoized_table_is_read_only(self):
+        sets, offsets = graph._lexicographic(10, 5)
+        (chunk,) = graph._BranchAndBound(np.eye(10), 5, math.inf).leaves()
+        assert chunk is sets  # every walk over C(10, 5) reads the one table
+        for arr in (sets, offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0
+        assert sets[0].tolist() == [0, 1, 2, 3, 4] and offsets[0, 0].tolist() == [0, 1, 2, 3, 4]
+
+    def test_a_bounding_walk_never_bounds_the_empty_prefix(self):
+        # The empty prefix's bound is at most the greedy incumbent plus the slack, so it prunes
+        # nothing; it is the only prefix with all k positions left to choose.
+        rng = np.random.default_rng(3)
+        q, k = random_pair(rng, 20, 16, 16)
+        expected = oracle_select(q, k, 0.5).pruned
+        bounds = graph._BranchAndBound.bounds
+        with mock.patch.object(graph._BranchAndBound, "bounds", autospec=True, side_effect=bounds) as spy:
+            assert oracle_select(q, k, 0.5).pruned == expected
+        assert spy.call_count > 0
+        for call in spy.call_args_list:
+            search, f, rs, first, r = call.args
+            assert r < search.k and len(f) == len(rs) == len(first)
+
     def test_cap_raises_before_the_first_chunk(self):
         g = InteractionGraph(w=np.eye(20))
         with mock.patch.object(graph, "_BranchAndBound") as walk:

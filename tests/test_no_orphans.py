@@ -9,7 +9,9 @@ public surface, so `mod.__all__` must list it. All four are found with `ast`.
 
 Also with `ast`: no `yield` inside a `with np.errstate(...)` block. numpy's
 error state is a context variable, so a generator paused inside one would
-hand that state to its consumer until it resumes.
+hand that state to its consumer until it resumes. And every `lru_cache` has
+an explicit integer `maxsize`, and `functools.cache` is not used: a cache
+without a bound holds its arguments and results for the life of the process.
 """
 
 import ast
@@ -142,6 +144,32 @@ def find_yields_in_errstate(sources):
     return problems
 
 
+def _named(node, name):
+    """Whether `node` is `name` or `<anything>.name`."""
+    return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+
+def find_unbounded_caches(sources):
+    """Problems for each `lru_cache` without an explicit integer `maxsize`, and each use of `functools.cache`."""
+    problems = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                if any(alias.name == "cache" for alias in node.names):
+                    problems.append(f"{module}:{node.lineno}: imports functools.cache, which has no maxsize")
+            elif isinstance(node, ast.Attribute) and node.attr == "cache" and _named(node.value, "functools"):
+                problems.append(f"{module}:{node.lineno}: uses functools.cache, which has no maxsize")
+            elif isinstance(node, ast.Call) and _named(node.func, "lru_cache"):
+                sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+                if not (sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int):
+                    problems.append(f"{module}:{node.lineno}: lru_cache without an explicit integer maxsize")
+            elif _named(node, "lru_cache") and id(node) not in called:  # a bare `@lru_cache` bounds at 128
+                problems.append(f"{module}:{node.lineno}: lru_cache without an explicit integer maxsize")
+    return problems
+
+
 def test_no_orphaned_private_helpers_or_stale_all_entries():
     sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
     assert sources
@@ -249,4 +277,40 @@ def test_the_guard_flags_a_yield_inside_an_errstate_block():
     assert find_yields_in_errstate(sources) == [
         "a.py:6: yields inside the errstate block of line 4",
         "a.py:10: yields inside the errstate block of line 8",
+    ]
+
+
+def test_every_cache_has_an_explicit_integer_maxsize():
+    sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
+    assert any("lru_cache(maxsize=" in text for text in sources.values())
+    assert find_unbounded_caches(sources) == []
+
+
+def test_the_guard_flags_an_unbounded_cache():
+    sources = {
+        "a.py": (
+            "import functools\n"
+            "from functools import cache, lru_cache\n"
+            "@lru_cache(maxsize=8)\n"
+            "def fine(n):\n    return n\n"
+            "@functools.lru_cache(16)\n"
+            "def also_fine(n):\n    return n\n"
+            "@lru_cache(maxsize=None)\n"
+            "def unbounded(n):\n    return n\n"
+            "@functools.lru_cache\n"
+            "def default(n):\n    return n\n"
+            "@lru_cache()\n"
+            "def empty(n):\n    return n\n"
+            "@functools.cache\n"
+            "def cached(n):\n    return n\n"
+            "wrapped = lru_cache(maxsize=True)(fine)\n"
+        ),
+    }
+    assert find_unbounded_caches(sources) == [
+        "a.py:2: imports functools.cache, which has no maxsize",
+        "a.py:9: lru_cache without an explicit integer maxsize",
+        "a.py:12: lru_cache without an explicit integer maxsize",
+        "a.py:15: lru_cache without an explicit integer maxsize",
+        "a.py:18: uses functools.cache, which has no maxsize",
+        "a.py:21: lru_cache without an explicit integer maxsize",
     ]

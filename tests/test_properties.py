@@ -248,6 +248,48 @@ def test_a_walk_that_does_not_bound_yields_every_subset_in_order(n, sizes, seed)
             assert [tuple(row) for rows in chunks for row in rows.tolist()] == list(combinations(range(n), k))
 
 
+@PROPERTY
+@given(st.integers(1, 14), st.data())
+def test_the_memoized_table_is_the_lexicographic_walk(n, data):
+    # The table is every size-k set in `combinations` order; a walk that fits one chunk yields it
+    # as that chunk, and with a smaller gather budget the walk's own chunks give the same rows.
+    k = data.draw(st.integers(1, n))
+    sets, offsets = graph._lexicographic(n, k)
+    assert sets.dtype == offsets.dtype == np.intp and sets.shape == (math.comb(n, k), k)
+    assert [tuple(row) for row in sets.tolist()] == list(combinations(range(n), k))
+    assert offsets.tolist() == (sets[:, :, None] * n + sets[:, None, :]).tolist()
+    w = np.zeros((n, n))
+    floats = math.comb(n, k) * k * k
+    with mock.patch.object(graph, "_GATHER", max(floats, graph._GATHER)):
+        (chunk,) = graph._BranchAndBound(w, k, math.inf).leaves()
+    assert chunk is sets
+    if floats > 1:
+        with mock.patch.object(graph, "_GATHER", data.draw(st.integers(1, floats - 1))):
+            search = graph._BranchAndBound(w, k, math.inf)
+            assert search.lex is None
+            chunks = list(search.leaves())
+        assert np.concatenate(chunks).tolist() == sets.tolist()
+
+
+@PROPERTY
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e306, 1e-300]), st.data())
+def test_the_flat_gather_is_the_fancy_index_bitwise(n, seed, scale, data):
+    # Near 1e306 the sums overflow to inf and near 1e-300 they are subnormal or exact: the stack,
+    # and so every sum and eigenvalue of it, has the fancy index's bits.
+    k = data.draw(st.integers(1, n))
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    w = (a + a.T) * scale
+    sets, offsets = graph._lexicographic(n, k)
+    fancy = w[sets[:, :, None], sets[:, None, :]]
+    assert w.ravel().take(offsets).tobytes() == w.ravel()[offsets].tobytes() == fancy.tobytes()
+    with mock.patch.object(graph, "_GATHER", max(math.comb(n, k) * k * k, graph._GATHER)):
+        search = graph._BranchAndBound(w, k, math.inf)
+    stack = search.stack(sets)
+    assert stack.flags.c_contiguous and stack.shape == fancy.shape and stack.tobytes() == fancy.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert search.gathered(sets).tobytes() == fancy.sum(axis=(1, 2)).tobytes()
+
+
 def first_minimizer(q, k, protected, size):
     """Lexicographically first arg-min of the quadratic form over every feasible size-`size` set."""
     g = build_interaction_graph(q, k)
@@ -288,9 +330,9 @@ def test_oracle_is_the_first_minimizer(instance, lam, sizes):
     assert tuple(sel.pruned) == first_minimizer(q, k, protected, sel.n_prune)
 
 
-def test_oracle_keeps_subsets_whose_screen_is_nan():
-    # W = v v^T with three channels at v = 1e154: any set holding two of them overflows a
-    # column sum of the screen, which times a 0 indicator is NaN; their gathered sums are inf.
+def test_oracle_passes_over_subsets_whose_gathered_sum_overflows():
+    # W = v v^T with three channels at v = 1e154: the gathered sum of any set holding two of
+    # them overflows to inf, and the fold still returns the first minimizer among the rest.
     v = np.array([1e154, 1e154, 1e154, 1.0, 2.0, -3.0])
     q, k = ChannelMatrix(v[None, :]), ChannelMatrix(np.ones((1, 6)))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -271,7 +271,7 @@ class TestOracleSelect:
 
     def test_all_tied_worst_case_stays_bounded(self):
         # W is all 16s, so every set of 10 ties and no bound prunes: all C(20, 10)
-        # leaves are screened and gathered, a block at a time.
+        # leaves survive the bound and are gathered, a chunk at a time.
         ones = ChannelMatrix(np.ones((4, 20)))
         tracemalloc.start()
         try:
@@ -298,8 +298,8 @@ class TestOracleSelect:
         assert peak <= 8 * 2**20
 
     def test_the_leaf_gather_is_bounded_by_floats_not_leaves(self):
-        # C(90, 88) = 4,005 tied subsets, far inside the cap, all screened in: gathered
-        # 1,024 leaves of 88 x 88 at a time, one chunk alone would be 60 MiB.
+        # C(90, 88) = 4,005 tied subsets, far inside the cap and too few to bound, so every
+        # one is gathered: 8 leaves of 88 x 88 at a time, where 1,024 leaves would be 60 MiB.
         ones = ChannelMatrix(np.ones((4, 90)))
         tracemalloc.start()
         try:
