@@ -7,8 +7,9 @@ matrix W satisfies f(S) = 1_S^T W 1_S, i.e. the factor 2 on each edge is
 realized by symmetric double counting rather than stored explicitly.
 One lexicographic walk over size-k sets, `_BranchAndBound`, serves the
 oracle (bounded) and the certificate (at an infinite slack, every set).
-A walk that does not bound and whose sets fit one gather chunk (C(n, k) k^2
-<= `_GATHER`) reads them, and their flat offsets, from one memoized table.
+It alone gathers W's principal submatrices, yielding each chunk of sets
+with their stack, from one memoized table's flat offsets when an unbounded
+walk fits one chunk (C(n, k) k^2 <= `_GATHER`).
 """
 
 from __future__ import annotations
@@ -149,23 +150,24 @@ class _BranchAndBound:
 
     `w` is a symmetric matrix over positions 0..n-1 (the oracle's W restricted
     to its pool, or the certificate's W). A set's value is its gathered sum
-    w[S][:, S].sum(). `leaves` yields, in lexicographic order, every size-k set
-    that the bound below cannot rule out. The oracle folds them into the first
+    w[S][:, S].sum(). `leaves` yields, in lexicographic order and a chunk at a
+    time with its stack of w[S][:, S], every size-k set that the bound below
+    cannot rule out. The oracle sums the stacks and folds them into the first
     set whose value no earlier set beats with a strict `<`, the first minimizer
     (the k-cluster problem; Feige, Peleg & Kortsarz, Algorithmica 2001),
     lowering `limit`, the smallest value it knows (+inf at first), as it goes.
     With C(n, k) <= `_BLOCK`, or an infinite slack (the certificate's), the
     walk does not bound: it enumerates every set and carries no values. If
     then C(n, k) k^2 <= `_GATHER` (read at construction), every set fits one
-    chunk: `leaves` yields the memoized `_lexicographic(n, k)` table, and
-    `stack` gathers it by its flat offsets, `w.ravel()[offsets]`, the same
-    C-order stack as the fancy index and so the same bits. Each of the
-    memo's 8 entries holds at most `_GATHER` offsets and its sets, about
-    60 KB for C(10, 5).
+    chunk: `leaves` yields the memoized `_lexicographic(n, k)` table with
+    the stack gathered by its flat offsets, `w.ravel()[offsets]`, the same
+    C-order stack as the DFS chunks' fancy index `w[S[:, :, None], S[:, None, :]]`
+    and so the same bits. Each of the memo's 8 entries holds at most
+    `_GATHER` offsets and its sets, about 60 KB for C(10, 5).
 
     The walk grows sorted prefixes P from the empty one, with r = k - |P|
     left to choose, in blocks of at most `_BLOCK` rows, pushed last first so
-    the stack pops them in lexicographic order. A bounded block also holds
+    `pending` pops them in lexicographic order. A bounded block also holds
     each row's f(P) and its row sums rs_P = sum_{p in P} w[p, :], carried from
     its parent: f(P + j) = f(P) + w_jj + 2 rs_P[j] and rs_{P + j} = rs_P +
     w[j, :]. A completion R of P lies in [s, n), s one past P's last
@@ -218,16 +220,6 @@ class _BranchAndBound:
                 sums = np.cumsum(np.sort(off[s:, s:], axis=1)[:, :c], axis=1)
                 self.table[s, : c - self.lo[s], s:] = sums[:, self.lo[s] :].T
 
-    def stack(self, sets: np.ndarray) -> np.ndarray:
-        """The (b, k, k) C-order stack of w[S][:, S] over rows S of position sets (b, k)."""
-        if self.lex is not None and sets is self.lex[0]:
-            return self.w.ravel()[self.lex[1]]  # `take` would copy the read-only offsets first
-        return self.w[sets[:, :, None], sets[:, None, :]]
-
-    def gathered(self, sets: np.ndarray) -> np.ndarray:
-        """The gathered sum of each row of position sets (b, k)."""
-        return self.stack(sets).sum(axis=(1, 2))
-
     def bounds(self, f: np.ndarray, rs: np.ndarray, first: np.ndarray, r: int) -> np.ndarray:
         """f(P) plus the r smallest c_j over j >= first: a lower bound on every completion."""
         c = self.table[first, r - 2 - self.lo[first]]
@@ -237,13 +229,14 @@ class _BranchAndBound:
         c.partition(r - 1, axis=1)
         return f + c[:, :r].sum(axis=1)
 
-    def leaves(self) -> Iterator[np.ndarray]:
-        """Unpruned leaves in lexicographic order: (b, k) position sets, b <= max(1, _GATHER // k^2); k >= 1.
+    def leaves(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Unpruned leaves in lexicographic order: (b, k) position sets, b <= max(1, _GATHER // k^2), with
+        their (b, k, k) C-order stack of w[S][:, S], the table's flat gather or a DFS chunk's fancy index; k >= 1.
 
         `limit` is read as each block is popped, so what a caller sets between chunks prunes what follows.
         """
         if self.lex is not None:
-            yield self.lex[0]
+            yield self.lex[0], self.w.ravel()[self.lex[1]]  # `take` would copy the read-only offsets first
             return
         n, k, bounded = self.n, self.k, self.bounded
         cand = np.empty((1, 0), dtype=np.intp)  # the empty prefix
@@ -265,7 +258,8 @@ class _BranchAndBound:
                 del keep
                 step = max(1, _GATHER // (k * k))
                 for lo in range(0, len(rows), step):
-                    yield np.concatenate((cand[rows[lo : lo + step]], cols[lo : lo + step, None]), axis=1)
+                    sets = np.concatenate((cand[rows[lo : lo + step]], cols[lo : lo + step, None]), axis=1)
+                    yield sets, self.w[sets[:, :, None], sets[:, None, :]]
             else:
                 if bounded and r < k:
                     keep = _unpruned(self.bounds(f, rs, first, r), limit)
@@ -300,8 +294,7 @@ def restricted_eigenvalues(
     mu_min (mu_max) is the smallest (largest) eigenvalue over all k x k
     principal submatrices of W. `_BranchAndBound` at an infinite slack walks
     every support, in lexicographic chunks of at most 2^16 floats (or one
-    support), each stacked by the walk's `stack` (from flat offsets when
-    C(d, k) k^2 <= 2^16 makes the one chunk the memoized table) and solved by
+    support); each chunk's stack, as the walk yields it, is solved by
     one LAPACK `eigvalsh` call: the first support, in lexicographic order,
     that attains it gives its bits. Each eigenvalue is within p(k) eps ||A||_2 <=
     16 k^2 eps k max|w_ij| of the exact one (LAPACK Users' Guide, 4.7), at any scale
@@ -311,9 +304,8 @@ def restricted_eigenvalues(
         raise ValueError(f"subset size {k} out of range for dimension {g.dim}")
     _check_capacity(g.dim, k, cap)
     mu_min, mu_max = math.inf, -math.inf
-    search = _BranchAndBound(g.w, k, math.inf)
-    for rows in search.leaves():
-        eig = np.linalg.eigvalsh(search.stack(rows))
+    for _, stack in _BranchAndBound(g.w, k, math.inf).leaves():
+        eig = np.linalg.eigvalsh(stack)
         # First extremum of the chunk, and an earlier chunk keeps a tie.
         mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))
         mu_max = max(mu_max, float(eig[np.argmax(eig[:, -1]), -1]))

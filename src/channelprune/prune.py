@@ -23,7 +23,7 @@ import numpy as np
 from .core import ChannelMatrix, IndexSet, _error_sq_blocks, exact_ceil
 from .errors import DegenerateInputError
 from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _BranchAndBound, _check_capacity, _rounding_slack
-from .graph import build_interaction_graph
+from .graph import build_interaction_graph, quadratic_form
 
 __all__ = [
     "Problem",
@@ -235,7 +235,11 @@ class Problem:
         """
         selector = Selector(selector)
         n_prune, clamped = _budget(lam, self.q.cols, len(self.protected))
-        if selector is Selector.MIES:
+        if selector is Selector.ORACLE:
+            self.check_oracle_capacity(lam, cap)  # before the zero budget: cap=0 refuses even C(n, 0)
+        if n_prune == 0:  # no selector reads W to prune nothing
+            order = ()
+        elif selector is Selector.MIES:
             order = self._greedy_prefix(n_prune)
         elif selector is Selector.THINK:
             order = self._think_order[:n_prune]
@@ -243,7 +247,6 @@ class Problem:
             drawn = self._generator(seed).choice(self.candidates, size=n_prune, replace=False)
             order = tuple(drawn.tolist())
         else:
-            self.check_oracle_capacity(lam, cap)
             if n_prune not in self._oracle_orders:
                 self._oracle_orders[n_prune] = self._oracle_order(n_prune)
             order = self._oracle_orders[n_prune]
@@ -280,22 +283,19 @@ class Problem:
     def _oracle_order(self, n_prune: int) -> tuple[int, ...]:
         """Lexicographically smallest minimizer of 1_S^T W 1_S over size-n_prune sets.
 
-        A strict `<` over the walk's leaves keeps the first minimum, and the walk's
-        `limit` is the smaller of the best sum and the incumbent: the greedy prefix's
-        sum when the search bounds at all, which prunes before the first leaf is reached.
+        A strict `<` over the sums of the walk's stacks keeps the first minimum, and the walk's
+        `limit` is the smaller of the best sum and the incumbent: when the search bounds at all,
+        the greedy prefix's `quadratic_form`, which prunes before the first leaf is reached.
         """
         pool = self.candidates
         w = self.graph.w[np.ix_(pool, pool)]
-        if n_prune == 0:
-            return ()
         search = _BranchAndBound(w, n_prune, _rounding_slack(w))
         incumbent = math.inf
         if search.bounded:
-            greedy = np.searchsorted(pool, sorted(self._greedy_prefix(n_prune)))
-            search.limit = incumbent = float(search.gathered(greedy[None, :])[0])
+            search.limit = incumbent = quadratic_form(self.graph, IndexSet(tuple(sorted(self._greedy_prefix(n_prune)))))
         best, best_value = None, math.inf
-        for sets in search.leaves():
-            values = search.gathered(sets)
+        for sets, stack in search.leaves():
+            values = stack.sum(axis=(1, 2))
             if best is None:
                 best, best_value = sets[0], values[0]
             pos = int(np.argmin(np.where(np.isnan(values), np.inf, values)))
@@ -310,8 +310,8 @@ def think_select(
 ) -> PruneSelection:
     """Prune the unprotected channels of lowest self-importance W_jj, ignoring interactions.
 
-    Ties break toward the lower channel index. A W with non-finite
-    entries is refused with ValueError, as for mies and the oracle.
+    Ties break toward the lower channel index. A W with non-finite entries is
+    refused with ValueError, as for mies and the oracle, at a nonzero budget.
     """
     return Problem(q, k, protected).select(Selector.THINK, lam)
 

@@ -173,7 +173,7 @@ class TestQuadraticForm:
 class TestSubsets:
     def test_chunks_enumerate_every_subset_in_order(self):
         pool = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
-        chunks = list(graph._BranchAndBound(np.zeros((16, 16)), 8, math.inf).leaves())
+        chunks = [sets for sets, _ in graph._BranchAndBound(np.zeros((16, 16)), 8, math.inf).leaves()]
         assert all(1 <= len(c) <= graph._GATHER // 64 for c in chunks)  # (8, 8) leaves of 2^16 floats
         assert sum(len(c) for c in chunks) == math.comb(16, 8)
         flat = [tuple(int(j) for j in row) for chunk in chunks for row in pool[chunk]]
@@ -182,18 +182,18 @@ class TestSubsets:
     def test_empty_subset_is_one_row(self):
         # The walk starts from the empty prefix, one row: its children are the singletons,
         # and at k = n its one leaf is the full set. The oracle answers k = 0 without a walk.
-        (chunk,) = graph._BranchAndBound(np.eye(4), 1, math.inf).leaves()
+        ((chunk, _),) = graph._BranchAndBound(np.eye(4), 1, math.inf).leaves()
         assert chunk.tolist() == [[0], [1], [2], [3]]
-        (chunk,) = graph._BranchAndBound(np.eye(4), 4, math.inf).leaves()
+        ((chunk, _),) = graph._BranchAndBound(np.eye(4), 4, math.inf).leaves()
         assert chunk.tolist() == [[0, 1, 2, 3]]
         problem = Problem(ChannelMatrix(np.eye(4)), ChannelMatrix(np.eye(4)))
         with mock.patch.object(graph._BranchAndBound, "leaves") as leaves:
-            assert problem._oracle_order(0) == ()
+            assert problem.select(Selector.ORACLE, 0.0).order == ()
         leaves.assert_not_called()
 
     def test_the_memoized_table_is_read_only(self):
         sets, offsets = graph._lexicographic(10, 5)
-        (chunk,) = graph._BranchAndBound(np.eye(10), 5, math.inf).leaves()
+        ((chunk, _),) = graph._BranchAndBound(np.eye(10), 5, math.inf).leaves()
         assert chunk is sets  # every walk over C(10, 5) reads the one table
         for arr in (sets, offsets):
             with pytest.raises(ValueError, match="read-only"):

@@ -5,7 +5,9 @@ nothing else in `src/` names is dead code left behind by a refactor, and so
 is a top-level import that its module never names; a name in `__all__` that
 its module does not bind breaks `from module import *`; and a name a package
 `__init__.py` re-exports with `from .mod import name` is part of `mod`'s
-public surface, so `mod.__all__` must list it. All four are found with `ast`.
+public surface, so `mod.__all__` must list it. All four are found with `ast`,
+as is a non-dunder method of a top-level private class that nothing in `src/`
+names outside the method's own body, which is dead code for the same reason.
 
 Also with `ast`: no `yield` inside a `with np.errstate(...)` block. numpy's
 error state is a context variable, so a generator paused inside one would
@@ -15,6 +17,7 @@ without a bound holds its arguments and results for the life of the process.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -94,6 +97,29 @@ def find_orphans(sources):
                 problems.append(f"{module}:{statement.lineno}: __all__ names {name}, which it does not define")
         if module.rpartition("/")[2] == "__init__.py":
             problems.extend(_unlisted_reexports(module, tree, trees))
+    return problems
+
+
+def _names(node):
+    """Counts of the names, attributes and imported names read anywhere under `node`."""
+    return Counter(name for _, name in _referenced(ast.Module(body=[node], type_ignores=[])))
+
+
+def find_orphaned_methods(sources):
+    """Problems for each non-dunder method of a top-level private class that `sources` name only in its own body."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    uses = sum((_names(tree) for tree in trees.values()), Counter())
+    problems = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or not cls.name.startswith("_") or cls.name.startswith("__"):
+                continue
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = method.name
+                if not (name.startswith("__") and name.endswith("__")) and uses[name] == _names(method)[name]:
+                    problems.append(f"{module}:{method.lineno}: {cls.name}.{name} is referenced nowhere else")
     return problems
 
 
@@ -213,6 +239,33 @@ def test_the_guard_flags_a_package_reexport_that_the_submodule_leaves_out_of_all
     assert find_orphans(sources) == [
         "pkg/__init__.py:1: re-exports unlisted, which pkg/a.py leaves out of __all__",
         "pkg/sub/__init__.py:1: re-exports inner, which pkg/sub/deep.py leaves out of __all__",
+    ]
+
+
+def test_no_orphaned_methods_of_private_classes():
+    sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
+    assert sources
+    assert find_orphaned_methods(sources) == []
+
+
+def test_the_guard_flags_an_orphaned_method_of_a_private_class():
+    sources = {
+        "a.py": (
+            "class _Walk:\n"
+            "    def __init__(self):\n        self.step = self._helper()\n"
+            "    def _helper(self):\n        return 0\n"
+            "    def called(self):\n        return 1\n"
+            "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n"
+            "    @property\n    def size(self):\n        return 2\n"
+            "    def unused(self):\n        return self.unused\n"
+            "class Public:\n"
+            "    def never_called(self):\n        return 3\n"
+            "def run():\n    return _Walk().called() + _Walk().size\n"
+        ),
+    }
+    assert find_orphaned_methods(sources) == [
+        "a.py:8: _Walk.recursive is referenced nowhere else",
+        "a.py:13: _Walk.unused is referenced nowhere else",
     ]
 
 

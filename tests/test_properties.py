@@ -242,7 +242,7 @@ def test_a_walk_that_does_not_bound_yields_every_subset_in_order(n, sizes, seed)
                 continue
             search = graph._BranchAndBound(w, k, slack)
             assert not search.bounded  # a walk that does not bound builds no bound table
-            chunks = list(search.leaves())
+            chunks = [sets for sets, _ in search.leaves()]
             assert all(rows.dtype == np.intp and rows.ndim == 2 and rows.shape[1] == k for rows in chunks)
             assert all(1 <= len(rows) <= max(1, sizes[1] // (k * k)) for rows in chunks)
             assert [tuple(row) for rows in chunks for row in rows.tolist()] == list(combinations(range(n), k))
@@ -261,33 +261,42 @@ def test_the_memoized_table_is_the_lexicographic_walk(n, data):
     w = np.zeros((n, n))
     floats = math.comb(n, k) * k * k
     with mock.patch.object(graph, "_GATHER", max(floats, graph._GATHER)):
-        (chunk,) = graph._BranchAndBound(w, k, math.inf).leaves()
+        ((chunk, _),) = graph._BranchAndBound(w, k, math.inf).leaves()
     assert chunk is sets
     if floats > 1:
         with mock.patch.object(graph, "_GATHER", data.draw(st.integers(1, floats - 1))):
             search = graph._BranchAndBound(w, k, math.inf)
             assert search.lex is None
-            chunks = list(search.leaves())
+            chunks = [rows for rows, _ in search.leaves()]
         assert np.concatenate(chunks).tolist() == sets.tolist()
 
 
 @PROPERTY
 @given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e306, 1e-300]), st.data())
 def test_the_flat_gather_is_the_fancy_index_bitwise(n, seed, scale, data):
-    # Near 1e306 the sums overflow to inf and near 1e-300 they are subnormal or exact: the stack,
-    # and so every sum and eigenvalue of it, has the fancy index's bits.
+    # Near 1e306 the sums overflow to inf and near 1e-300 they are subnormal or exact: each stack
+    # the walk yields, the table's and the DFS chunks', and so every sum and eigenvalue of it, has
+    # the fancy index's bits.
     k = data.draw(st.integers(1, n))
     a = np.random.default_rng(seed).standard_normal((n, n))
     w = (a + a.T) * scale
     sets, offsets = graph._lexicographic(n, k)
     fancy = w[sets[:, :, None], sets[:, None, :]]
     assert w.ravel().take(offsets).tobytes() == w.ravel()[offsets].tobytes() == fancy.tobytes()
-    with mock.patch.object(graph, "_GATHER", max(math.comb(n, k) * k * k, graph._GATHER)):
-        search = graph._BranchAndBound(w, k, math.inf)
-    stack = search.stack(sets)
+    floats = math.comb(n, k) * k * k
+    with mock.patch.object(graph, "_GATHER", max(floats, graph._GATHER)):
+        ((chunk, stack),) = graph._BranchAndBound(w, k, math.inf).leaves()
+    assert chunk is sets
     assert stack.flags.c_contiguous and stack.shape == fancy.shape and stack.tobytes() == fancy.tobytes()
     with np.errstate(over="ignore", invalid="ignore"):
-        assert search.gathered(sets).tobytes() == fancy.sum(axis=(1, 2)).tobytes()
+        assert stack.sum(axis=(1, 2)).tobytes() == fancy.sum(axis=(1, 2)).tobytes()
+    if floats > 1:
+        with mock.patch.object(graph, "_GATHER", data.draw(st.integers(1, floats - 1))):
+            chunks = list(graph._BranchAndBound(w, k, math.inf).leaves())
+        for rows, stack in chunks:
+            assert stack.flags.c_contiguous and stack.shape == (len(rows), k, k)
+            assert stack.tobytes() == w[rows[:, :, None], rows[:, None, :]].tobytes()
+        assert np.concatenate([stack for _, stack in chunks]).tobytes() == fancy.tobytes()
 
 
 def first_minimizer(q, k, protected, size):
@@ -503,8 +512,8 @@ def test_block_bounds_never_exceed_a_completion(d, seed, scales, data):
             first = prefix[-1] + 1 if t else 0
             rows = list(prefix)
             bound = search.bounds(np.array([w[np.ix_(rows, rows)].sum()]), w[rows].sum(axis=0)[None, :], np.array([first]), r)[0]
-            sets = [rows + list(rest) for rest in combinations(range(first, d), r)]
-            assert bound <= search.gathered(np.array(sets)).min() + search.slack
+            sets = np.array([rows + list(rest) for rest in combinations(range(first, d), r)])
+            assert bound <= w[sets[:, :, None], sets[:, None, :]].sum(axis=(1, 2)).min() + search.slack
 
 
 @PROPERTY

@@ -511,6 +511,19 @@ class TestSelectionContracts:
         assert scaled.pruned == base.pruned
         assert scaled.error_sq == pytest.approx(2.5**2 * base.error_sq, rel=1e-9)
 
+    @pytest.mark.parametrize("selector", list(Selector))
+    def test_a_zero_budget_reads_no_w(self, selector):
+        # W_00 = (2e320)(2) overflows, so building W would refuse the instance; pruning nothing needs no W.
+        problem = Problem(ChannelMatrix(np.array([[1e160, 1.0], [1e160, 1.0]])), ChannelMatrix(np.ones((2, 2))))
+        sel = problem.select(selector, 0.0)
+        assert len(sel.pruned) == 0 and sel.error_sq == 0.0
+        assert "graph" not in vars(problem)
+
+    def test_the_capacity_check_precedes_the_zero_budget(self):
+        q, k = normal_pair(18)
+        with pytest.raises(CapacityError, match="C\\(8, 0\\) = 1 subsets exceed the enumeration cap 0"):
+            Problem(q, k).select(Selector.ORACLE, 0.0, cap=0)
+
     def test_invalid_ratio(self):
         q, k = normal_pair(18)
         with pytest.raises(ValueError):
