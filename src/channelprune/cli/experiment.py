@@ -230,7 +230,7 @@ def replay_report(path: str | Path) -> list[str]:
     relative_error, error_future and approx_ratio may instead differ by
     REPLAY_TOLERANCE relative error, but an empty field or the oracle-skip
     marker must still be reproduced as the same kind. Returns a list of
-    mismatch descriptions; an empty list means every row matched.
+    mismatch descriptions, each citing its row's line in the file; an empty list means every row matched.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -238,15 +238,16 @@ def replay_report(path: str | Path) -> list[str]:
     cfg = parse_config_lines(config_lines)
     fresh = run_experiment(cfg)
 
-    data_lines = [line for line in lines if line and not line.startswith("#")]
-    if not data_lines or data_lines[0] != CSV_HEADER:
+    data = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line and not line.startswith("#")]
+    if not data or data[0][1] != CSV_HEADER:
         return [f"{path}: missing or unexpected header"]
     problems = []
-    if len(data_lines) - 1 != len(fresh.rows):
-        problems.append(f"row count {len(data_lines) - 1} != replay count {len(fresh.rows)}")
+    if len(data) - 1 != len(fresh.rows):
+        problems.append(f"row count {len(data) - 1} != replay count {len(fresh.rows)}")
         return problems
     columns = CSV_HEADER.split(",")
-    for lineno, (fields, row) in enumerate(zip(csv.reader(data_lines[1:]), fresh.rows), start=2):
+    for (lineno, line), row in zip(data[1:], fresh.rows):
+        fields = next(csv.reader([line]))
         if len(fields) != len(columns):
             problems.append(f"line {lineno}: {len(fields)} fields, expected {len(columns)}")
             continue

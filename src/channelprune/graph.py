@@ -6,7 +6,7 @@ weights (off-diagonal) are the pairwise interaction terms. The stored
 matrix W satisfies f(S) = 1_S^T W 1_S, i.e. the factor 2 on each edge is
 realized by symmetric double counting rather than stored explicitly.
 One lexicographic walk over size-k sets, `_BranchAndBound`, serves the
-oracle (bounded) and the certificate (at an infinite slack, every set).
+oracle, `_first_minimizer` (bounded), and the certificate (every set).
 It alone gathers W's principal submatrices, yielding each chunk of sets
 with their stack, from one memoized table's flat offsets when an unbounded
 walk fits one chunk (C(n, k) k^2 <= `_GATHER`).
@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -152,10 +152,7 @@ class _BranchAndBound:
     to its pool, or the certificate's W). A set's value is its gathered sum
     w[S][:, S].sum(). `leaves` yields, in lexicographic order and a chunk at a
     time with its stack of w[S][:, S], every size-k set that the bound below
-    cannot rule out. The oracle sums the stacks and folds them into the first
-    set whose value no earlier set beats with a strict `<`, the first minimizer
-    (the k-cluster problem; Feige, Peleg & Kortsarz, Algorithmica 2001),
-    lowering `limit`, the smallest value it knows (+inf at first), as it goes.
+    cannot rule out beyond `limit` (+inf at first, lowered between chunks).
     With C(n, k) <= `_BLOCK`, or an infinite slack (the certificate's), the
     walk does not bound: it enumerates every set and carries no values. If
     then C(n, k) k^2 <= `_GATHER` (read at construction), every set fits one
@@ -176,7 +173,7 @@ class _BranchAndBound:
     So f(P) plus the r smallest c_j bounds every completion from below; the
     smallest-entry sums depend only on (s, r) and are tabulated once. The
     empty prefix is not bounded: its bound is at most any set's gathered sum
-    plus the slack, the greedy incumbent's included, so it prunes nothing. At
+    plus the slack, an incumbent's included, so it prunes nothing. At
     r = 1 a prefix's children are leaves, and a leaf's bound is its value
     f(P) + w_jj + 2 rs_P[j]. One rule drops a prefix or a leaf: its bound
     exceeds limit + slack (a NaN or infinite bound never drops, `_unpruned`).
@@ -284,6 +281,25 @@ class _BranchAndBound:
         child_rs = rs[parent]
         child_rs += self.w[j]
         return children, f[parent] + self.diag[j] + 2.0 * rs[parent, j], child_rs
+
+
+def _first_minimizer(w: np.ndarray, k: int, incumbent: Callable[[], float]) -> np.ndarray:
+    """Positions of the lexicographically first size-k set whose value w[S][:, S].sum() no earlier set beats
+    with a strict `<` (NaN reads as +inf): summing every set gives it, tie for tie (the k-cluster problem;
+    Feige, Peleg & Kortsarz, Algorithmica 2001). The walk bounds at `_rounding_slack(w)`; only a bounding walk
+    calls `incumbent()`, the value of some size-k set, once, to start its `limit`, which the best value lowers."""
+    search = _BranchAndBound(w, k, _rounding_slack(w))
+    search.limit = upper = incumbent() if search.bounded else math.inf
+    best, best_value = None, math.inf
+    for sets, stack in search.leaves():
+        values = stack.sum(axis=(1, 2))
+        if best is None:
+            best, best_value = sets[0], values[0]
+        pos = int(np.argmin(np.where(np.isnan(values), np.inf, values)))
+        if values[pos] < best_value:  # strict: the first minimum is lexicographically smallest
+            best, best_value = sets[pos], values[pos]
+        search.limit = min(best_value, upper)
+    return best
 
 
 def restricted_eigenvalues(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ChannelMatrix, IndexSet, _error_sq_blocks, exact_ceil
 from .errors import DegenerateInputError
-from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _BranchAndBound, _check_capacity, _rounding_slack
+from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _check_capacity, _first_minimizer
 from .graph import build_interaction_graph, quadratic_form
 
 __all__ = [
@@ -281,27 +281,10 @@ class Problem:
         _check_capacity(len(self.candidates), _budget(lam, self.q.cols, len(self.protected))[0], cap)
 
     def _oracle_order(self, n_prune: int) -> tuple[int, ...]:
-        """Lexicographically smallest minimizer of 1_S^T W 1_S over size-n_prune sets.
-
-        A strict `<` over the sums of the walk's stacks keeps the first minimum, and the walk's
-        `limit` is the smaller of the best sum and the incumbent: when the search bounds at all,
-        the greedy prefix's `quadratic_form`, which prunes before the first leaf is reached.
-        """
+        """`_first_minimizer` over the unprotected pool, its incumbent the greedy prefix's `quadratic_form`."""
         pool = self.candidates
-        w = self.graph.w[np.ix_(pool, pool)]
-        search = _BranchAndBound(w, n_prune, _rounding_slack(w))
-        incumbent = math.inf
-        if search.bounded:
-            search.limit = incumbent = quadratic_form(self.graph, IndexSet(tuple(sorted(self._greedy_prefix(n_prune)))))
-        best, best_value = None, math.inf
-        for sets, stack in search.leaves():
-            values = stack.sum(axis=(1, 2))
-            if best is None:
-                best, best_value = sets[0], values[0]
-            pos = int(np.argmin(np.where(np.isnan(values), np.inf, values)))
-            if values[pos] < best_value:  # strict: the first minimum is lexicographically smallest
-                best, best_value = sets[pos], values[pos]
-            search.limit = min(best_value, incumbent)
+        best = _first_minimizer(self.graph.w[np.ix_(pool, pool)], n_prune, lambda: quadratic_form(
+            self.graph, IndexSet(tuple(sorted(self._greedy_prefix(n_prune))))))
         return tuple(pool[best].tolist())
 
 
@@ -338,7 +321,7 @@ def oracle_select(
 
     Returns the global minimum of the quadratic set function over every
     size-n_prune subset of the unprotected channels, found by branch and
-    bound (see `_BranchAndBound`) with the same answer as summing every
+    bound (see `graph._first_minimizer`) with the same answer as summing every
     subset; ties go to the lexicographically smallest index set. Raises
     CapacityError, before any work, when the subset count exceeds `cap`.
     """

@@ -498,10 +498,22 @@ class TestRunExperiment:
         for edited, problem in (
             (lines[:header] + ["instance,seed"] + lines[header + 1 :], "missing or unexpected header"),
             (lines[:-1], "row count 3 != replay count 4"),
-            (lines[:-1] + [lines[-1] + ",extra"], "line 5: 13 fields, expected 12"),
+            (lines[:-1] + [lines[-1] + ",extra"], "line 25: 13 fields, expected 12"),
         ):
             path.write_text("\n".join(edited) + "\n")
             assert [problem in p for p in replay_report(path)] == [True]
+
+    def test_replay_cites_the_file_line_of_a_tampered_row(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_report(run_experiment(small_cfg()), path)
+        lines = path.read_text().splitlines()
+        row = len(lines) - 2  # the third of four rows, 0-based in the file
+        fields = lines[row].split(",")
+        recorded, fields[7] = fields[7], "123.456"  # error_sq
+        lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert lines[row - 1].startswith("syn-") and lines[row].startswith("syn-")
+        assert replay_report(path) == [f"line {row + 1}: error_sq '123.456' not reproduced (replay {recorded!r})"]
 
     def test_report_matches_golden_bytes(self):
         # tests/data/criterion8_golden.csv was rendered before the selectors

@@ -14,6 +14,9 @@ error state is a context variable, so a generator paused inside one would
 hand that state to its consumer until it resumes. And every `lru_cache` has
 an explicit integer `maxsize`, and `functools.cache` is not used: a cache
 without a bound holds its arguments and results for the life of the process.
+
+Last, every private name that one module imports from another is listed in
+`PRIVATE_IMPORTS`, so a new coupling between modules shows as an edit there.
 """
 
 import ast
@@ -21,6 +24,20 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (importer, module, name) for each private name a module of `src/` imports from another.
+PRIVATE_IMPORTS = {
+    ("channelprune.prune", "channelprune.core", "_error_sq_blocks"),
+    ("channelprune.prune", "channelprune.graph", "_check_capacity"),
+    ("channelprune.prune", "channelprune.graph", "_first_minimizer"),
+    ("channelprune.cli.main", "channelprune.cli.config", "_KEYS"),
+    ("channelprune.cli.main", "channelprune.cli.config", "_apply_key"),
+    ("channelprune.cli.main", "channelprune.cli.config", "_write_bool"),
+    ("channelprune.cli.main", "channelprune.cli.experiment", "_lambda_text"),
+    ("channelprune.cli.experiment", "channelprune.cli.config", "_KEYS"),
+    ("channelprune.cli.experiment", "channelprune.cli.config", "_write_bool"),
+    ("channelprune.cli.selfcheck", "channelprune.prune", "_greedy"),
+}
 
 
 def _defined_names(node):
@@ -367,3 +384,61 @@ def test_the_guard_flags_an_unbounded_cache():
         "a.py:18: uses functools.cache, which has no maxsize",
         "a.py:21: lru_cache without an explicit integer maxsize",
     ]
+
+
+def _module_name(path):
+    """Dotted module name of a source path: `pkg/__init__.py` is `pkg`, `pkg/a.py` is `pkg.a`."""
+    parts = path[: -len(".py")].split("/")
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def find_private_imports(sources):
+    """(importer, module, name) for each relative `from .mod import _name` anywhere in {path: source text}."""
+    found = set()
+    for path, text in sources.items():
+        package = path.split("/")[:-1]  # the directory a relative import starts from
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                module = ".".join(package[: len(package) - node.level + 1] + ([node.module] if node.module else []))
+                found.update(
+                    (_module_name(path), module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                )
+    return found
+
+
+def test_every_private_import_across_modules_is_listed():
+    sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
+    assert sources
+    assert find_private_imports(sources) == PRIVATE_IMPORTS
+
+
+def test_the_guard_reports_each_private_import():
+    sources = {
+        "pkg/__init__.py": "from .a import public, _reexported\nfrom . import _sibling\n",
+        "pkg/a.py": (
+            "from __future__ import annotations\n"
+            "from os import _exit\n"
+            "from .b import __version__, _helper\n"
+            "def late():\n    from .b import _deferred\n    return _deferred\n"
+        ),
+        "pkg/sub/c.py": "from ..a import _walk\nfrom .d import _local\nfrom . import _near\n",
+    }
+    assert find_private_imports(sources) == {
+        ("pkg", "pkg.a", "_reexported"),
+        ("pkg", "pkg", "_sibling"),
+        ("pkg.a", "pkg.b", "_helper"),
+        ("pkg.a", "pkg.b", "_deferred"),
+        ("pkg.sub.c", "pkg.a", "_walk"),
+        ("pkg.sub.c", "pkg.sub.d", "_local"),
+        ("pkg.sub.c", "pkg.sub", "_near"),
+    }
+
+
+def test_a_new_private_import_shows_against_the_list():
+    sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
+    sources["channelprune/prune.py"] += "from .graph import _BranchAndBound\n"
+    assert find_private_imports(sources) - PRIVATE_IMPORTS == {
+        ("channelprune.prune", "channelprune.graph", "_BranchAndBound")
+    }

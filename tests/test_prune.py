@@ -32,7 +32,7 @@ from channelprune import (
     restricted_eigenvalues,
     think_select,
 )
-from channelprune import prune
+from channelprune import graph, prune
 
 
 def normal_pair(seed, rows=16, d=8):
@@ -263,6 +263,20 @@ class TestOracleSelect:
         assert sel.n_prune == 3
         assert sel.pruned.indices == (0, 1, 2)
         assert sel.error_sq == math.inf
+
+    def test_the_greedy_incumbent_runs_only_when_the_walk_bounds(self):
+        # C(10, 5) = 252 sets are too few to bound, so the walk reads the lexicographic table and
+        # an incumbent would prune nothing; a d=20 draw's walk bounds, and the greedy seeds it.
+        rng = np.random.default_rng([0, 1])  # the 16 x 10 bracket draw
+        q, k = (ChannelMatrix(rng.standard_normal((16, 10))) for _ in range(2))
+        table = Problem(q, k)
+        table.select(Selector.ORACLE, 0.5)
+        assert table._greedy_order == []
+        q, k, _ = generate_instance(SyntheticSpec(d=20, seed=0))
+        bounded = Problem(q, k, protect_channels(k, ProtectionPolicy()))
+        sel = bounded.select(Selector.ORACLE, 0.5)
+        assert math.comb(len(bounded.candidates), sel.n_prune) > graph._BLOCK
+        assert len(bounded._greedy_order) == sel.n_prune
 
     def test_capacity_error(self):
         q, k = normal_pair(6, d=10)
