@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
+from ..core import exact_ceil
 from ..errors import CapacityError
 from ..prune import Problem, Selector, protect_channels
 from ..sim import generate_instance
@@ -96,6 +97,15 @@ def _oracle_optimum(problem: Problem, lam: float, cap: int) -> float | str:
         return ORACLE_SKIPPED
 
 
+def _oracle_counts_settled(cfg: ExperimentConfig) -> bool:
+    """Whether no synthetic seed's oracle can exceed the cap: protection keeps at least ceil(a * d) channels
+    (none when off), and C(m, min(n_prune, m)) never shrinks as the pool m grows, so the largest pool decides."""
+    policy = cfg.policy()
+    pool = cfg.d - (exact_ceil(policy.a, cfg.d) if policy.enabled else 0)
+    counts = (math.comb(pool, min(exact_ceil(lam, cfg.d), pool)) for lam in cfg.lambdas)
+    return cfg.mode == "synthetic" and all(count <= cfg.enumeration_cap for count in counts)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full sweep described by the config.
 
@@ -103,9 +113,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     greedy and the oracle run at most once per instance and budget; a cell's
     wall_time_ms includes whatever of that work it was the first to need.
     The seeds of a from-files sweep read the same files, so they share one
-    `Problem`, loaded once. Synthetic seeds stream one at a time, except with
-    an `oracle` selector: then every seed is loaded first, each kept until its
-    cells are done, and one over the enumeration cap at some lambda raises
+    `Problem`, loaded once. Synthetic seeds stream one at a time, and so does
+    an `oracle` sweep whose largest possible pool stays within the enumeration
+    cap at every lambda. Any other `oracle` sweep loads every seed first, each
+    kept until its cells are done, and one over the cap at some lambda raises
     CapacityError before any cell runs (building no W). A zero or overflowing
     attention product, observed or future, raises DegenerateInputError before
     any selector runs on it.
@@ -115,7 +126,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         problems = (load_problem(cfg, seed) for seed in cfg.seeds)
     else:
         problems = repeat(load_problem(cfg, cfg.seeds[0]), len(cfg.seeds))
-    if Selector.ORACLE in cfg.selectors:
+    if Selector.ORACLE in cfg.selectors and not _oracle_counts_settled(cfg):
         loaded = deque(problems)
         for _, problem in loaded:
             for lam in cfg.lambdas:
@@ -220,7 +231,7 @@ def _within(recorded: str, value: float | str | None) -> bool:
         number = float(recorded)
     except ValueError:
         return False
-    return abs(number - value) <= REPLAY_TOLERANCE * max(1.0, abs(value))
+    return abs(number - value) <= REPLAY_TOLERANCE * abs(value)
 
 
 def replay_report(path: str | Path) -> list[str]:

@@ -54,7 +54,7 @@ def _load_grcm(raw: bytes) -> ChannelMatrix:
 
 def _load_csv(raw: bytes, path: Path) -> ChannelMatrix:
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")  # a leading byte-order mark, as spreadsheets write, is not data
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path} is neither GRCM nor UTF-8 CSV", offset=0) from exc
     lines = [line for line in text.splitlines() if line.strip()]

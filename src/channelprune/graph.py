@@ -6,10 +6,9 @@ weights (off-diagonal) are the pairwise interaction terms. The stored
 matrix W satisfies f(S) = 1_S^T W 1_S, i.e. the factor 2 on each edge is
 realized by symmetric double counting rather than stored explicitly.
 One lexicographic walk over size-k sets, `_BranchAndBound`, serves the
-oracle, `_first_minimizer` (bounded), and the certificate (every set).
-It alone gathers W's principal submatrices, yielding each chunk of sets
-with their stack, from one memoized table's flat offsets when an unbounded
-walk fits one chunk (C(n, k) k^2 <= `_GATHER`).
+oracle, `_first_minimizer`, and the certificate, and alone gathers W's
+principal submatrices. A walk whose sets fit one chunk of at most `_BLOCK`
+reads a memoized table; any other bounds iff its slack is finite.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ def _check_capacity(n: int, k: int, cap: int) -> int:
     return total
 
 
-_BLOCK = 4096  # prefixes bounded or expanded together
+_BLOCK = 4096  # prefixes bounded or expanded together, and the most sets of one table
 _GATHER = 2**16  # floats of leaves gathered together: max(1, _GATHER // k^2) leaves of (k, k)
 
 
@@ -153,14 +152,15 @@ class _BranchAndBound:
     w[S][:, S].sum(). `leaves` yields, in lexicographic order and a chunk at a
     time with its stack of w[S][:, S], every size-k set that the bound below
     cannot rule out beyond `limit` (+inf at first, lowered between chunks).
-    With C(n, k) <= `_BLOCK`, or an infinite slack (the certificate's), the
-    walk does not bound: it enumerates every set and carries no values. If
-    then C(n, k) k^2 <= `_GATHER` (read at construction), every set fits one
-    chunk: `leaves` yields the memoized `_lexicographic(n, k)` table with
-    the stack gathered by its flat offsets, `w.ravel()[offsets]`, the same
-    C-order stack as the DFS chunks' fancy index `w[S[:, :, None], S[:, None, :]]`
-    and so the same bits. Each of the memo's 8 entries holds at most
-    `_GATHER` offsets and its sets, about 60 KB for C(10, 5).
+    Two rules, read at construction, decide the walk. n and k alone decide
+    the table: with C(n, k) <= `_BLOCK` and C(n, k) k^2 <= `_GATHER`, `leaves`
+    yields the memoized `_lexicographic(n, k)` table as one chunk, its stack
+    gathered by the flat offsets, `w.ravel()[offsets]`: the same C-order
+    stack as the DFS chunks' fancy index `w[S[:, :, None], S[:, None, :]]`,
+    so the same bits. Each of the memo's 8 entries holds at most `_GATHER`
+    offsets and its sets, about 60 KB for C(10, 5). Any other walk bounds iff
+    its slack is finite, and at an infinite one (the certificate's) enumerates
+    every set, carrying no values.
 
     The walk grows sorted prefixes P from the empty one, with r = k - |P|
     left to choose, in blocks of at most `_BLOCK` rows, pushed last first so
@@ -200,8 +200,9 @@ class _BranchAndBound:
         n = len(w)
         self.w, self.n, self.k, self.slack, self.limit = w, n, k, slack, math.inf
         self.diag = w.diagonal()
-        self.bounded = math.isfinite(slack) and math.comb(n, k) > _BLOCK
-        self.lex = None if self.bounded or math.comb(n, k) * k * k > _GATHER else _lexicographic(n, k)
+        total = math.comb(n, k)
+        self.lex = _lexicographic(n, k) if total <= _BLOCK and total * k * k <= _GATHER else None
+        self.bounded = self.lex is None and math.isfinite(slack)
         if self.bounded:
             # A prefix ending at s - 1 holds at most s channels and leaves r >= 2 to choose from
             # [s, n), so it asks for the c = r - 1 smallest entries only for c from lo[s] + 1 =
@@ -286,8 +287,9 @@ class _BranchAndBound:
 def _first_minimizer(w: np.ndarray, k: int, incumbent: Callable[[], float]) -> np.ndarray:
     """Positions of the lexicographically first size-k set whose value w[S][:, S].sum() no earlier set beats
     with a strict `<` (NaN reads as +inf): summing every set gives it, tie for tie (the k-cluster problem;
-    Feige, Peleg & Kortsarz, Algorithmica 2001). The walk bounds at `_rounding_slack(w)`; only a bounding walk
-    calls `incumbent()`, the value of some size-k set, once, to start its `limit`, which the best value lowers."""
+    Feige, Peleg & Kortsarz, Algorithmica 2001). Unless it reads the table, the walk bounds at `_rounding_slack(w)`
+    if finite; only a bounding walk calls `incumbent()`, the value of some size-k set, once, to start its `limit`,
+    which the best value lowers."""
     search = _BranchAndBound(w, k, _rounding_slack(w))
     search.limit = upper = incumbent() if search.bounded else math.inf
     best, best_value = None, math.inf

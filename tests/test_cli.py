@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import struct
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -195,6 +196,19 @@ class TestCsvFormat:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(MatrixFormatError):
+            load_matrix(path)
+
+    def test_a_byte_order_mark_is_not_data(self, tmp_path):
+        # Spreadsheets export UTF-8 CSV with a leading byte-order mark.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("1.0,-2.5\n3,4e-3\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_matrix(marked).data.tobytes() == load_matrix(plain).data.tobytes()
+
+    def test_a_csv_that_is_not_utf8_is_refused(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("1,2\n3,\u00b5\n".encode("latin-1"))
+        with pytest.raises(MatrixFormatError, match="is neither GRCM nor UTF-8 CSV"):
             load_matrix(path)
 
     def test_unrecognized_binary(self, tmp_path):
@@ -503,6 +517,19 @@ class TestRunExperiment:
             path.write_text("\n".join(edited) + "\n")
             assert [problem in p for p in replay_report(path)] == [True]
 
+    @pytest.mark.parametrize("column", [8, 9])  # relative_error, error_future: both below 1
+    def test_replay_tolerance_is_relative_below_one(self, tmp_path, column):
+        path = tmp_path / "r.csv"
+        write_report(run_experiment(small_cfg()), path)
+        lines = path.read_text().splitlines()
+        fields = lines[-1].split(",")
+        value = float(fields[column])
+        assert 0.0 < value < 0.1
+        for factor, reported in ((1 + 5e-10, False), (1 - 5e-10, False), (1 + 1e-8, True), (1 - 1e-8, True)):
+            fields[column] = format(value * factor, ".12g")
+            path.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
+            assert (replay_report(path) != []) is reported
+
     def test_replay_cites_the_file_line_of_a_tampered_row(self, tmp_path):
         path = tmp_path / "r.csv"
         write_report(run_experiment(small_cfg()), path)
@@ -592,6 +619,7 @@ class TestRunExperiment:
 
     def test_an_oracle_sweep_releases_each_seed_once_its_cells_are_done(self, monkeypatch):
         # The preflight loads every seed first, but a seed's Problem (and its W) goes once its cells are done.
+        # Under a cap of 251, a full pool of 10 channels (C(10, 5) = 252) could be refused, so the sweep preflights.
         refs, alive_earlier = [], []
         real_load, real_select = experiment.load_problem, experiment.Problem.select
 
@@ -608,8 +636,45 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "load_problem", load_problem)
         monkeypatch.setattr(experiment.Problem, "select", select)
-        run_experiment(small_cfg(seeds=(0, 1, 2, 3), selectors=(Selector.MIES, Selector.ORACLE)))
+        cfg = small_cfg(seeds=(0, 1, 2, 3), selectors=(Selector.MIES, Selector.ORACLE), enumeration_cap=251,
+                        protect_sigma=0.0, protect_bounds=(0.0, 1.0))
+        run_experiment(cfg)
         assert alive_earlier == [0] * 8
+
+    @pytest.mark.parametrize("overrides, streams", [
+        # Protection keeps at least one of 10 channels: no pool holds more than C(9, 5) = 126 sets of 5.
+        ({}, True),
+        # A full pool's C(10, 5) = 252 sets would exceed the cap; each seed protects some, so none is refused.
+        ({"protect_sigma": 0.0, "protect_bounds": (0.0, 1.0), "enumeration_cap": 251}, False),
+    ])
+    def test_an_oracle_sweep_whose_counts_settle_the_cap_streams_its_seeds(self, monkeypatch, overrides, streams):
+        # When no seed's pool can exceed the cap, no seed can be refused, so none is loaded ahead of its cells.
+        events = []
+        real_load, real_select = experiment.load_problem, experiment.Problem.select
+        monkeypatch.setattr(experiment, "load_problem", lambda cfg, seed: events.append(seed) or real_load(cfg, seed))
+
+        def select(*args, **kwargs):
+            events.append("select")
+            return real_select(*args, **kwargs)
+
+        monkeypatch.setattr(experiment.Problem, "select", select)
+        report = run_experiment(small_cfg(selectors=(Selector.MIES, Selector.ORACLE), **overrides))
+        assert len(report.rows) == 4 and [event for event in events if event != "select"] == [0, 1]
+        assert (events.index(1) > events.index("select")) is streams
+
+    def test_a_streamed_oracle_sweep_holds_one_seed_at_a_time(self):
+        # 160 seeds of d=64 at lambda 0.02: each oracle searches at most C(63, 2) = 1,953 sets, so the
+        # sweep streams, and its peak is that of a mies sweep, not of 160 loaded instances.
+        peaks = []
+        for selectors in ((Selector.MIES,), (Selector.MIES, Selector.ORACLE)):
+            cfg = ExperimentConfig(seeds=tuple(range(160)), lambdas=(0.02,), selectors=selectors)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
 
     def test_mies_mean_beats_think_over_sweep(self):
         # Direction check through the orchestration layer: 100 default

@@ -265,13 +265,19 @@ class TestOracleSelect:
         assert sel.error_sq == math.inf
 
     def test_the_greedy_incumbent_runs_only_when_the_walk_bounds(self):
-        # C(10, 5) = 252 sets are too few to bound, so the walk reads the lexicographic table and
-        # an incumbent would prune nothing; a d=20 draw's walk bounds, and the greedy seeds it.
+        # The C(10, 5) = 252 sets fit the lexicographic table, so the walk reads it, does not bound,
+        # and an incumbent would prune nothing. C(14, 7) = 3,432 sets of 7 exceed one table's 2^16
+        # floats, so that walk bounds however few its sets, as does a d=20 draw's; the greedy seeds both.
         rng = np.random.default_rng([0, 1])  # the 16 x 10 bracket draw
         q, k = (ChannelMatrix(rng.standard_normal((16, 10))) for _ in range(2))
         table = Problem(q, k)
         table.select(Selector.ORACLE, 0.5)
         assert table._greedy_order == []
+        q, k = (ChannelMatrix(rng.standard_normal((8, 14))) for _ in range(2))
+        off_table = Problem(q, k)
+        sel = off_table.select(Selector.ORACLE, 0.5)
+        assert math.comb(14, 7) <= graph._BLOCK and math.comb(14, 7) * 7 * 7 > graph._GATHER
+        assert len(off_table._greedy_order) == sel.n_prune == 7
         q, k, _ = generate_instance(SyntheticSpec(d=20, seed=0))
         bounded = Problem(q, k, protect_channels(k, ProtectionPolicy()))
         sel = bounded.select(Selector.ORACLE, 0.5)
