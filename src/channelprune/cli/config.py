@@ -152,10 +152,11 @@ class ExperimentConfig:
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         for key in ("lambdas", "selectors", "seeds"):  # a repeated entry would repeat its rows
-            values = getattr(self, key)
-            repeated = [value for i, value in enumerate(values) if value in values[:i]]
-            if repeated:
-                raise ConfigError(f"{key}: repeated value {_KEYS[key][1](repeated[:1])}")
+            seen = set()
+            for value in getattr(self, key):
+                if value in seen:
+                    raise ConfigError(f"{key}: repeated value {_KEYS[key][1]((value,))}")
+                seen.add(value)
         if self.enumeration_cap < 0:
             raise ConfigError(f"enumeration_cap must be non-negative, got {self.enumeration_cap}")
         if self.mode == "from-files" and (self.q_path is None or self.k_path is None):

@@ -22,7 +22,7 @@ from ..core import exact_ceil
 from ..errors import CapacityError
 from ..prune import Problem, Selector, protect_channels
 from ..sim import generate_instance
-from .config import _KEYS, ExperimentConfig, _write_bool, format_value, parse_config_lines
+from .config import ExperimentConfig, _embedded, _write_bool, format_value, parse_config_lines
 from .matrix_io import load_matrix
 
 __all__ = [
@@ -115,11 +115,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     The seeds of a from-files sweep read the same files, so they share one
     `Problem`, loaded once. Synthetic seeds stream one at a time, and so does
     an `oracle` sweep whose largest possible pool stays within the enumeration
-    cap at every lambda. Any other `oracle` sweep loads every seed first, each
-    kept until its cells are done, and one over the cap at some lambda raises
-    CapacityError before any cell runs (building no W). A zero or overflowing
-    attention product, observed or future, raises DegenerateInputError before
-    any selector runs on it.
+    cap at every lambda. Any other `oracle` sweep loads and checks its seeds in
+    order before any cell, each kept until its cells are done, and stops at the
+    first one over the cap at some lambda: CapacityError, with no later seed
+    loaded and no W built. A zero or overflowing attention product, observed or
+    future, raises DegenerateInputError before any selector runs on it.
     """
     cfg.validate()
     if cfg.mode == "synthetic":
@@ -127,10 +127,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         problems = repeat(load_problem(cfg, cfg.seeds[0]), len(cfg.seeds))
     if Selector.ORACLE in cfg.selectors and not _oracle_counts_settled(cfg):
-        loaded = deque(problems)
-        for _, problem in loaded:
+        loaded = deque()
+        for instance, problem in problems:  # a refused seed stops the loading
             for lam in cfg.lambdas:
                 problem.check_oracle_capacity(lam, cfg.enumeration_cap)
+            loaded.append((instance, problem))
         problems = (loaded.popleft() for _ in cfg.seeds)  # each released once its cells are done
     rows: list[ReportRow] = []
     for seed, (instance, problem) in zip(cfg.seeds, problems):
@@ -175,8 +176,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(config=cfg, rows=tuple(rows))
 
 
-def _fields(row: ReportRow, timing: bool, lam: str) -> list[str]:
-    """A row's CSV fields; `lam` is its lambda as the embedded config's lossless writer prints it."""
+def _fields(row: ReportRow, timing: bool) -> list[str]:
+    """A row's CSV fields, its lambda printed by the embedded config's lossless writer."""
     if row.approx_ratio is None:
         approx = ""
     elif isinstance(row.approx_ratio, str):
@@ -187,7 +188,7 @@ def _fields(row: ReportRow, timing: bool, lam: str) -> list[str]:
         row.instance,
         str(row.seed),
         row.selector.value,
-        lam,
+        _embedded(row.lam),
         _write_bool(row.protection),
         str(row.n_prune),
         str(row.n_protected),
@@ -199,22 +200,14 @@ def _fields(row: ReportRow, timing: bool, lam: str) -> list[str]:
     ]
 
 
-def _lambda_text(lam: float) -> str:
-    return _KEYS["lambdas"][1]((lam,))
-
-
 def render_report(report: ExperimentReport) -> str:
     """Render the report as CSV text with the resolved config on top."""
     out = io.StringIO()
     out.writelines(f"# {key}={value}\n" for key, value in report.config.resolved_items())
     out.write(CSV_HEADER + "\n")
     writer = csv.writer(out, lineterminator="")  # quotes a field holding a comma or a quote
-    texts: dict[tuple[float, float], str] = {}  # each lambda printed once; the sign tells -0.0 from 0.0
     for row in report.rows:
-        key = (row.lam, math.copysign(1.0, row.lam))
-        if key not in texts:
-            texts[key] = _lambda_text(row.lam)
-        writer.writerow(_fields(row, report.config.timing, texts[key]))
+        writer.writerow(_fields(row, report.config.timing))
         out.write("\n")
     return out.getvalue()
 
@@ -262,7 +255,7 @@ def replay_report(path: str | Path) -> list[str]:
         if len(fields) != len(columns):
             problems.append(f"line {lineno}: {len(fields)} fields, expected {len(columns)}")
             continue
-        replayed = _fields(row, False, _lambda_text(row.lam))
+        replayed = _fields(row, False)
         for name, recorded, expected in zip(columns, fields, replayed):
             if name == "wall_time_ms" or recorded == expected:
                 continue

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from ..errors import CapacityError, ConfigError, MatrixFormatError
 from ..sim import generate_instance
-from .config import _KEYS, ExperimentConfig, _apply_key, _write_bool, format_value, parse_config_file
-from .experiment import _lambda_text, load_problem, run_experiment, write_report
+from .config import _KEYS, ExperimentConfig, _apply_key, _embedded, _write_bool, format_value, parse_config_file
+from .experiment import load_problem, run_experiment, write_report
 from .matrix_io import save_matrix
 from .selfcheck import run_verification
 
@@ -74,7 +74,7 @@ def cmd_prune(cfg: ExperimentConfig) -> int:
     selector = cfg.selectors[0]
     selection = problem.select(selector, lam, seed=seed, cap=cfg.enumeration_cap)
     print(
-        f"selector={selector.value} lambda={_lambda_text(lam)} "
+        f"selector={selector.value} lambda={_embedded(lam)} "
         f"n_prune={selection.n_prune} clamped={_write_bool(selection.budget_clamped)}"
     )
     print(f"protected ({len(problem.protected)}):" + "".join(f" {i}" for i in problem.protected))

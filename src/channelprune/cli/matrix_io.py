@@ -22,10 +22,10 @@ import numpy as np
 from ..core import ChannelMatrix
 from ..errors import MatrixFormatError
 
-__all__ = ["GRCM_MAGIC", "GRCM_VERSION", "load_matrix", "save_matrix"]
+__all__ = ["load_matrix", "save_matrix"]
 
-GRCM_MAGIC = b"GRCM"
-GRCM_VERSION = 0x01
+_GRCM_MAGIC = b"GRCM"
+_GRCM_VERSION = 0x01
 _HEADER = struct.Struct("<4sBII")
 _PAYLOAD_OFFSET = _HEADER.size  # 13
 
@@ -34,7 +34,7 @@ def _load_grcm(raw: bytes) -> ChannelMatrix:
     if len(raw) < _PAYLOAD_OFFSET:
         raise MatrixFormatError("truncated GRCM header", offset=len(raw))
     _, version, rows, cols = _HEADER.unpack_from(raw)
-    if version != GRCM_VERSION:
+    if version != _GRCM_VERSION:
         raise MatrixFormatError(f"unsupported GRCM version {version:#04x}", offset=4)
     if rows == 0:
         raise MatrixFormatError("GRCM row count must be positive", offset=5)
@@ -79,12 +79,12 @@ def load_matrix(path: str | Path) -> ChannelMatrix:
     """Read a matrix from a GRCM or CSV file, auto-detecting the format."""
     path = Path(path)
     raw = path.read_bytes()
-    if raw[:4] == GRCM_MAGIC:
+    if raw[:4] == _GRCM_MAGIC:
         return _load_grcm(raw)
     return _load_csv(raw, path)
 
 
 def save_matrix(m: ChannelMatrix, path: str | Path) -> None:
     """Write a matrix in GRCM format, truncating any existing file."""
-    header = _HEADER.pack(GRCM_MAGIC, GRCM_VERSION, m.rows, m.cols)
+    header = _HEADER.pack(_GRCM_MAGIC, _GRCM_VERSION, m.rows, m.cols)
     Path(path).write_bytes(header + m.data.tobytes(order="C"))

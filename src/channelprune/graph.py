@@ -286,19 +286,18 @@ class _BranchAndBound:
 
 def _first_minimizer(w: np.ndarray, k: int, incumbent: Callable[[], float]) -> np.ndarray:
     """Positions of the lexicographically first size-k set whose value w[S][:, S].sum() no earlier set beats
-    with a strict `<` (NaN reads as +inf): summing every set gives it, tie for tie (the k-cluster problem;
-    Feige, Peleg & Kortsarz, Algorithmica 2001). Unless it reads the table, the walk bounds at `_rounding_slack(w)`
-    if finite; only a bounding walk calls `incumbent()`, the value of some size-k set, once, to start its `limit`,
-    which the best value lowers."""
+    with a strict `<`, a NaN sum read as +inf, so it returns k positions even if no sum is finite: summing every
+    set gives it, tie for tie (the k-cluster problem; Feige, Peleg & Kortsarz, Algorithmica 2001). Unless it reads
+    the table, the walk bounds at `_rounding_slack(w)` if finite; only a bounding walk calls `incumbent()`, the value
+    of some size-k set, once, to start its `limit`, which the best value lowers."""
     search = _BranchAndBound(w, k, _rounding_slack(w))
     search.limit = upper = incumbent() if search.bounded else math.inf
     best, best_value = None, math.inf
     for sets, stack in search.leaves():
         values = stack.sum(axis=(1, 2))
-        if best is None:
-            best, best_value = sets[0], values[0]
-        pos = int(np.argmin(np.where(np.isnan(values), np.inf, values)))
-        if values[pos] < best_value:  # strict: the first minimum is lexicographically smallest
+        values[np.isnan(values)] = np.inf
+        pos = int(np.argmin(values))
+        if best is None or values[pos] < best_value:  # strict: the first minimum is lexicographically smallest
             best, best_value = sets[pos], values[pos]
         search.limit = min(best_value, upper)
     return best

@@ -1,7 +1,9 @@
 import dataclasses
 import gc
 import math
+import re
 import struct
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -13,6 +15,7 @@ import pytest
 
 from channelprune import (
     DEFAULT_ENUMERATION_CAP,
+    CapacityError,
     ChannelMatrix,
     ConfigError,
     MatrixFormatError,
@@ -268,12 +271,20 @@ class TestConfig:
             ("lambdas", (0.5, 0.3, 0.5), "0.5"),
             ("selectors", (Selector.MIES, Selector.MIES), "mies"),
             ("seeds", (1, 2, 1), "1"),
+            ("seeds", (3, 1, 4, 1, 5, 3), "1"),  # the first value equal to an earlier one
         ],
-        ids=["lambdas", "selectors", "seeds"],
+        ids=["lambdas", "selectors", "seeds", "seeds-first-repeat"],
     )
     def test_validate_rejects_repeated_entries(self, key, values, shown):
         with pytest.raises(ConfigError, match=f"^{key}: repeated value {shown}$"):
             ExperimentConfig(**{key: values}).validate()
+
+    def test_validate_scans_many_seeds_in_one_pass(self):
+        # Checking each value against every earlier one took about 20 s for these seeds; one pass takes milliseconds.
+        cfg = ExperimentConfig(seeds=tuple(range(50_000)))
+        start = time.perf_counter()
+        cfg.validate()
+        assert time.perf_counter() - start < 1.0
 
     def test_defaults_come_from_the_owning_types(self):
         assert ExperimentConfig().synthetic_spec(0) == SyntheticSpec()
@@ -599,6 +610,23 @@ class TestRunExperiment:
         cfg = small_cfg(d=20, L=16, L_obs=8, L_future=8, seeds=(0, 1, 2), selectors=(Selector.MIES, Selector.ORACLE))
         assert len(run_experiment(cfg).rows) == 3 * 2
         assert draws == [0, 1, 2]
+
+    @pytest.mark.parametrize("seeds, cap, loaded, count", [
+        # Seed 0 protects one of 10 channels: C(9, 5) = 126 sets exceed a cap of 125.
+        (tuple(range(40)), 125, [0], "C(9, 5) = 126"),
+        # Seeds 2 and 1 protect 4 and 2 channels (C(6, 5) = 6 and C(8, 5) = 56 sets); seed 0 is refused.
+        ((2, 1, 0, 3, 4, 5, 6, 7), 100, [2, 1, 0], "C(9, 5) = 126"),
+    ], ids=["first", "third"])
+    def test_a_refused_oracle_sweep_loads_no_seed_past_the_refused_one(self, monkeypatch, seeds, cap, loaded, count):
+        loads = []
+        real_load = experiment.load_problem
+        monkeypatch.setattr(experiment, "load_problem", lambda cfg, seed: loads.append(seed) or real_load(cfg, seed))
+        monkeypatch.setattr(experiment.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        cfg = small_cfg(seeds=seeds, selectors=(Selector.MIES, Selector.ORACLE), enumeration_cap=cap,
+                        protect_sigma=0.0, protect_bounds=(0.0, 1.0))
+        with pytest.raises(CapacityError, match=re.escape(f"{count} subsets exceed the enumeration cap {cap}")):
+            run_experiment(cfg)
+        assert loads == loaded
 
     @pytest.mark.parametrize("selectors", [(Selector.MIES, Selector.RANDOM), (Selector.MIES, Selector.ORACLE)])
     def test_a_from_files_sweep_loads_its_files_once(self, tmp_path, monkeypatch, selectors):

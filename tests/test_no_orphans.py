@@ -32,9 +32,9 @@ PRIVATE_IMPORTS = {
     ("channelprune.prune", "channelprune.graph", "_first_minimizer"),
     ("channelprune.cli.main", "channelprune.cli.config", "_KEYS"),
     ("channelprune.cli.main", "channelprune.cli.config", "_apply_key"),
+    ("channelprune.cli.main", "channelprune.cli.config", "_embedded"),
     ("channelprune.cli.main", "channelprune.cli.config", "_write_bool"),
-    ("channelprune.cli.main", "channelprune.cli.experiment", "_lambda_text"),
-    ("channelprune.cli.experiment", "channelprune.cli.config", "_KEYS"),
+    ("channelprune.cli.experiment", "channelprune.cli.config", "_embedded"),
     ("channelprune.cli.experiment", "channelprune.cli.config", "_write_bool"),
     ("channelprune.cli.selfcheck", "channelprune.prune", "_greedy"),
 }

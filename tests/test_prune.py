@@ -264,6 +264,22 @@ class TestOracleSelect:
         assert sel.pruned.indices == (0, 1, 2)
         assert sel.error_sq == math.inf
 
+    @pytest.mark.parametrize("huge, small", [
+        ((1.2e154, 1.2e154, -1.2e154), (1, 2, -3)),
+        ((1.2e154, -1.2e154, 1.2e154), (1, 2, -3, 1, 2, -3, 1, 2, -3, 1, 2)),
+    ], ids=["table", "walk"])
+    def test_a_first_set_summing_to_nan_is_replaced(self, huge, small):
+        # With k all ones, f(S) = (sum of q over S)^2. Every set holding a channel of +-1.2e154 sums to
+        # about 1.44e308, +inf or NaN, the first set (0, 1, 2, ...) to NaN, so the optimum is the first best
+        # set of the small channels: in the lexicographic table (d=6), or a later chunk of the walk (d=14).
+        q = ChannelMatrix(np.array([[*huge, *small]]))
+        d = q.cols
+        expected = min(combinations(range(3, d), d // 2), key=lambda s: sum(small[i - 3] for i in s) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sel = oracle_select(q, ChannelMatrix(np.ones((1, d))), 0.5)
+        assert sel.pruned.indices == expected
+        assert sel.error_sq == sum(small[i - 3] for i in expected) ** 2 == 0
+
     def test_the_greedy_incumbent_runs_only_when_the_walk_bounds(self):
         # The C(10, 5) = 252 sets fit the lexicographic table, so the walk reads it, does not bound,
         # and an incumbent would prune nothing. C(14, 7) = 3,432 sets of 7 exceed one table's 2^16
