@@ -126,7 +126,7 @@ class ExperimentConfig:
         (Selector.MIES, Selector.THINK), _each(_selector), _joined(lambda s: s.value)
     )
     seeds: tuple[int, ...] = _setting((0,), _seeds, _joined(str))
-    protect: bool = _setting(ProtectionPolicy.enabled, _bool, _write_bool)
+    protect: bool = _setting(True, _bool, _write_bool)
     protect_sigma: float = _setting(ProtectionPolicy.threshold_sigma, _float, _embedded)
     protect_bounds: tuple[float, float] = _setting(
         (ProtectionPolicy.a, ProtectionPolicy.b), _bounds, _joined(_embedded)
@@ -175,8 +175,8 @@ class ExperimentConfig:
         return self
 
     def policy(self) -> ProtectionPolicy:
-        a, b = self.protect_bounds
-        return ProtectionPolicy(threshold_sigma=self.protect_sigma, a=a, b=b, enabled=self.protect)
+        policy = ProtectionPolicy(self.protect_sigma, *self.protect_bounds)  # bad bounds are refused even when off
+        return policy if self.protect else replace(policy, a=0.0, b=0.0)
 
     def synthetic_spec(self, seed: int) -> SyntheticSpec:
         return SyntheticSpec(*_spec_settings(self), seed=seed)

@@ -99,9 +99,8 @@ def _oracle_optimum(problem: Problem, lam: float, cap: int) -> float | str:
 
 def _oracle_counts_settled(cfg: ExperimentConfig) -> bool:
     """Whether no synthetic seed's oracle can exceed the cap: protection keeps at least ceil(a * d) channels
-    (none when off), and C(m, min(n_prune, m)) never shrinks as the pool m grows, so the largest pool decides."""
-    policy = cfg.policy()
-    pool = cfg.d - (exact_ceil(policy.a, cfg.d) if policy.enabled else 0)
+    (a = 0 when off), and C(m, min(n_prune, m)) never shrinks as the pool m grows, so the largest pool decides."""
+    pool = cfg.d - exact_ceil(cfg.policy().a, cfg.d)
     counts = (math.comb(pool, min(exact_ceil(lam, cfg.d), pool)) for lam in cfg.lambdas)
     return cfg.mode == "synthetic" and all(count <= cfg.enumeration_cap for count in counts)
 
@@ -217,8 +216,8 @@ def write_report(report: ExperimentReport, path: str | Path) -> None:
 
 
 def _within(recorded: str, value: float | str | None) -> bool:
-    """A recorded number is within REPLAY_TOLERANCE relative error of a replayed float."""
-    if not isinstance(value, float):
+    """A recorded number is within REPLAY_TOLERANCE relative error of a replayed finite float."""
+    if not isinstance(value, float) or not math.isfinite(value):  # inf is matched only by its own text
         return False
     try:
         number = float(recorded)

@@ -55,10 +55,9 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"generate writes synthetic matrices only: mode must be synthetic, got {cfg.mode!r}")
     if cfg.out is None:
         raise ConfigError("generate requires --out DIRECTORY")
+    q, k, q_future = generate_instance(cfg.synthetic_spec(cfg.seeds[0]))  # a refused draw leaves no directory
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = cfg.seeds[0]
-    q, k, q_future = generate_instance(cfg.synthetic_spec(seed))
     for name, matrix in (("q_obs", q), ("k", k), ("q_future", q_future)):
         path = out_dir / f"{name}.grcm"
         save_matrix(matrix, path)

@@ -49,6 +49,8 @@ class ChannelMatrix:
     exponents: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.data):  # converting would drop the imaginary part
+            raise ValueError("expected a real matrix, got a complex one")
         arr = np.array(self.data, dtype=np.float64, order="F")  # always a copy
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got ndim={arr.ndim}")

@@ -44,6 +44,8 @@ class InteractionGraph:
     w: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.w):  # converting would drop the imaginary part
+            raise ValueError("interaction matrix must be real, got a complex one")
         arr = np.array(self.w, dtype=np.float64, order="C")  # always a copy, even of an ndarray subclass
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"interaction matrix must be square, got shape {arr.shape}")

@@ -53,13 +53,12 @@ class ProtectionPolicy:
 
     Channels whose column norm exceeds mean + threshold_sigma * std are
     counted, the count is clamped to [ceil(a * d), ceil(b * d)], and that
-    many top-norm channels are excluded from pruning.
+    many top-norm channels are excluded from pruning; b = 0 protects nothing.
     """
 
     threshold_sigma: float = 1.0
     a: float = 0.01
     b: float = 0.125
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.a <= self.b <= 1.0:
@@ -346,14 +345,11 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     (population std, divisor d). The count of norms above it is clamped to
     [ceil(a * d), ceil(b * d)], each bound read as the decimal it prints as,
     and that many top-norm channels are returned, ties going to the lower
-    index. A disabled policy protects nothing. Column j's norm is the square
-    root of the key Gram's diagonal entry (`k.gram`, the one the W build uses),
-    2^-e_j times the true norm; the norms then share one scale, 2^-e_j for the
-    largest e_j of a nonzero column, which moves neither their order nor their
-    side of tau.
+    index. Column j's norm is the square root of the key Gram's diagonal
+    entry (`k.gram`, the one the W build uses), 2^-e_j times the true norm;
+    the norms then share one scale, 2^-e_j for the largest e_j of a nonzero
+    column, which moves neither their order nor their side of tau.
     """
-    if not policy.enabled:
-        return IndexSet.empty()
     d, e = k.cols, k.exponents
     norms = np.sqrt(k.gram.diagonal())
     norms = np.ldexp(norms, e - e.max(where=norms > 0, initial=e.min()))  # a zero column's e (0) sets no scale
@@ -362,5 +358,5 @@ def protect_channels(k: ChannelMatrix, policy: ProtectionPolicy) -> IndexSet:
     tau = mean + policy.threshold_sigma * math.sqrt(np.add.reduce(deviations * deviations) / d)
     count = np.count_nonzero(norms > tau)
     n_protect = min(max(count, exact_ceil(policy.a, d)), exact_ceil(policy.b, d))
-    by_norm_desc = np.lexsort((np.arange(d), -norms))
+    by_norm_desc = np.argsort(-norms, kind="stable")
     return IndexSet(tuple(sorted(by_norm_desc[:n_protect].tolist())))

@@ -291,6 +291,13 @@ class TestConfig:
         assert ExperimentConfig().policy() == ProtectionPolicy()
         assert ExperimentConfig().enumeration_cap == DEFAULT_ENUMERATION_CAP
 
+    def test_protection_off_is_the_zero_clamp(self):
+        assert ExperimentConfig(protect=False).policy() == ProtectionPolicy(a=0.0, b=0.0)
+
+    def test_protection_off_still_refuses_bad_bounds(self):
+        with pytest.raises(ConfigError, match="clamp bounds must satisfy"):
+            ExperimentConfig(protect=False, protect_bounds=(0.5, 0.1)).validate()
+
     def test_validate_rejects_negative_seeds(self):
         with pytest.raises(ConfigError, match="seeds must be non-negative"):
             ExperimentConfig(seeds=(0, -1)).validate()
@@ -510,6 +517,26 @@ class TestRunExperiment:
         write_report(run_experiment(small_cfg(oracle=True)), path)
         tamper_first_row(path, 10, marker)
         assert len(replay_report(path)) == 1
+
+    @pytest.mark.parametrize("recorded", ["7", "1e-300", "-inf"])
+    def test_replay_matches_an_infinite_ratio_only_by_its_text(self, tmp_path, recorded):
+        # Columns 0 and 1 of q are zero, so pruning them costs nothing and the optimum is 0;
+        # seed 1's random draw prunes another channel, whose ratio is inf.
+        q_path, k_path = tmp_path / "q.grcm", tmp_path / "k.grcm"
+        q = np.ones((4, 4))
+        q[:, :2] = 0.0
+        save_matrix(ChannelMatrix(q), q_path)
+        save_matrix(ChannelMatrix(np.ones((4, 4))), k_path)
+        cfg = ExperimentConfig(
+            mode="from-files", q_path=str(q_path), k_path=str(k_path), selectors=(Selector.RANDOM,),
+            seeds=(1,), lambdas=(0.5,), oracle=True, protect=False,
+        )
+        path = tmp_path / "inf.csv"
+        write_report(run_experiment(cfg), path)
+        assert path.read_text().splitlines()[-1].split(",")[10] == "inf"
+        tamper_first_row(path, 10, recorded)
+        (problem,) = replay_report(path)
+        assert "approx_ratio" in problem
 
     def test_approx_ratio_of_a_zero_optimum(self):
         assert experiment._approx_ratio(0.0, 0.0) == 1.0
@@ -891,6 +918,14 @@ class TestCommandLine:
         out = tmp_path / "gen"
         assert cli_main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "mode must be synthetic, got 'from-files'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generate_refuses_an_overflowing_draw_before_creating_its_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("outlier_scale=1e308\n")
+        out = tmp_path / "gen"
+        assert cli_main(["generate", "--config", str(cfg), "--out", str(out / "sub")]) == 4
+        assert "non-finite matrix entry" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

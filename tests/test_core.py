@@ -28,6 +28,10 @@ class TestChannelMatrix:
         with pytest.raises(ValueError):
             ChannelMatrix(np.zeros(4))
 
+    def test_rejects_a_complex_array(self):
+        with pytest.raises(ValueError, match="complex"):
+            ChannelMatrix(np.array([[1 + 2j, 3.0]]))
+
     def test_rejects_non_finite(self):
         bad = np.ones((2, 2))
         bad[1, 0] = np.nan

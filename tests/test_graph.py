@@ -109,6 +109,10 @@ class TestBuild:
         with pytest.raises(ValueError, match="graph needs at least one channel"):
             InteractionGraph(np.zeros((0, 0)))
 
+    def test_constructor_rejects_a_complex_matrix(self):
+        with pytest.raises(ValueError, match="complex"):
+            InteractionGraph(np.array([[1.0, 2j], [2j, 1.0]]))
+
     def test_psd_over_seeded_instances(self):
         rng = np.random.default_rng(100)
         for _ in range(100):

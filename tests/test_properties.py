@@ -136,6 +136,13 @@ def test_pruned_avoids_protected_and_meets_exact_budget(instance, lam, seed):
 
 
 @PROPERTY
+@given(instances(), st.floats(0.0, 1e308))
+def test_a_zero_clamp_protects_nothing(instance, sigma):
+    _, k, _ = instance
+    assert len(protect_channels(k, ProtectionPolicy(threshold_sigma=sigma, a=0.0, b=0.0))) == 0
+
+
+@PROPERTY
 @given(instances(), st.integers(-1000, 1000), st.integers(0, 30))
 @example((None, ChannelMatrix([[0.9], [0.5]]), None), 512, 10)  # no square overflows, but their sum does
 @example((None, ChannelMatrix([[3.0] * 8 + [1.0] * 7 + [0.0]]), None), -565, 10)  # a zero column among tiny ones

@@ -423,7 +423,7 @@ class TestProtectChannels:
 
     def test_disabled_policy(self):
         k = ChannelMatrix(np.array([[1.0, 100.0]]))
-        assert len(protect_channels(k, ProtectionPolicy(enabled=False))) == 0
+        assert len(protect_channels(k, ProtectionPolicy(a=0.0, b=0.0))) == 0
 
     def test_zero_lower_bound_can_protect_nothing(self):
         k = ChannelMatrix(np.full((2, 4), 1.0))
