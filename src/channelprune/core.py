@@ -39,10 +39,11 @@ class ChannelMatrix:
     finite; the first non-finite one in row-major order raises
     MatrixValidationError naming its position.
 
-    The column extremes that check this also give the read-only `exponents`,
-    e_j the `frexp` exponent of column j's largest |entry| (0 for a zero
-    column), and `gram`, the Gram of the columns scaled exactly by 2^-e_j,
-    which the `W` build uses and whose diagonal protection reads.
+    The column extremes that check this, taken without a full-size |arr|
+    temporary, also give the read-only `exponents`, e_j the `frexp`
+    exponent of column j's largest |entry| (0 for a zero column), and
+    `gram`, the Gram of the columns scaled exactly by 2^-e_j, which the
+    `W` build uses and whose diagonal protection reads.
     """
 
     data: np.ndarray

@@ -165,9 +165,8 @@ class Problem:
     again for a budget costs nothing; mies and think answer each ratio
     with a prefix. The greedy is resumed, not restarted, when a larger
     budget asks for more of its order, so it never runs past the largest
-    budget requested. The random selector keeps the last seed's generator
-    and rewinds it for each call, so each draw is that of a fresh
-    `np.random.default_rng(seed)`.
+    budget requested. Each random call draws from a fresh
+    `np.random.default_rng(seed)`, for any seed that numpy accepts.
     """
 
     def __init__(
@@ -190,7 +189,6 @@ class Problem:
         self._greedy_order: list[int] = []
         self._greedy_run: Iterator[int] | None = None
         self._oracle_orders: dict[int, tuple[int, ...]] = {}
-        self._random: tuple[int, np.random.Generator, dict] | None = None  # the last seed's generator
 
     def attention_norms(self) -> tuple[float, ...]:
         """||Q K^T||_F per query window, observed then future, in one evaluator call; refuses 0 and +inf."""
@@ -211,7 +209,11 @@ class Problem:
         if n > len(self._greedy_order):
             if self._greedy_run is None:
                 self._greedy_run = _greedy(self.graph.w, self.candidates)
-            self._greedy_order.extend(islice(self._greedy_run, n - len(self._greedy_order)))
+            try:
+                self._greedy_order.extend(islice(self._greedy_run, n - len(self._greedy_order)))
+            except BaseException:  # a raising generator is spent: restart the greedy on the next call
+                self._greedy_order, self._greedy_run = [], None
+                raise
         return tuple(self._greedy_order[:n])
 
     @cached_property
@@ -229,8 +231,9 @@ class Problem:
     ) -> PruneSelection:
         """Prune ceil(lam * d) unprotected channels (clamped) with `selector`.
 
-        `seed` drives the random selector; `cap` bounds the oracle's
-        subset count (CapacityError above it).
+        Each random call draws from a fresh `np.random.default_rng(seed)`,
+        for any seed that numpy accepts; `cap` bounds the oracle's subset
+        count (CapacityError above it).
         """
         selector = Selector(selector)
         n_prune, clamped = _budget(lam, self.q.cols, len(self.protected))
@@ -243,7 +246,7 @@ class Problem:
         elif selector is Selector.THINK:
             order = self._think_order[:n_prune]
         elif selector is Selector.RANDOM:
-            drawn = self._generator(seed).choice(self.candidates, size=n_prune, replace=False)
+            drawn = np.random.default_rng(seed).choice(self.candidates, size=n_prune, replace=False)
             order = tuple(drawn.tolist())
         else:
             if n_prune not in self._oracle_orders:
@@ -261,15 +264,6 @@ class Problem:
             budget_clamped=clamped,
             error_future_sq=future[0] if future else None,
         )
-
-    def _generator(self, seed: int) -> np.random.Generator:
-        """`np.random.default_rng(seed)` in its initial state; the last seed's is built once, then rewound."""
-        if self._random is None or self._random[0] != seed:
-            rng = np.random.default_rng(seed)
-            self._random = seed, rng, rng.bit_generator.state
-        _, rng, start = self._random
-        rng.bit_generator.state = start
-        return rng
 
     def check_oracle_capacity(self, lam: float, cap: int) -> None:
         """CapacityError when the oracle at `lam` would search more than `cap` subsets.

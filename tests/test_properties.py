@@ -85,7 +85,7 @@ def test_mies_and_think_orders_are_prefix_consistent(instance, lams):
 @PROPERTY
 @given(instances(), st.lists(st.tuples(st.integers(0, 3), ratios), min_size=1, max_size=8))
 def test_each_random_draw_equals_a_fresh_generators(instance, cells):
-    # One Problem keeps the last seed's generator and rewinds it for every call.
+    # One Problem answers every call with a fresh generator, so repeated seeds draw alike.
     q, k, protected = instance
     shared = Problem(q, k, protected)
     for seed, lam in cells:

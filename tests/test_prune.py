@@ -219,6 +219,20 @@ class TestMiesSelect:
         assert sel.order == (0, 1, 2)
         assert sel.pruned.indices == (0, 1, 2)
 
+    def test_a_greedy_interrupted_by_an_error_restarts_in_full(self):
+        # Under over="raise" the greedy's sixth step overflows after five channels were
+        # taken; the next select must prune the whole budget, not those five.
+        rng = np.random.default_rng(0)
+        q, k = (ChannelMatrix(rng.standard_normal((4, 8)) * 3.9e76) for _ in range(2))
+        problem = Problem(q, k)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            problem.select(Selector.MIES, 0.75)
+        with np.errstate(over="ignore"):
+            sel = problem.select(Selector.MIES, 0.75)
+            fresh = Problem(q, k).select(Selector.MIES, 0.75)
+        assert sel.n_prune == len(sel.order) == 6
+        assert sel.order == fresh.order
+
 
 class TestOracleSelect:
     def test_lambda_zero(self):
@@ -392,6 +406,22 @@ class TestRandomSelect:
         assert counts[0] == 0
         freq = counts[1:] / 1000
         assert np.all(np.abs(freq - 5 / 9) <= 0.05)  # measured max deviation 0.043
+
+    def test_every_seed_form_draws_as_a_fresh_generator(self):
+        # One Problem answers an int, a list and two arrays in turn as fresh generators would.
+        q, k, _ = generate_instance(SyntheticSpec(d=64, seed=0))
+        problem = Problem(q, k)
+        for seed in (5, [7, 1], np.array([1, 2]), np.array([1, 3])):
+            sel = problem.select(Selector.RANDOM, 0.5, seed=seed)
+            fresh = np.random.default_rng(seed).choice(problem.candidates, size=sel.n_prune, replace=False)
+            assert sel.order == tuple(fresh.tolist())
+
+    def test_seed_none_draws_afresh_each_call(self):
+        # Two draws of 32 from 64 match with chance 1/C(64, 32), about 5e-19.
+        q, k, _ = generate_instance(SyntheticSpec(d=64, seed=0))
+        problem = Problem(q, k)
+        a, b = (problem.select(Selector.RANDOM, 0.5, seed=None) for _ in range(2))
+        assert a.n_prune == 32 and a.pruned != b.pruned
 
     def test_respects_protection(self):
         q, k = normal_pair(10, d=10)
