@@ -56,12 +56,8 @@ __all__ = [
     "SyntheticSpec",
     "build_interaction_graph",
     "generate_instance",
-    "mies_select",
-    "oracle_select",
     "protect_channels",
     "quadratic_form",
-    "random_select",
     "reconstruction_error_sq",
     "restricted_eigenvalues",
-    "think_select",
 ]

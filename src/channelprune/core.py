@@ -170,5 +170,5 @@ def _error_sq_blocks(
     with np.errstate(over="ignore"):  # an overflowing error is +inf, without a warning
         product = q[:, idx] @ k[:, idx].T  # all zeros when idx is empty
         np.square(product, out=product)
-    return [float(np.add.reduce(product[rows], axis=None)) for rows in blocks]
+        return [float(np.add.reduce(product[rows], axis=None)) for rows in blocks]
 

@@ -191,14 +191,14 @@ class Problem:
         self._oracle_orders: dict[int, tuple[int, ...]] = {}
 
     def attention_norms(self) -> tuple[float, ...]:
-        """||Q K^T||_F per query window, observed then future, in one evaluator call; refuses 0 and +inf."""
+        """||Q K^T||_F per query window, observed then future, in one evaluator call; refuses a 0 or +inf square."""
         squares = _error_sq_blocks(self._queries, self.k.data, slice(None), self._windows)
-        norms = tuple(map(math.sqrt, squares))
-        for label, norm in zip(("observed", "future"), norms):
-            if not 0.0 < norm < math.inf:
-                problem = "identically zero" if norm == 0.0 else "too large: its norm overflows float64"
+        for label, square in zip(("observed", "future"), squares):
+            if not 0.0 < square < math.inf:
+                problem = "zero or too small: its squared Frobenius norm is 0" if square == 0.0 else (
+                    "too large: its squared Frobenius norm overflows float64")
                 raise DegenerateInputError(f"attention product of {label} queries is {problem}")
-        return norms
+        return tuple(map(math.sqrt, squares))
 
     @cached_property
     def graph(self) -> InteractionGraph:
@@ -231,9 +231,14 @@ class Problem:
     ) -> PruneSelection:
         """Prune ceil(lam * d) unprotected channels (clamped) with `selector`.
 
-        Each random call draws from a fresh `np.random.default_rng(seed)`,
-        for any seed that numpy accepts; `cap` bounds the oracle's subset
-        count (CapacityError above it).
+        mies, think and the oracle refuse with ValueError a W with non-finite
+        entries at a nonzero budget. The oracle returns the global minimum of
+        1_S^T W 1_S over every size-n_prune subset S of the unprotected channels,
+        found by branch and bound (see `graph._first_minimizer`) with the same
+        answer as summing every subset; ties go to the lexicographically
+        smallest index set. It raises CapacityError, before any work, when that
+        subset count exceeds `cap`. Each random call draws from a fresh
+        `np.random.default_rng(seed)`, for any seed that numpy accepts.
         """
         selector = Selector(selector)
         n_prune, clamped = _budget(lam, self.q.cols, len(self.protected))
@@ -284,22 +289,14 @@ class Problem:
 def think_select(
     q: ChannelMatrix, k: ChannelMatrix, lam: float, protected: IndexSet = IndexSet.empty()
 ) -> PruneSelection:
-    """Prune the unprotected channels of lowest self-importance W_jj, ignoring interactions.
-
-    Ties break toward the lower channel index. A W with non-finite entries is
-    refused with ValueError, as for mies and the oracle, at a nonzero budget.
-    """
+    """`Problem(q, k, protected).select(Selector.THINK, lam)`, kept for bench/ until ROADMAP item 3."""
     return Problem(q, k, protected).select(Selector.THINK, lam)
 
 
 def mies_select(
     q: ChannelMatrix, k: ChannelMatrix, lam: float, protected: IndexSet = IndexSet.empty()
 ) -> PruneSelection:
-    """Greedy selection that minimizes the cumulative reconstruction error.
-
-    See `_greedy` for the score maintenance. Protected channels never
-    enter the candidate set.
-    """
+    """`Problem(q, k, protected).select(Selector.MIES, lam)`, kept for bench/ until ROADMAP item 3."""
     return Problem(q, k, protected).select(Selector.MIES, lam)
 
 
@@ -310,14 +307,7 @@ def oracle_select(
     protected: IndexSet = IndexSet.empty(),
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> PruneSelection:
-    """Exact minimizer of the pruning error over all feasible sets.
-
-    Returns the global minimum of the quadratic set function over every
-    size-n_prune subset of the unprotected channels, found by branch and
-    bound (see `graph._first_minimizer`) with the same answer as summing every
-    subset; ties go to the lexicographically smallest index set. Raises
-    CapacityError, before any work, when the subset count exceeds `cap`.
-    """
+    """`Problem(q, k, protected).select(Selector.ORACLE, lam, cap=cap)`, kept for bench/ until ROADMAP item 3."""
     return Problem(q, k, protected).select(Selector.ORACLE, lam, cap=cap)
 
 
@@ -328,7 +318,7 @@ def random_select(
     protected: IndexSet = IndexSet.empty(),
     seed: int = 0,
 ) -> PruneSelection:
-    """Uniform random baseline over the unprotected channels."""
+    """`Problem(q, k, protected).select(Selector.RANDOM, lam, seed=seed)`, kept for bench/ until ROADMAP item 3."""
     return Problem(q, k, protected).select(Selector.RANDOM, lam, seed=seed)
 
 

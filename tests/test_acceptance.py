@@ -21,13 +21,10 @@ from channelprune import (
     SyntheticSpec,
     build_interaction_graph,
     generate_instance,
-    mies_select,
-    oracle_select,
     protect_channels,
     quadratic_form,
     reconstruction_error_sq,
     restricted_eigenvalues,
-    think_select,
 )
 from channelprune import prune
 from channelprune.cli import ExperimentConfig, load_matrix, run_experiment, save_matrix, write_report
@@ -104,8 +101,8 @@ def test_criterion_3_oracle_dominance_and_bound():
         q = ChannelMatrix(rng.standard_normal((16, 10)))
         k = ChannelMatrix(rng.standard_normal((16, 10)))
         g = build_interaction_graph(q, k)
-        greedy = mies_select(q, k, 0.5)
-        exact = oracle_select(q, k, 0.5)
+        greedy = Problem(q, k).select(Selector.MIES, 0.5)
+        exact = Problem(q, k).select(Selector.ORACLE, 0.5)
         assert greedy.n_prune == 5
         assert exact.error_sq <= greedy.error_sq
         cert = restricted_eigenvalues(g, 5)
@@ -132,8 +129,8 @@ def test_criterion_4_mies_vs_think_direction():
         win_or_tie = 0
         for seed in range(500):
             q, k, _ = generate_instance(SyntheticSpec(seed=seed))
-            m = mies_select(q, k, lam).error_sq
-            t = think_select(q, k, lam).error_sq
+            m = Problem(q, k).select(Selector.MIES, lam).error_sq
+            t = Problem(q, k).select(Selector.THINK, lam).error_sq
             greedy_errors.append(m)
             baseline_errors.append(t)
             win_or_tie += m <= t

@@ -10,7 +10,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import channelprune
+from channelprune import CapacityError, ChannelMatrix, IndexSet, Problem, Selector
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = ("channelprune", "channelprune.cli", "channelprune.cli.experiment")
@@ -76,3 +80,51 @@ def test_every_bench_call_binds():
 def test_every_public_name_resolves():
     missing = [name for name in channelprune.__all__ if not hasattr(channelprune, name)]
     assert missing == []
+
+
+SHORTHANDS = ("mies_select", "think_select", "random_select", "oracle_select")
+
+
+def _same_selection(a, b):
+    assert (a.selector, a.lam, a.n_prune, a.pruned, a.order) == (b.selector, b.lam, b.n_prune, b.pruned, b.order)
+    assert a.budget_clamped == b.budget_clamped
+    assert a.error_sq.hex() == b.error_sq.hex()
+    assert a.error_future_sq is b.error_future_sq is None
+
+
+@pytest.mark.parametrize("protected", [IndexSet.empty(), IndexSet((1, 4))], ids=["unprotected", "protected"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_each_shorthand_is_one_problem_select(protected, lam):
+    # The shorthands stay, outside __all__, only for bench/'s imports; each is Problem(q, k, protected).select(...).
+    rng = np.random.default_rng(0)
+    q, k = (ChannelMatrix(rng.standard_normal((6, 8))) for _ in range(2))
+    selector_of = {"mies_select": Selector.MIES, "think_select": Selector.THINK, "oracle_select": Selector.ORACLE}
+    for name, selector in selector_of.items():
+        _same_selection(getattr(channelprune, name)(q, k, lam, protected), Problem(q, k, protected).select(selector, lam))
+    draws = set()
+    for seed in (0, 7):
+        sel = channelprune.random_select(q, k, lam, protected, seed=seed)
+        _same_selection(sel, Problem(q, k, protected).select(Selector.RANDOM, lam, seed=seed))
+        draws.add(sel.order)
+    assert len(draws) == (1 if sel.n_prune == 0 else 2)  # the seed reaches the draw
+    with pytest.raises(CapacityError) as shorthand:  # cap=0 refuses even C(n, 0) = 1
+        channelprune.oracle_select(q, k, lam, protected, cap=0)
+    with pytest.raises(CapacityError) as direct:
+        Problem(q, k, protected).select(Selector.ORACLE, lam, cap=0)
+    assert str(shorthand.value) == str(direct.value)
+
+
+def test_only_the_bench_entry_points_name_the_shorthands():
+    # A second selection API in src/ or the tests would outlive the shorthands' removal unseen.
+    assert not set(SHORTHANDS) & set(channelprune.__all__)
+    root = BENCH.parent
+    allowed = {"src/channelprune/prune.py", "src/channelprune/__init__.py", "tests/test_bench_api.py"}
+    found = set()
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+            if any(name in SHORTHANDS for name in names):
+                found.add(f"{path.relative_to(root).as_posix()}:{node.lineno}")
+    assert sorted(where for where in found if where.rpartition(":")[0] not in allowed) == []

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from channelprune import ChannelMatrix, build_interaction_graph, oracle_select, restricted_eigenvalues
+from channelprune import ChannelMatrix, Problem, Selector, build_interaction_graph, restricted_eigenvalues
 
 GOLDEN = Path(__file__).parent / "data" / "certificate_golden.json"
 
@@ -46,7 +46,7 @@ def certificate_values() -> dict:
     instances.append((np.ones((12, 16)), np.ones((12, 16))))  # every subset ties
     oracles = []
     for q, k in instances:
-        sel = oracle_select(ChannelMatrix(q), ChannelMatrix(k), 0.5)
+        sel = Problem(ChannelMatrix(q), ChannelMatrix(k)).select(Selector.ORACLE, 0.5)
         oracles.append({"pruned": list(sel.pruned), "error_sq": sel.error_sq.hex()})
     return {"certificates": certificates, "oracles": oracles}
 

@@ -1021,7 +1021,7 @@ class TestCommandLine:
             cfg = tmp_path / "cfg"
             cfg.write_text(f"mode=from-files\nq_path={q_path}\nk_path={ones}\nq_future_path={q_future_path}\n")
             assert cli_main([command, "--config", str(cfg), *(["--out", str(out)] if command == "sweep" else [])]) == 4
-        assert "identically zero" in capsys.readouterr().err
+        assert "zero or too small: its squared Frobenius norm is 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1030,7 +1030,7 @@ class TestCommandLine:
         ids=["think,random", "mies", "oracle", "prune"],
     )
     def test_overflowing_attention_product_exit_code(self, tmp_path, capsys, monkeypatch, command, selectors):
-        # Q K^T has entries 6e154, so its Frobenius norm overflows float64.
+        # Q K^T is the one entry 6e154, so its norm fits float64 but its squared norm overflows.
         big, ones = tmp_path / "big.grcm", tmp_path / "ones.grcm"
         save_matrix(ChannelMatrix(np.full((1, 6), 1e154)), big)
         save_matrix(ChannelMatrix(np.ones((1, 6))), ones)
@@ -1039,7 +1039,7 @@ class TestCommandLine:
         monkeypatch.setattr(prune.Problem, "select", lambda *args, **kwargs: pytest.fail("a cell ran"))
         out = tmp_path / "r.csv"
         assert cli_main([command, "--config", str(cfg), *(["--out", str(out)] if command == "sweep" else [])]) == 4
-        assert "norm overflows" in capsys.readouterr().err
+        assert "squared Frobenius norm overflows" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("selector", ["random", "mies"])

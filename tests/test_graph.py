@@ -18,7 +18,6 @@ from channelprune import (
     Problem,
     Selector,
     build_interaction_graph,
-    oracle_select,
     quadratic_form,
     restricted_eigenvalues,
 )
@@ -209,10 +208,10 @@ class TestSubsets:
         # nothing; it is the only prefix with all k positions left to choose.
         rng = np.random.default_rng(3)
         q, k = random_pair(rng, 20, 16, 16)
-        expected = oracle_select(q, k, 0.5).pruned
+        expected = Problem(q, k).select(Selector.ORACLE, 0.5).pruned
         bounds = graph._BranchAndBound.bounds
         with mock.patch.object(graph._BranchAndBound, "bounds", autospec=True, side_effect=bounds) as spy:
-            assert oracle_select(q, k, 0.5).pruned == expected
+            assert Problem(q, k).select(Selector.ORACLE, 0.5).pruned == expected
         assert spy.call_count > 0
         for call in spy.call_args_list:
             search, f, rs, first, r = call.args
@@ -274,7 +273,7 @@ class TestRestrictedEigenvalues:
         with pytest.raises(CapacityError, match=message):
             restricted_eigenvalues(build_interaction_graph(q, k), 10, cap=1000)
         with pytest.raises(CapacityError, match=message):
-            oracle_select(q, k, 0.5, cap=1000)
+            Problem(q, k).select(Selector.ORACLE, 0.5, cap=1000)
 
     def test_certificate_kappa_flags_zero_mu_min(self):
         g = InteractionGraph(w=np.zeros((3, 3)))

@@ -1,8 +1,9 @@
 """Bit-for-bit golden sets of the oracle on tie-heavy inputs.
 
 `tests/data/oracle_golden.json` holds the `pruned` set and `error_sq.hex()`
-that `oracle_select` returned when it enumerated every subset and compared
-the gathered sum of each subset's principal submatrix and nothing else.
+that `Problem(q, k, protected).select(Selector.ORACLE, lam)` returned when it
+enumerated every subset and compared the gathered sum of each subset's
+principal submatrix and nothing else.
 The branch and bound must reproduce them. The inputs make many subsets
 tie or nearly tie:
 
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from channelprune import ChannelMatrix, IndexSet, oracle_select
+from channelprune import ChannelMatrix, IndexSet, Problem, Selector
 from channelprune.cli import ExperimentConfig
 from channelprune.cli.experiment import load_problem
 
@@ -62,13 +63,13 @@ def oracle_values() -> list[dict]:
     for kind, i in CASES:
         q, k, lam = _inputs(kind, i)
         protected = IndexSet((0, 9)) if i == 2 else IndexSet.empty()
-        sel = oracle_select(ChannelMatrix(q), ChannelMatrix(k), lam, protected)
+        sel = Problem(ChannelMatrix(q), ChannelMatrix(k), protected).select(Selector.ORACLE, lam)
         out.append({"case": f"{kind}-{i}", "pruned": list(sel.pruned), "error_sq": sel.error_sq.hex()})
     for d, seeds in ((20, (0,)), (24, (0, 1, 2))):
         cfg = EXACT_D20.with_updates(d=d)
         for seed in seeds:
             _, problem = load_problem(cfg, seed)
-            sel = oracle_select(problem.q, problem.k, 0.5, problem.protected)
+            sel = problem.select(Selector.ORACLE, 0.5)
             out.append({"case": f"exact-d{d}-{seed}", "pruned": list(sel.pruned), "error_sq": sel.error_sq.hex()})
     return out
 

@@ -33,7 +33,6 @@ from channelprune import (
     Selector,
     build_interaction_graph,
     generate_instance,
-    oracle_select,
     protect_channels,
     quadratic_form,
     reconstruction_error_sq,
@@ -343,7 +342,7 @@ def test_oracle_is_the_first_minimizer(instance, lam, sizes):
     # gather keeps almost every walk off the lexicographic table, so it bounds at the default block.
     q, k, protected = instance
     with mock.patch.object(graph, "_BLOCK", sizes[0]), mock.patch.object(graph, "_GATHER", sizes[1]):
-        sel = oracle_select(q, k, lam, protected)
+        sel = Problem(q, k, protected).select(Selector.ORACLE, lam)
     assert tuple(sel.pruned) == first_minimizer(q, k, protected, sel.n_prune)
 
 
@@ -353,7 +352,7 @@ def test_oracle_passes_over_subsets_whose_gathered_sum_overflows():
     v = np.array([1e154, 1e154, 1e154, 1.0, 2.0, -3.0])
     q, k = ChannelMatrix(v[None, :]), ChannelMatrix(np.ones((1, 6)))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert tuple(oracle_select(q, k, 0.5).pruned) == first_minimizer(q, k, (), 3) == (3, 4, 5)
+        assert tuple(Problem(q, k).select(Selector.ORACLE, 0.5).pruned) == first_minimizer(q, k, (), 3) == (3, 4, 5)
 
 
 def masked_greedy(w, candidates, steps):
@@ -494,7 +493,7 @@ def test_branch_and_bound_is_the_first_minimizer(instance, lam, block):
     # blocks make the search bound every level and split blocks mid-expansion.
     q, k, protected = instance
     with mock.patch.object(graph, "_BLOCK", block), mock.patch.object(graph, "_GATHER", block):
-        sel = oracle_select(q, k, lam, protected)
+        sel = Problem(q, k, protected).select(Selector.ORACLE, lam)
     assert tuple(sel.pruned) == first_minimizer(q, k, protected, sel.n_prune)
 
 
@@ -558,7 +557,7 @@ def test_nan_or_infinite_bounds_never_prune():
     v = np.array([1e154, 1e154, 1e154, 1.0, 2.0, -3.0])
     q, k = ChannelMatrix(v[None, :]), ChannelMatrix(np.ones((1, 6)))
     with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(graph, "_BLOCK", 1):
-        assert tuple(oracle_select(q, k, 0.5).pruned) == first_minimizer(q, k, (), 3) == (3, 4, 5)
+        assert tuple(Problem(q, k).select(Selector.ORACLE, 0.5).pruned) == first_minimizer(q, k, (), 3) == (3, 4, 5)
 
 
 # Signed zeros, subnormals and the extremes of the finite range, beside ordinary floats.

@@ -23,14 +23,10 @@ from channelprune import (
     SyntheticSpec,
     build_interaction_graph,
     generate_instance,
-    mies_select,
-    oracle_select,
     protect_channels,
     quadratic_form,
-    random_select,
     reconstruction_error_sq,
     restricted_eigenvalues,
-    think_select,
 )
 from channelprune import graph, prune
 
@@ -56,7 +52,7 @@ class TestThinkScores:
     def test_zero_column_scores_zero(self):
         q = ChannelMatrix(np.array([(0, 0), (1, 2)], dtype=float).T)
         k = ChannelMatrix(np.array([(1, 1), (1, 1)], dtype=float).T)
-        sel = think_select(q, k, 0.5)
+        sel = Problem(q, k).select(Selector.THINK, 0.5)
         assert sel.order == (0,) and sel.error_sq == 0.0
 
     def test_outer_product_frobenius_oracle(self):
@@ -64,17 +60,18 @@ class TestThinkScores:
         k = ChannelMatrix(np.array([(1, 0, 0)], dtype=float).T)
         outer = np.outer(q.data[:, 0], k.data[:, 0])
         assert Problem(q, k).graph.w[0, 0] == pytest.approx(float(np.linalg.norm(outer)) ** 2, rel=1e-12)
-        assert think_select(q, k, 1.0).error_sq == pytest.approx(25.0, rel=1e-12)
+        assert Problem(q, k).select(Selector.THINK, 1.0).error_sq == pytest.approx(25.0, rel=1e-12)
 
     def test_sign_flip_invariance(self):
         q, k = normal_pair(0, d=5)
         flipped_q = q.data.copy()
         flipped_q[:, 2] *= -1.0
-        assert think_select(ChannelMatrix(flipped_q), k, 1.0).order == think_select(q, k, 1.0).order
+        flipped = Problem(ChannelMatrix(flipped_q), k).select(Selector.THINK, 1.0)
+        assert flipped.order == Problem(q, k).select(Selector.THINK, 1.0).order
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            think_select(ChannelMatrix(np.ones((2, 3))), ChannelMatrix(np.ones((2, 2))), 0.5)
+            Problem(ChannelMatrix(np.ones((2, 3))), ChannelMatrix(np.ones((2, 2)))).select(Selector.THINK, 0.5)
 
     def test_future_width_mismatch(self):
         q, k = normal_pair(0, d=3)
@@ -85,68 +82,74 @@ class TestThinkScores:
 class TestThinkSelect:
     def test_lambda_zero(self):
         q, k = normal_pair(1)
-        sel = think_select(q, k, 0.0)
+        sel = Problem(q, k).select(Selector.THINK, 0.0)
         assert len(sel.pruned) == 0 and sel.error_sq == 0.0
 
     def test_sort_oracle_example(self):
         # scores [1, 4, 2, 3]: two lowest are channels 0 and 2
         q = ChannelMatrix(np.ones((1, 4)))
         k = ChannelMatrix(np.array([[1.0, 4.0, 2.0, 3.0]]))
-        sel = think_select(q, k, 0.5)
+        sel = Problem(q, k).select(Selector.THINK, 0.5)
         assert sel.pruned.indices == (0, 2)
 
     def test_protected_excluded(self):
         q = ChannelMatrix(np.ones((1, 4)))
         k = ChannelMatrix(np.array([[1.0, 4.0, 2.0, 3.0]]))
-        sel = think_select(q, k, 0.5, IndexSet((0,)))
+        sel = Problem(q, k, IndexSet((0,))).select(Selector.THINK, 0.5)
         assert sel.pruned.indices == (2, 3)
 
     def test_tie_break_lower_index_first(self):
         q = ChannelMatrix(np.ones((1, 4)))
         k = ChannelMatrix(np.array([[2.0, 2.0, 2.0, 2.0]]))
-        sel = think_select(q, k, 0.5)
+        sel = Problem(q, k).select(Selector.THINK, 0.5)
         assert sel.pruned.indices == (0, 1)
 
     def test_budget_clamped_and_recorded(self):
         q, k = normal_pair(2, d=4)
-        sel = think_select(q, k, 1.0, IndexSet((0, 1)))
+        sel = Problem(q, k, IndexSet((0, 1))).select(Selector.THINK, 1.0)
         assert sel.n_prune == 2
         assert sel.budget_clamped
         assert set(sel.pruned) == {2, 3}
+
+    def test_an_overflowing_sum_of_finite_squares_is_inf_without_a_warning(self):
+        # W is finite (6e307 everywhere); the two squares of Q K^T are 1.2e308 each, and their sum overflows.
+        q = ChannelMatrix(np.full((2, 2), math.sqrt(3e307)))
+        sel = Problem(q, ChannelMatrix(np.ones((1, 2)))).select(Selector.THINK, 1.0)
+        assert sel.n_prune == 2 and sel.error_sq == math.inf
 
     def test_refuses_non_finite_w(self):
         # W_00 = (2e320)(2) overflows; mies and the oracle refuse the same W.
         q = ChannelMatrix(np.array([[1e160, 1.0], [1e160, 1.0]]))
         k = ChannelMatrix(np.ones((2, 2)))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            think_select(q, k, 0.5)
+            Problem(q, k).select(Selector.THINK, 0.5)
 
 
 class TestMiesSelect:
     def test_lambda_zero(self):
         q, k = normal_pair(3)
-        sel = mies_select(q, k, 0.0)
+        sel = Problem(q, k).select(Selector.MIES, 0.0)
         assert len(sel.pruned) == 0 and sel.error_sq == 0.0
 
     def test_first_prune_is_min_self_importance(self):
         for seed in range(10):
             q, k = normal_pair(seed)
             g = build_interaction_graph(q, k)
-            sel = mies_select(q, k, 0.5)
+            sel = Problem(q, k).select(Selector.MIES, 0.5)
             assert sel.order[0] == int(np.argmin(np.diag(g.w)))
 
     def test_first_step_agrees_with_think(self):
         # Both start from W's diagonal, so think's lowest score is the first greedy pick.
         for seed in range(10):
             q, k = normal_pair(seed)
-            sel = mies_select(q, k, 0.5)
-            assert sel.order[0] == think_select(q, k, 0.5).order[0]
+            sel = Problem(q, k).select(Selector.MIES, 0.5)
+            assert sel.order[0] == Problem(q, k).select(Selector.THINK, 0.5).order[0]
 
     def test_regression_seed0(self):
         # Frozen after computing once with this implementation and verifying
         # with the per-step quadratic-form oracle and the exhaustive minimum.
         q, k = normal_pair(0)
-        sel = mies_select(q, k, 0.5)
+        sel = Problem(q, k).select(Selector.MIES, 0.5)
         assert sel.pruned.indices == (0, 1, 4, 5)
         assert sel.error_sq == pytest.approx(666.7518179858898, rel=1e-9)
         direct = reconstruction_error_sq(q, k, sel.pruned)
@@ -182,8 +185,8 @@ class TestMiesSelect:
         wins = ties = 0
         for seed in range(200):
             q, k = normal_pair(seed)
-            m = mies_select(q, k, 0.5).error_sq
-            t = think_select(q, k, 0.5).error_sq
+            m = Problem(q, k).select(Selector.MIES, 0.5).error_sq
+            t = Problem(q, k).select(Selector.THINK, 0.5).error_sq
             wins += m < t
             ties += m == t
         assert (wins + ties) / 200 >= 0.8  # measured 0.855 on these seeds
@@ -192,7 +195,7 @@ class TestMiesSelect:
         # W = [[1,-1,0],[-1,1,0],[0,0,1]]: pruning {0,1} cancels exactly.
         q = ChannelMatrix(np.array([(1, 0), (1, 0), (0, 1)], dtype=float).T)
         k = ChannelMatrix(np.array([(1, 0), (-1, 0), (0, 1)], dtype=float).T)
-        sel = mies_select(q, k, 2 / 3)
+        sel = Problem(q, k).select(Selector.MIES, 2 / 3)
         assert sel.pruned.indices == (0, 1)
         assert sel.error_sq == pytest.approx(0.0, abs=1e-12)
 
@@ -204,9 +207,9 @@ class TestMiesSelect:
         k = ChannelMatrix(np.array([(1, 0), (-1, 0), (0, 0.9)], dtype=float).T)
         best, best_val = brute_force_minimum(q, k, 2)
         assert best == (0, 1) and best_val == pytest.approx(0.0, abs=1e-12)
-        m = mies_select(q, k, 2 / 3)
-        t = think_select(q, k, 2 / 3)
-        o = oracle_select(q, k, 2 / 3)
+        m = Problem(q, k).select(Selector.MIES, 2 / 3)
+        t = Problem(q, k).select(Selector.THINK, 2 / 3)
+        o = Problem(q, k).select(Selector.ORACLE, 2 / 3)
         assert m.pruned.indices == (0, 2) and m.error_sq == pytest.approx(1.81, rel=1e-12)
         assert t.pruned.indices == (0, 2) and t.error_sq == pytest.approx(1.81, rel=1e-12)
         assert o.pruned.indices == (0, 1) and o.error_sq == pytest.approx(0.0, abs=1e-12)
@@ -215,7 +218,8 @@ class TestMiesSelect:
         # W is finite (3.6e307 everywhere), but the cumulative scores reach +inf
         # after one step and tie with the +inf mask on removed channels.
         with np.errstate(over="ignore"):
-            sel = mies_select(ChannelMatrix(np.full((1, 6), 6e153)), ChannelMatrix(np.ones((1, 6))), 0.5)
+            problem = Problem(ChannelMatrix(np.full((1, 6), 6e153)), ChannelMatrix(np.ones((1, 6))))
+            sel = problem.select(Selector.MIES, 0.5)
         assert sel.order == (0, 1, 2)
         assert sel.pruned.indices == (0, 1, 2)
 
@@ -237,19 +241,19 @@ class TestMiesSelect:
 class TestOracleSelect:
     def test_lambda_zero(self):
         q, k = normal_pair(5)
-        sel = oracle_select(q, k, 0.0)
+        sel = Problem(q, k).select(Selector.ORACLE, 0.0)
         assert len(sel.pruned) == 0 and sel.error_sq == 0.0
 
     def test_symmetric_tie_lexicographic(self):
         q = ChannelMatrix(np.array([(1, 1), (1, 0)], dtype=float).T)
         k = ChannelMatrix(np.array([(1, 0), (1, 1)], dtype=float).T)
-        sel = oracle_select(q, k, 0.5)  # W = [[2,1],[1,2]], f({0}) = f({1}) = 2
+        sel = Problem(q, k).select(Selector.ORACLE, 0.5)  # W = [[2,1],[1,2]], f({0}) = f({1}) = 2
         assert sel.pruned.indices == (0,)
 
     def test_matches_brute_force(self):
         for seed in range(10):
             q, k = normal_pair(seed, rows=12, d=7)
-            sel = oracle_select(q, k, 0.5)
+            sel = Problem(q, k).select(Selector.ORACLE, 0.5)
             best, best_val = brute_force_minimum(q, k, sel.n_prune)
             assert sel.pruned.indices == best
             assert abs(sel.error_sq - best_val) <= 1e-9 * max(1.0, best_val)
@@ -261,19 +265,20 @@ class TestOracleSelect:
         for seed in range(15):
             q, k = normal_pair(seed, d=10)
             g = build_interaction_graph(q, k)
-            exact = oracle_select(q, k, 0.5)
+            exact = Problem(q, k).select(Selector.ORACLE, 0.5)
             assert exact.error_sq == reconstruction_error_sq(q, k, exact.pruned)
             for other in (
-                mies_select(q, k, 0.5),
-                think_select(q, k, 0.5),
-                random_select(q, k, 0.5, seed=seed),
+                Problem(q, k).select(Selector.MIES, 0.5),
+                Problem(q, k).select(Selector.THINK, 0.5),
+                Problem(q, k).select(Selector.RANDOM, 0.5, seed=seed),
             ):
                 assert quadratic_form(g, exact.pruned) <= quadratic_form(g, other.pruned)
 
     def test_every_sum_overflowing_keeps_the_budget(self):
         # Every gathered sum is +inf: the first subset is the lexicographic minimum.
         with np.errstate(over="ignore", invalid="ignore"):  # the fold's gathered sums overflow
-            sel = oracle_select(ChannelMatrix(np.full((1, 6), 1e154)), ChannelMatrix(np.ones((1, 6))), 0.5)
+            problem = Problem(ChannelMatrix(np.full((1, 6), 1e154)), ChannelMatrix(np.ones((1, 6))))
+            sel = problem.select(Selector.ORACLE, 0.5)
         assert sel.n_prune == 3
         assert sel.pruned.indices == (0, 1, 2)
         assert sel.error_sq == math.inf
@@ -290,7 +295,7 @@ class TestOracleSelect:
         d = q.cols
         expected = min(combinations(range(3, d), d // 2), key=lambda s: sum(small[i - 3] for i in s) ** 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            sel = oracle_select(q, ChannelMatrix(np.ones((1, d))), 0.5)
+            sel = Problem(q, ChannelMatrix(np.ones((1, d)))).select(Selector.ORACLE, 0.5)
         assert sel.pruned.indices == expected
         assert sel.error_sq == sum(small[i - 3] for i in expected) ** 2 == 0
 
@@ -317,7 +322,7 @@ class TestOracleSelect:
     def test_capacity_error(self):
         q, k = normal_pair(6, d=10)
         with pytest.raises(CapacityError):
-            oracle_select(q, k, 0.5, cap=10)
+            Problem(q, k).select(Selector.ORACLE, 0.5, cap=10)
 
     def test_all_tied_worst_case_stays_bounded(self):
         # W is all 16s, so every set of 10 ties and no bound prunes: all C(20, 10)
@@ -325,7 +330,7 @@ class TestOracleSelect:
         ones = ChannelMatrix(np.ones((4, 20)))
         tracemalloc.start()
         try:
-            sel = oracle_select(ones, ones, 0.5)
+            sel = Problem(ones, ones).select(Selector.ORACLE, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -340,7 +345,7 @@ class TestOracleSelect:
         q, k = (ChannelMatrix(rng.standard_normal((16, 200))) for _ in range(2))
         tracemalloc.start()
         try:
-            sel = oracle_select(q, k, 0.99)
+            sel = Problem(q, k).select(Selector.ORACLE, 0.99)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -353,7 +358,7 @@ class TestOracleSelect:
         ones = ChannelMatrix(np.ones((4, 90)))
         tracemalloc.start()
         try:
-            sel = oracle_select(ones, ones, 88 / 90)
+            sel = Problem(ones, ones).select(Selector.ORACLE, 88 / 90)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,21 +384,21 @@ class TestOracleSelect:
 class TestRandomSelect:
     def test_lambda_zero(self):
         q, k = normal_pair(7)
-        assert len(random_select(q, k, 0.0, seed=1).pruned) == 0
+        assert len(Problem(q, k).select(Selector.RANDOM, 0.0, seed=1).pruned) == 0
 
     def test_deterministic_per_seed(self):
         q, k = normal_pair(8)
-        a = random_select(q, k, 0.5, seed=123)
-        b = random_select(q, k, 0.5, seed=123)
+        a = Problem(q, k).select(Selector.RANDOM, 0.5, seed=123)
+        b = Problem(q, k).select(Selector.RANDOM, 0.5, seed=123)
         assert a.pruned == b.pruned
-        draws = {random_select(q, k, 0.5, seed=seed).pruned.indices for seed in range(10)}
+        draws = {Problem(q, k).select(Selector.RANDOM, 0.5, seed=seed).pruned.indices for seed in range(10)}
         assert len(draws) > 1  # C(8, 4) = 70 sets, so ten seeds do not all draw one
 
     def test_uniform_inclusion_frequency(self):
         q, k = normal_pair(9, rows=8, d=10)
         counts = np.zeros(10)
         for seed in range(1000):
-            counts[list(random_select(q, k, 0.5, seed=seed).pruned)] += 1
+            counts[list(Problem(q, k).select(Selector.RANDOM, 0.5, seed=seed).pruned)] += 1
         freq = counts / 1000
         assert np.all(np.abs(freq - 0.5) <= 0.05)  # measured max deviation 0.048
 
@@ -402,7 +407,7 @@ class TestRandomSelect:
         q, k = normal_pair(9, rows=8, d=10)
         counts = np.zeros(10)
         for seed in range(1000):
-            counts[list(random_select(q, k, 0.5, IndexSet((0,)), seed=seed).pruned)] += 1
+            counts[list(Problem(q, k, IndexSet((0,))).select(Selector.RANDOM, 0.5, seed=seed).pruned)] += 1
         assert counts[0] == 0
         freq = counts[1:] / 1000
         assert np.all(np.abs(freq - 5 / 9) <= 0.05)  # measured max deviation 0.043
@@ -427,7 +432,7 @@ class TestRandomSelect:
         q, k = normal_pair(10, d=10)
         protected = IndexSet((0, 3))
         for seed in range(50):
-            sel = random_select(q, k, 0.6, protected, seed=seed)
+            sel = Problem(q, k, protected).select(Selector.RANDOM, 0.6, seed=seed)
             assert not set(sel.pruned) & set(protected)
 
 
@@ -536,18 +541,55 @@ class TestAttentionNorms:
     @pytest.mark.parametrize(
         "q, q_future, k, message",
         [
-            (0.0, 0.0, 1.0, "observed queries is identically zero"),
-            (1.0, 0.0, 1.0, "future queries is identically zero"),
-            (1e154, 1.0, 1.0, "observed queries is too large: its norm overflows float64"),
-            (1e-200, 1e200, 1e200, "future queries is too large: its norm overflows float64"),
+            (0.0, 0.0, 1.0, "observed queries is zero or too small: its squared Frobenius norm is 0"),
+            (1.0, 0.0, 1.0, "future queries is zero or too small: its squared Frobenius norm is 0"),
+            (1e-163, 1.0, 1.0, "observed queries is zero or too small: its squared Frobenius norm is 0"),
+            (1e154, 1.0, 1.0, "observed queries is too large: its squared Frobenius norm overflows float64"),
+            (1e-200, 1e200, 1e200, "future queries is too large: its squared Frobenius norm overflows float64"),
+            (np.full((2, 2), math.sqrt(3e307)), None, np.ones((1, 2)),
+             "observed queries is too large: its squared Frobenius norm overflows float64"),
         ],
-        ids=["observed-zero", "future-zero", "observed-overflow", "future-overflow"],
+        ids=["observed-zero", "future-zero", "observed-underflow", "observed-overflow", "future-overflow",
+             "observed-sum-overflow"],
     )
     def test_the_first_degenerate_window_is_refused(self, q, q_future, k, message):
-        # 1e154 overflows the squares of Q K^T and 1e200 * 1e200 the product itself, without a warning.
-        q, q_future, k = (ChannelMatrix(np.full((2, 3), x)) for x in (q, q_future, k))
+        # A number fills a 2 x 3 matrix. Q K^T is nonzero at 1e-163, but its squares underflow to 0.
+        # 1e154 overflows the squares of Q K^T, 1e200 * 1e200 the product itself, and the last pair
+        # only the sum of two finite squares (1.2e308 each), all without a warning.
+        q, q_future, k = (x if x is None else ChannelMatrix(np.full((2, 3), x) if np.ndim(x) == 0 else x)
+                          for x in (q, q_future, k))
         with pytest.raises(DegenerateInputError, match=f"^attention product of {message}$"):
             Problem(q, k, q_future=q_future).attention_norms()
+
+
+class TestValueChannels:
+    """Pruning value channels S changes the attention output A V W_O by A V_S W_{O,S}, so
+    Problem(ChannelMatrix(A @ V), ChannelMatrix(W_O.T)) is value-channel pruning, evaluator included."""
+
+    @staticmethod
+    def attention_and_values(rng, l_obs=32, length=256, d=64):
+        logits = rng.standard_normal((l_obs, length))
+        a = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return a / a.sum(axis=1, keepdims=True), rng.standard_normal((length, d))  # A is row-stochastic
+
+    def test_the_error_is_that_of_the_attention_output(self):
+        rng = np.random.default_rng(0)
+        a, v = self.attention_and_values(rng)
+        w_o = rng.standard_normal((64, 512))
+        problem = Problem(ChannelMatrix(a @ v), ChannelMatrix(w_o.T))
+        for selector in (Selector.MIES, Selector.THINK, Selector.RANDOM):
+            sel = problem.select(selector, 0.5)
+            s = sel.pruned.as_array()
+            direct = float(np.sum((a @ v[:, s] @ w_o[s, :]) ** 2))
+            assert sel.n_prune == 32 and sel.error_sq == pytest.approx(direct, rel=1e-12)
+
+    def test_an_identity_output_projection_leaves_no_interactions(self):
+        # With W_O = I the channels' contributions are orthogonal, so the greedy is the independent score.
+        a, v = self.attention_and_values(np.random.default_rng(1))
+        problem = Problem(ChannelMatrix(a @ v), ChannelMatrix(np.eye(64)))
+        assert np.all(problem.graph.w[~np.eye(64, dtype=bool)] == 0.0)
+        mies, think = (problem.select(selector, 0.5) for selector in (Selector.MIES, Selector.THINK))
+        assert mies.pruned == think.pruned
 
 
 class TestSelectionContracts:
@@ -593,9 +635,9 @@ class TestSelectionContracts:
     def test_invalid_ratio(self):
         q, k = normal_pair(18)
         with pytest.raises(ValueError):
-            mies_select(q, k, 1.5)
+            Problem(q, k).select(Selector.MIES, 1.5)
         with pytest.raises(ValueError):
-            think_select(q, k, -0.1)
+            Problem(q, k).select(Selector.THINK, -0.1)
 
     def test_budget_counts_are_exact(self):
         # A float ceil(lam * d) over-prunes by one here: 0.55 * 100 is 55.00000000000001.
