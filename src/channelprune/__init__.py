@@ -18,7 +18,6 @@ from .errors import (
 from .graph import (
     DEFAULT_ENUMERATION_CAP,
     EigenCertificate,
-    InteractionGraph,
     build_interaction_graph,
     quadratic_form,
     restricted_eigenvalues,
@@ -46,7 +45,6 @@ __all__ = [
     "DegenerateInputError",
     "EigenCertificate",
     "IndexSet",
-    "InteractionGraph",
     "MatrixFormatError",
     "MatrixValidationError",
     "Problem",

@@ -108,10 +108,12 @@ def _oracle_counts_settled(cfg: ExperimentConfig) -> bool:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full sweep described by the config.
 
-    Each instance gets one `Problem`, so W is built at most once, and the
-    greedy and the oracle run at most once per instance and budget; a cell's
-    wall_time_ms includes whatever of that work it was the first to need.
-    The seeds of a from-files sweep read the same files, so they share one
+    Each instance gets one `Problem` from `load_problem`, so W is built at most
+    once, and the greedy and the oracle run at most once per instance and budget.
+    A cell's wall_time_ms times its `Problem.select` call, scoring both query
+    windows, and whatever of that work it was the first to need; the oracle for
+    approx_ratio runs untimed after the ratio's cells and reuses an `oracle` cell's
+    search. The seeds of a from-files sweep read the same files, so they share one
     `Problem`, loaded once. Synthetic seeds stream one at a time, and so does
     an `oracle` sweep whose largest possible pool stays within the enumeration
     cap at every lambda. Any other `oracle` sweep loads and checks its seeds in

@@ -71,11 +71,11 @@ def _check_decomposition(rng: np.random.Generator, instances: int) -> SuiteResul
     result = SuiteResult("decomposition-identity")
     for i in range(instances):
         q, k = _random_instance(rng)
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         for _ in range(5):
             s = _random_subset(rng, q.cols)
             direct = reconstruction_error_sq(q, k, s)
-            decomposed = quadratic_form(g, s)
+            decomposed = quadratic_form(w, s)
             result.checks += 1
             if abs(decomposed - direct) > REL_TOL * max(1.0, direct):
                 result.failures.append(f"instance {i}: |{decomposed} - {direct}| above tolerance")
@@ -88,11 +88,11 @@ def _check_score_updates(rng: np.random.Generator, instances: int) -> SuiteResul
         problem = Problem(*_random_instance(rng))
         selection = problem.select(Selector.MIES, 0.5)
         steps: list[tuple[np.ndarray, np.ndarray]] = []  # `problem`'s greedy again, snapshotting each step
-        list(islice(_greedy(problem.graph.w, problem.candidates, steps), selection.n_prune))
+        list(islice(_greedy(problem.w, problem.candidates, steps), selection.n_prune))
         pruned_so_far: list[int] = []
         for step, (candidates, scores) in enumerate(steps):
             for c, s in zip(candidates, scores):
-                expected = quadratic_form(problem.graph, IndexSet(tuple(pruned_so_far) + (int(c),)))
+                expected = quadratic_form(problem.w, IndexSet(tuple(pruned_so_far) + (int(c),)))
                 result.checks += 1
                 if abs(s - expected) > REL_TOL * max(1.0, abs(expected)):
                     result.failures.append(
@@ -123,13 +123,13 @@ def _check_psd(rng: np.random.Generator, instances: int) -> SuiteResult:
     result = SuiteResult("psd-and-symmetry")
     for i in range(instances):
         q, k = _random_instance(rng, d_max=12)
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         result.checks += 1
-        if not np.array_equal(g.w, g.w.T):
+        if not np.array_equal(w, w.T):
             result.failures.append(f"instance {i}: interaction matrix not symmetric")
             continue
-        low = np.linalg.eigvalsh(g.w)[0]
-        floor = -1e-8 * float(np.linalg.norm(g.w))
+        low = np.linalg.eigvalsh(w)[0]
+        floor = -1e-8 * float(np.linalg.norm(w))
         if low < floor:
             result.failures.append(f"instance {i}: eigenvalue {low} below PSD floor {floor}")
     return result

@@ -2,9 +2,9 @@
 
 The graph is complete and dense: node weights (diagonal) are each
 channel's standalone contribution to the reconstruction error, edge
-weights (off-diagonal) are the pairwise interaction terms. The stored
-matrix W satisfies f(S) = 1_S^T W 1_S, i.e. the factor 2 on each edge is
-realized by symmetric double counting rather than stored explicitly.
+weights (off-diagonal) are the pairwise interaction terms. W, a plain read-only
+d x d float64 array, satisfies f(S) = 1_S^T W 1_S, i.e. the factor 2 on each
+edge is realized by symmetric double counting rather than stored explicitly.
 One lexicographic walk over size-k sets, `_BranchAndBound`, serves the
 oracle, `_first_minimizer`, and the certificate, and alone gathers W's
 principal submatrices. A walk whose sets fit one chunk of at most `_BLOCK`
@@ -27,7 +27,6 @@ from .errors import CapacityError
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "EigenCertificate",
-    "InteractionGraph",
     "build_interaction_graph",
     "quadratic_form",
     "restricted_eigenvalues",
@@ -35,32 +34,6 @@ __all__ = [
 
 # The oracle and the certificate refuse problems with more subsets than this.
 DEFAULT_ENUMERATION_CAP = 2_000_000
-
-
-@dataclass(frozen=True, eq=False)
-class InteractionGraph:
-    """Symmetric d x d interaction matrix over channel indices."""
-
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.iscomplexobj(self.w):  # converting would drop the imaginary part
-            raise ValueError("interaction matrix must be real, got a complex one")
-        arr = np.array(self.w, dtype=np.float64, order="C")  # always a copy, even of an ndarray subclass
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"interaction matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("graph needs at least one channel")
-        if not np.isfinite(arr).all():
-            raise ValueError("interaction matrix has non-finite entries")
-        if not np.array_equal(arr, arr.T):
-            raise ValueError("interaction matrix must be exactly symmetric")
-        arr.setflags(write=False)
-        object.__setattr__(self, "w", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
 
 
 @dataclass(frozen=True)
@@ -88,28 +61,32 @@ class EigenCertificate:
         return self.mu_max / self.mu_min if self.mu_min > 0.0 else math.inf
 
 
-def build_interaction_graph(q: ChannelMatrix, k: ChannelMatrix) -> InteractionGraph:
-    """Hadamard product of the query and key Gram matrices.
+def build_interaction_graph(q: ChannelMatrix, k: ChannelMatrix) -> np.ndarray:
+    """W, the Hadamard product of the query and key Gram matrices: a new read-only C-order float64 array.
 
     W[i, j] = (q_i . q_j) * (k_i . k_j). Each Gram is `ChannelMatrix.gram`,
     formed from exactly rescaled columns by a symmetric rank-k update that
     numpy mirrors, and W gets the power-of-two scales back, so W is exactly
-    symmetric and right whenever it fits. `+ 0.0` makes a -0.0 product +0.0,
-    so a zero entry's bytes ignore its factors' signs. W is positive
-    semi-definite as the elementwise product of two Gram matrices.
+    symmetric and right whenever it fits, and refused with ValueError if not.
+    `+ 0.0` makes a -0.0 product +0.0, so a zero entry's bytes ignore its
+    factors' signs. W is PSD as the elementwise product of two Gram matrices.
     """
     if q.cols != k.cols:
         raise ValueError(f"channel count mismatch: q has {q.cols}, k has {k.cols}")
     s = q.exponents + k.exponents
     with np.errstate(over="ignore"):  # a W that overflows float64 is inf here, and refused
-        return InteractionGraph(np.ldexp(q.gram * k.gram + 0.0, s[:, None] + s))
+        w = np.ldexp(q.gram * k.gram + 0.0, s[:, None] + s)
+    if not np.isfinite(w).all():
+        raise ValueError("interaction matrix has non-finite entries")
+    w.setflags(write=False)
+    return w
 
 
-def quadratic_form(g: InteractionGraph, s: IndexSet) -> float:
-    """f(S) = 1_S^T W 1_S, the summed principal submatrix."""
-    s.validate_within(g.dim)
+def quadratic_form(w: np.ndarray, s: IndexSet) -> float:
+    """f(S) = 1_S^T W 1_S, the summed principal submatrix of the d x d array `w`."""
+    s.validate_within(len(w))
     idx = s.as_array()
-    return float(g.w[np.ix_(idx, idx)].sum())
+    return float(w[np.ix_(idx, idx)].sum())
 
 
 def _check_capacity(n: int, k: int, cap: int) -> int:
@@ -142,7 +119,8 @@ def _unpruned(bounds: np.ndarray, limit: float) -> np.ndarray:
 
 def _rounding_slack(w: np.ndarray) -> float:
     """32 D eps sum|w|, D = n^2 + 2n, or +inf when 64 sum|w| overflows: see `_BranchAndBound`."""
-    n, total = len(w), float(np.abs(w).sum())
+    with np.errstate(over="ignore"):  # a sum that overflows is +inf, and gives the +inf slack
+        n, total = len(w), float(np.abs(w).sum())
     return 32.0 * (n * n + 2 * n) * np.finfo(np.float64).eps * total if math.isfinite(64.0 * total) else math.inf
 
 
@@ -296,7 +274,8 @@ def _first_minimizer(w: np.ndarray, k: int, incumbent: Callable[[], float]) -> n
     search.limit = upper = incumbent() if search.bounded else math.inf
     best, best_value = None, math.inf
     for sets, stack in search.leaves():
-        values = stack.sum(axis=(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is +-inf, or NaN read as +inf
+            values = stack.sum(axis=(1, 2))
         values[np.isnan(values)] = np.inf
         pos = int(np.argmin(values))
         if best is None or values[pos] < best_value:  # strict: the first minimum is lexicographically smallest
@@ -305,9 +284,7 @@ def _first_minimizer(w: np.ndarray, k: int, incumbent: Callable[[], float]) -> n
     return best
 
 
-def restricted_eigenvalues(
-    g: InteractionGraph, k: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> EigenCertificate:
+def restricted_eigenvalues(w: np.ndarray, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> EigenCertificate:
     """Exact restricted eigenvalues over every support of size exactly k.
 
     mu_min (mu_max) is the smallest (largest) eigenvalue over all k x k
@@ -317,13 +294,25 @@ def restricted_eigenvalues(
     one LAPACK `eigvalsh` call: the first support, in lexicographic order,
     that attains it gives its bits. Each eigenvalue is within p(k) eps ||A||_2 <=
     16 k^2 eps k max|w_ij| of the exact one (LAPACK Users' Guide, 4.7), at any scale
-    of W. Raises CapacityError, with the oracle's message, before any work when C(d, k) > `cap`.
+    of W. Raises CapacityError, with the oracle's message, before any work when C(d, k) > `cap`, and
+    ValueError unless `w` is real, square, non-empty, finite and exactly symmetric (`eigvalsh` reads one triangle).
     """
-    if not 1 <= k <= g.dim:
-        raise ValueError(f"subset size {k} out of range for dimension {g.dim}")
-    _check_capacity(g.dim, k, cap)
+    if np.iscomplexobj(w):  # converting would drop the imaginary part
+        raise ValueError("interaction matrix must be real, got a complex one")
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"interaction matrix must be square, got shape {w.shape}")
+    if not w.size:
+        raise ValueError("graph needs at least one channel")
+    if not np.isfinite(w).all():
+        raise ValueError("interaction matrix has non-finite entries")
+    if not np.array_equal(w, w.T):
+        raise ValueError("interaction matrix must be exactly symmetric")
+    if not 1 <= k <= len(w):
+        raise ValueError(f"subset size {k} out of range for dimension {len(w)}")
+    _check_capacity(len(w), k, cap)
     mu_min, mu_max = math.inf, -math.inf
-    for _, stack in _BranchAndBound(g.w, k, math.inf).leaves():
+    for _, stack in _BranchAndBound(w, k, math.inf).leaves():
         eig = np.linalg.eigvalsh(stack)
         # First extremum of the chunk, and an earlier chunk keeps a tie.
         mu_min = min(mu_min, float(eig[np.argmin(eig[:, 0]), 0]))

@@ -22,8 +22,7 @@ import numpy as np
 
 from .core import ChannelMatrix, IndexSet, _error_sq_blocks, exact_ceil
 from .errors import DegenerateInputError
-from .graph import DEFAULT_ENUMERATION_CAP, InteractionGraph, _check_capacity, _first_minimizer
-from .graph import build_interaction_graph, quadratic_form
+from .graph import DEFAULT_ENUMERATION_CAP, _check_capacity, _first_minimizer, build_interaction_graph, quadratic_form
 
 __all__ = [
     "Problem",
@@ -158,7 +157,7 @@ def _greedy(
 class Problem:
     """One selection instance: query/key matrices, the protected set and optional future queries.
 
-    The inputs are validated once. W, the greedy order over the
+    The inputs are validated once. W (`w`, a read-only array), the greedy order over the
     unprotected channels, the think order and the oracle order of each
     budget are built on first use and kept, so selecting at several
     ratios builds W once and runs the greedy once, and asking the oracle
@@ -201,14 +200,14 @@ class Problem:
         return tuple(map(math.sqrt, squares))
 
     @cached_property
-    def graph(self) -> InteractionGraph:
+    def w(self) -> np.ndarray:
         return build_interaction_graph(self.q, self.k)
 
     def _greedy_prefix(self, n: int) -> tuple[int, ...]:
         """First n channels of the greedy order, running the greedy only as far as needed."""
         if n > len(self._greedy_order):
             if self._greedy_run is None:
-                self._greedy_run = _greedy(self.graph.w, self.candidates)
+                self._greedy_run = _greedy(self.w, self.candidates)
             try:
                 self._greedy_order.extend(islice(self._greedy_run, n - len(self._greedy_order)))
             except BaseException:  # a raising generator is spent: restart the greedy on the next call
@@ -223,7 +222,7 @@ class Problem:
         W_jj = ||q_j||^2 ||k_j||^2 is ThinK's independent score ||q_j|| ||k_j||
         squared, which keeps its order: the greedy's first-step scores, never updated.
         """
-        scores = self.graph.w.diagonal()[self.candidates]
+        scores = self.w.diagonal()[self.candidates]
         return tuple(self.candidates[np.argsort(scores, kind="stable")].tolist())
 
     def select(
@@ -281,8 +280,8 @@ class Problem:
     def _oracle_order(self, n_prune: int) -> tuple[int, ...]:
         """`_first_minimizer` over the unprotected pool, its incumbent the greedy prefix's `quadratic_form`."""
         pool = self.candidates
-        best = _first_minimizer(self.graph.w[np.ix_(pool, pool)], n_prune, lambda: quadratic_form(
-            self.graph, IndexSet(tuple(sorted(self._greedy_prefix(n_prune))))))
+        best = _first_minimizer(self.w[np.ix_(pool, pool)], n_prune, lambda: quadratic_form(
+            self.w, IndexSet(tuple(sorted(self._greedy_prefix(n_prune))))))
         return tuple(pool[best].tolist())
 
 

@@ -7,7 +7,6 @@ tolerance and runtime budget is asserted as stated; nothing is deferred.
 
 import time
 from itertools import combinations, islice
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,12 +49,12 @@ def test_criterion_1_decomposition_identity():
         d = int(rng.integers(2, 33))
         q = ChannelMatrix(rng.standard_normal((l_q, d)))
         k = ChannelMatrix(rng.standard_normal((l_k, d)))
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         for _ in range(5):
             size = int(rng.integers(0, d + 1))
             s = IndexSet(tuple(sorted(rng.choice(d, size=size, replace=False).tolist())))
             direct = reconstruction_error_sq(q, k, s)
-            gap = abs(quadratic_form(g, s) - direct)
+            gap = abs(quadratic_form(w, s) - direct)
             assert gap <= 1e-9 * max(1.0, direct)
             worst = max(worst, gap / max(1.0, direct))
             checks += 1
@@ -77,11 +76,11 @@ def test_criterion_2_score_update_soundness():
         problem = Problem(q, k)
         sel = problem.select(Selector.MIES, 0.5)
         steps: list[tuple[np.ndarray, np.ndarray]] = []  # `problem`'s greedy again, snapshotting each step
-        list(islice(prune._greedy(problem.graph.w, problem.candidates, steps), sel.n_prune))
+        list(islice(prune._greedy(problem.w, problem.candidates, steps), sel.n_prune))
         pruned: list[int] = []
         for step, (cands, scores) in enumerate(steps):
             for c, s in zip(cands, scores):
-                f = quadratic_form(problem.graph, IndexSet(tuple(pruned) + (int(c),)))
+                f = quadratic_form(problem.w, IndexSet(tuple(pruned) + (int(c),)))
                 assert abs(s - f) <= 1e-9 * max(1.0, abs(f))
                 checks += 1
             pruned.append(sel.order[step])
@@ -100,12 +99,12 @@ def test_criterion_3_oracle_dominance_and_bound():
     for _ in range(200):
         q = ChannelMatrix(rng.standard_normal((16, 10)))
         k = ChannelMatrix(rng.standard_normal((16, 10)))
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         greedy = Problem(q, k).select(Selector.MIES, 0.5)
         exact = Problem(q, k).select(Selector.ORACLE, 0.5)
         assert greedy.n_prune == 5
         assert exact.error_sq <= greedy.error_sq
-        cert = restricted_eigenvalues(g, 5)
+        cert = restricted_eigenvalues(w, 5)
         if cert.mu_min > 1e-8:
             assert greedy.error_sq <= cert.kappa * exact.error_sq + 1e-9
             certified += 1
@@ -193,19 +192,19 @@ def test_criterion_7_psd_and_rayleigh_certificates():
         d = int(rng.integers(2, 33))
         q = ChannelMatrix(rng.standard_normal((int(rng.integers(4, 33)), d)))
         k = ChannelMatrix(rng.standard_normal((int(rng.integers(4, 33)), d)))
-        g = build_interaction_graph(q, k)
-        smallest = float(np.linalg.eigvalsh(g.w)[0])
-        assert smallest >= -1e-8 * float(np.linalg.norm(g.w))
+        w = build_interaction_graph(q, k)
+        smallest = float(np.linalg.eigvalsh(w)[0])
+        assert smallest >= -1e-8 * float(np.linalg.norm(w))
     supports = 0
     for i in range(10):
         rng2 = np.random.default_rng(2000 + i)
         q = ChannelMatrix(rng2.standard_normal((16, 10)))
         k = ChannelMatrix(rng2.standard_normal((16, 10)))
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         for ksize in (2, 3):
-            cert = restricted_eigenvalues(g, ksize)
+            cert = restricted_eigenvalues(w, ksize)
             for support in combinations(range(10), ksize):
-                f = quadratic_form(g, IndexSet(support))
+                f = quadratic_form(w, IndexSet(support))
                 assert cert.mu_min * ksize <= f <= cert.mu_max * ksize
                 supports += 1
     report("criterion 7 (PSD and Rayleigh certificates)", f"100 PSD checks, {supports} supports")
@@ -233,10 +232,9 @@ def test_criterion_8_determinism_and_io(tmp_path, monkeypatch, capsys):
     assert cli_main(["verify"]) == 0
 
     def corrupted(q, k):
-        g = real_build(q, k)
-        w = g.w.copy()
+        w = real_build(q, k).copy()
         w[0, 1] += 1.0
-        return SimpleNamespace(dim=g.dim, w=w)
+        return w
 
     monkeypatch.setattr(selfcheck, "build_interaction_graph", corrupted)
     assert cli_main(["verify"]) == 5

@@ -8,7 +8,6 @@ import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -772,10 +771,9 @@ class TestVerification:
 
     def test_corrupted_graph_fails(self, monkeypatch):
         def corrupted(q, k):
-            g = real_build(q, k)
-            w = g.w.copy()
+            w = real_build(q, k).copy()
             w[0, 1] += 1.0
-            return SimpleNamespace(dim=g.dim, w=w)
+            return w
 
         monkeypatch.setattr(selfcheck, "build_interaction_graph", corrupted)
         summary = selfcheck.run_verification()
@@ -785,7 +783,7 @@ class TestVerification:
 
     def test_score_update_failures_are_reported(self, monkeypatch):
         real = selfcheck.quadratic_form
-        monkeypatch.setattr(selfcheck, "quadratic_form", lambda g, s: real(g, s) + 1.0)
+        monkeypatch.setattr(selfcheck, "quadratic_form", lambda w, s: real(w, s) + 1.0)
         result = selfcheck._check_score_updates(np.random.default_rng(1), 3)
         assert result.checks > 0 and len(result.failures) == result.checks
         assert result.failures[0].startswith("instance 0 step 0 candidate ")
@@ -810,12 +808,12 @@ class TestVerification:
         built = []
 
         def corrupted(q, k):
-            g = real_build(q, k)
-            w = -g.w if len(built) % 3 == 0 else g.w.copy()
+            w = real_build(q, k)
+            w = -w if len(built) % 3 == 0 else w.copy()
             if len(built) % 5 == 0:
                 w[0, 1] += 1.0
             built.append(w)
-            return SimpleNamespace(dim=g.dim, w=w)
+            return w
 
         monkeypatch.setattr(selfcheck, "build_interaction_graph", corrupted)
         result = selfcheck._check_psd(np.random.default_rng(7), 30)
@@ -850,10 +848,9 @@ class TestCommandLine:
 
     def test_verify_exit_code_on_corruption(self, monkeypatch, capsys):
         def corrupted(q, k):
-            g = real_build(q, k)
-            w = g.w.copy()
+            w = real_build(q, k).copy()
             w[0, 1] += 1.0
-            return SimpleNamespace(dim=g.dim, w=w)
+            return w
 
         monkeypatch.setattr(selfcheck, "build_interaction_graph", corrupted)
         assert cli_main(["verify"]) == 5

@@ -171,17 +171,17 @@ class TestDecomposedError:
 
     def test_empty_sum(self):
         q = ChannelMatrix(np.ones((2, 3)))
-        g = build_interaction_graph(q, q)
-        assert quadratic_form(g, IndexSet.empty()) == 0.0
+        w = build_interaction_graph(q, q)
+        assert quadratic_form(w, IndexSet.empty()) == 0.0
 
     def test_singleton_is_outer_product_norm(self):
         rng = np.random.default_rng(11)
         q = ChannelMatrix(rng.standard_normal((6, 4)))
         k = ChannelMatrix(rng.standard_normal((8, 4)))
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         for i in range(4):
             outer = np.outer(q.data[:, i], k.data[:, i])
-            assert quadratic_form(g, IndexSet((i,))) == pytest.approx(
+            assert quadratic_form(w, IndexSet((i,))) == pytest.approx(
                 float(np.sum(outer * outer)), rel=1e-12
             )
 
@@ -189,16 +189,16 @@ class TestDecomposedError:
         rng = np.random.default_rng(13)
         q = ChannelMatrix(rng.standard_normal((16, 12)))
         k = ChannelMatrix(rng.standard_normal((16, 12)))
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         s = IndexSet(tuple(sorted(rng.choice(12, size=6, replace=False).tolist())))
         direct = reconstruction_error_sq(q, k, s)
-        assert abs(quadratic_form(g, s) - direct) <= 1e-9 * max(1.0, direct)
+        assert abs(quadratic_form(w, s) - direct) <= 1e-9 * max(1.0, direct)
 
     def test_index_out_of_range(self):
         q = ChannelMatrix(np.ones((2, 3)))
-        g = build_interaction_graph(q, q)
+        w = build_interaction_graph(q, q)
         with pytest.raises(IndexError):
-            quadratic_form(g, IndexSet((3,)))
+            quadratic_form(w, IndexSet((3,)))
 
 
 def test_decomposition_identity_property():
@@ -208,12 +208,12 @@ def test_decomposition_identity_property():
         d = int(rng.integers(2, 20))
         q = ChannelMatrix(rng.standard_normal((int(rng.integers(2, 20)), d)))
         k = ChannelMatrix(rng.standard_normal((int(rng.integers(2, 20)), d)))
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         for _ in range(3):
             size = int(rng.integers(0, d + 1))
             s = IndexSet(tuple(sorted(rng.choice(d, size=size, replace=False).tolist())))
             direct = reconstruction_error_sq(q, k, s)
-            assert abs(quadratic_form(g, s) - direct) <= 1e-9 * max(1.0, direct)
+            assert abs(quadratic_form(w, s) - direct) <= 1e-9 * max(1.0, direct)
 
 
 def test_superset_error_can_decrease():

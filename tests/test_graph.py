@@ -14,7 +14,6 @@ from channelprune import (
     ChannelMatrix,
     EigenCertificate,
     IndexSet,
-    InteractionGraph,
     Problem,
     Selector,
     build_interaction_graph,
@@ -33,33 +32,33 @@ class TestBuild:
     def test_orthogonal_query_columns_kill_interaction(self):
         q = ChannelMatrix(np.array([(1, 0), (0, 2)], dtype=float).T)
         k = ChannelMatrix(np.random.default_rng(0).standard_normal((5, 2)))
-        g = build_interaction_graph(q, k)
-        assert g.w[0, 1] == 0.0
+        w = build_interaction_graph(q, k)
+        assert w[0, 1] == 0.0
 
     def test_worked_example(self):
         q = ChannelMatrix(np.array([(1, 1), (1, 0)], dtype=float).T)
         k = ChannelMatrix(np.array([(1, 0), (1, 1)], dtype=float).T)
-        g = build_interaction_graph(q, k)
-        assert g.w.tolist() == [[2.0, 1.0], [1.0, 2.0]]
+        w = build_interaction_graph(q, k)
+        assert w.tolist() == [[2.0, 1.0], [1.0, 2.0]]
 
     def test_against_naive_loop_oracle(self):
         rng = np.random.default_rng(5)
         q, k = random_pair(rng, 6)
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         for i in range(6):
             for j in range(6):
                 qq = float(q.data[:, i] @ q.data[:, j])
                 kk = float(k.data[:, i] @ k.data[:, j])
-                assert g.w[i, j] == pytest.approx(qq * kk, rel=1e-12)
+                assert w[i, j] == pytest.approx(qq * kk, rel=1e-12)
 
     def test_diagonal_is_norm_product(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             q, k = random_pair(rng, int(rng.integers(2, 10)))
-            g = build_interaction_graph(q, k)
+            w = build_interaction_graph(q, k)
             for i in range(q.cols):
                 expected = float(np.sum(q.data[:, i] ** 2) * np.sum(k.data[:, i] ** 2))
-                assert g.w[i, i] == pytest.approx(expected, rel=1e-12)
+                assert w[i, i] == pytest.approx(expected, rel=1e-12)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
@@ -74,103 +73,85 @@ class TestBuild:
         rng = np.random.default_rng(0)
         q, k = rng.standard_normal((8, 6)), rng.standard_normal((16, 6))
         problem = Problem(ChannelMatrix(q * q_scale), ChannelMatrix(k * k_scale))
-        w = build_interaction_graph(ChannelMatrix(q), ChannelMatrix(k)).w
-        np.testing.assert_allclose(problem.graph.w, w * (q_scale * k_scale) ** 2, rtol=1e-13)
+        w = build_interaction_graph(ChannelMatrix(q), ChannelMatrix(k))
+        np.testing.assert_allclose(problem.w, w * (q_scale * k_scale) ** 2, rtol=1e-13)
         orders = [problem.select(selector, 0.5).order for selector in (Selector.MIES, Selector.THINK, Selector.ORACLE)]
         assert orders == [(4, 2, 1), (4, 2, 1), (1, 2, 4)]
 
     def test_exact_symmetry_and_readonly(self):
         rng = np.random.default_rng(7)
         q, k = random_pair(rng, 9)
-        g = build_interaction_graph(q, k)
-        assert np.array_equal(g.w, g.w.T)
+        w = build_interaction_graph(q, k)
+        assert np.array_equal(w, w.T)
         with pytest.raises(ValueError):
-            g.w[0, 0] = 1.0
+            w[0, 0] = 1.0
 
-    def test_copies_an_ndarray_subclass(self):
-        class Tagged(np.ndarray):
-            pass
-
-        w = np.array([[2.0, 1.0], [1.0, 2.0]]).view(Tagged)
-        g = InteractionGraph(w)
-        w[0, 0] = 100.0
-        assert type(g.w) is np.ndarray and not np.shares_memory(g.w, w)
-        assert quadratic_form(g, IndexSet((0, 1))) == 6.0
-
-    def test_constructor_rejects_asymmetry(self):
-        with pytest.raises(ValueError):
-            InteractionGraph(w=np.array([[1.0, 2.0], [3.0, 1.0]]))
-
-    def test_constructor_rejects_a_non_square_or_empty_matrix(self):
-        for w in (np.ones((2, 3)), np.ones(3)):
-            with pytest.raises(ValueError, match="interaction matrix must be square"):
-                InteractionGraph(w)
-        with pytest.raises(ValueError, match="graph needs at least one channel"):
-            InteractionGraph(np.zeros((0, 0)))
-
-    def test_constructor_rejects_a_complex_matrix(self):
-        with pytest.raises(ValueError, match="complex"):
-            InteractionGraph(np.array([[1.0, 2j], [2j, 1.0]]))
+    def test_returns_a_new_read_only_c_order_array(self):
+        q, k = random_pair(np.random.default_rng(7), 9)
+        w = build_interaction_graph(q, k)
+        assert type(w) is np.ndarray and w.dtype == np.float64 and w.shape == (9, 9)
+        assert w.flags.c_contiguous and not w.flags.writeable
+        assert not np.shares_memory(w, q.gram) and not np.shares_memory(w, k.gram)
 
     def test_psd_over_seeded_instances(self):
         rng = np.random.default_rng(100)
         for _ in range(100):
             q, k = random_pair(rng, int(rng.integers(2, 16)))
-            g = build_interaction_graph(q, k)
-            smallest = float(np.linalg.eigvalsh(g.w)[0])
-            assert smallest >= -1e-8 * float(np.linalg.norm(g.w))
+            w = build_interaction_graph(q, k)
+            smallest = float(np.linalg.eigvalsh(w)[0])
+            assert smallest >= -1e-8 * float(np.linalg.norm(w))
 
     def test_channel_permutation_conjugates_w(self):
         rng = np.random.default_rng(8)
         q, k = random_pair(rng, 7)
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         perm = rng.permutation(7)
-        g2 = build_interaction_graph(ChannelMatrix(q.data[:, perm]), ChannelMatrix(k.data[:, perm]))
-        assert np.allclose(g2.w, g.w[np.ix_(perm, perm)], rtol=1e-12, atol=0)
+        w2 = build_interaction_graph(ChannelMatrix(q.data[:, perm]), ChannelMatrix(k.data[:, perm]))
+        assert np.allclose(w2, w[np.ix_(perm, perm)], rtol=1e-12, atol=0)
 
 
 class TestQuadraticForm:
     def test_empty(self):
-        g = InteractionGraph(w=np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert quadratic_form(g, IndexSet.empty()) == 0.0
+        w = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert quadratic_form(w, IndexSet.empty()) == 0.0
 
     def test_empty_is_positive_zero_bit_for_bit(self):
         # The gathered sum of an empty block, even of a negative W, is +0.0 and warns of nothing.
-        g = InteractionGraph(w=np.array([[-2.0, -1.0], [-1.0, -2.0]]))
-        assert quadratic_form(g, IndexSet.empty()).hex() == (0.0).hex() == "0x0.0p+0"
+        w = np.array([[-2.0, -1.0], [-1.0, -2.0]])
+        assert quadratic_form(w, IndexSet.empty()).hex() == (0.0).hex() == "0x0.0p+0"
 
     def test_worked_pair(self):
-        g = InteractionGraph(w=np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert quadratic_form(g, IndexSet((0, 1))) == 6.0
+        w = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert quadratic_form(w, IndexSet((0, 1))) == 6.0
 
     def test_full_set_sums_everything(self):
         rng = np.random.default_rng(9)
         q, k = random_pair(rng, 5)
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         full = IndexSet(tuple(range(5)))
-        assert quadratic_form(g, full) == pytest.approx(float(g.w.sum()), rel=1e-12)
+        assert quadratic_form(w, full) == pytest.approx(float(w.sum()), rel=1e-12)
 
     def test_agrees_with_decomposed_grouping(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             q, k = random_pair(rng, 10)
-            g = build_interaction_graph(q, k)
+            w = build_interaction_graph(q, k)
             size = int(rng.integers(0, 11))
             s = IndexSet(tuple(sorted(rng.choice(10, size=size, replace=False).tolist())))
-            sub = g.w[np.ix_(s.as_array(), s.as_array())]
+            sub = w[np.ix_(s.as_array(), s.as_array())]
             cross = sub.copy()
             np.fill_diagonal(cross, 0.0)
-            a, b = quadratic_form(g, s), float(np.trace(sub)) + float(cross.sum())  # self + interaction terms
+            a, b = quadratic_form(w, s), float(np.trace(sub)) + float(cross.sum())  # self + interaction terms
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_nonnegative_up_to_roundoff(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             q, k = random_pair(rng, 8)
-            g = build_interaction_graph(q, k)
+            w = build_interaction_graph(q, k)
             size = int(rng.integers(1, 9))
             s = IndexSet(tuple(sorted(rng.choice(8, size=size, replace=False).tolist())))
-            assert quadratic_form(g, s) >= -1e-8 * float(np.linalg.norm(g.w))
+            assert quadratic_form(w, s) >= -1e-8 * float(np.linalg.norm(w))
 
 
 class TestSubsets:
@@ -218,10 +199,10 @@ class TestSubsets:
             assert r < search.k and len(f) == len(rs) == len(first)
 
     def test_cap_raises_before_the_first_chunk(self):
-        g = InteractionGraph(w=np.eye(20))
+        w = np.eye(20)
         with mock.patch.object(graph, "_BranchAndBound") as walk:
             with pytest.raises(CapacityError, match="184756 subsets exceed the enumeration cap 1000"):
-                restricted_eigenvalues(g, 10, cap=1000)
+                restricted_eigenvalues(w, 10, cap=1000)
         walk.assert_not_called()
 
 
@@ -229,43 +210,43 @@ class TestRestrictedEigenvalues:
     def test_k1_is_diagonal_extrema(self):
         rng = np.random.default_rng(12)
         q, k = random_pair(rng, 6)
-        g = build_interaction_graph(q, k)
-        cert = restricted_eigenvalues(g, 1)
-        assert cert.mu_min == pytest.approx(float(np.diag(g.w).min()), rel=1e-12)
-        assert cert.mu_max == pytest.approx(float(np.diag(g.w).max()), rel=1e-12)
+        w = build_interaction_graph(q, k)
+        cert = restricted_eigenvalues(w, 1)
+        assert cert.mu_min == pytest.approx(float(np.diag(w).min()), rel=1e-12)
+        assert cert.mu_max == pytest.approx(float(np.diag(w).max()), rel=1e-12)
 
     def test_identity_graph(self):
-        g = InteractionGraph(w=np.eye(4))
-        cert = restricted_eigenvalues(g, 2)
+        w = np.eye(4)
+        cert = restricted_eigenvalues(w, 2)
         assert (cert.mu_min, cert.mu_max, cert.kappa) == (1.0, 1.0, 1.0)
 
     def test_brackets_every_subset(self):
         rng = np.random.default_rng(13)
         q, k = random_pair(rng, 8, rows_q=16, rows_k=16)
-        g = build_interaction_graph(q, k)
-        cert = restricted_eigenvalues(g, 4)
+        w = build_interaction_graph(q, k)
+        cert = restricted_eigenvalues(w, 4)
         for _ in range(50):
             support = sorted(rng.choice(8, size=4, replace=False).tolist())
-            eigs = np.linalg.eigvalsh(g.w[np.ix_(support, support)])
+            eigs = np.linalg.eigvalsh(w[np.ix_(support, support)])
             assert cert.mu_min <= eigs[0] + 1e-9
             assert eigs[-1] <= cert.mu_max + 1e-9
 
     def test_rayleigh_bound_on_indicators(self):
         rng = np.random.default_rng(14)
         q, k = random_pair(rng, 7, rows_q=12, rows_k=12)
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         for ksz in (2, 3):
-            cert = restricted_eigenvalues(g, ksz)
+            cert = restricted_eigenvalues(w, ksz)
             for support in combinations(range(7), ksz):
-                f = quadratic_form(g, IndexSet(support))
+                f = quadratic_form(w, IndexSet(support))
                 assert cert.mu_min * ksz <= f <= cert.mu_max * ksz
 
     def test_k_out_of_range(self):
-        g = InteractionGraph(w=np.eye(3))
+        w = np.eye(3)
         with pytest.raises(ValueError):
-            restricted_eigenvalues(g, 0)
+            restricted_eigenvalues(w, 0)
         with pytest.raises(ValueError):
-            restricted_eigenvalues(g, 4)
+            restricted_eigenvalues(w, 4)
 
     def test_capacity_error_shares_the_oracle_cap_message(self):
         q = k = ChannelMatrix(np.eye(20))
@@ -276,10 +257,23 @@ class TestRestrictedEigenvalues:
             Problem(q, k).select(Selector.ORACLE, 0.5, cap=1000)
 
     def test_certificate_kappa_flags_zero_mu_min(self):
-        g = InteractionGraph(w=np.zeros((3, 3)))
-        cert = restricted_eigenvalues(g, 2)
+        w = np.zeros((3, 3))
+        cert = restricted_eigenvalues(w, 2)
         assert cert.mu_min == 0.0
         assert math.isinf(cert.kappa)
+
+    @pytest.mark.parametrize("w, message", [
+        (np.array([[1.0, 2.0], [3.0, 1.0]]), "interaction matrix must be exactly symmetric"),
+        (np.ones((2, 3)), "interaction matrix must be square"),
+        (np.ones(3), "interaction matrix must be square"),
+        (np.zeros((0, 0)), "graph needs at least one channel"),
+        (np.array([[1.0, 2j], [2j, 1.0]]), "complex"),
+        (np.array([[1.0, 0.0], [0.0, math.nan]]), "interaction matrix has non-finite entries"),
+        (np.array([[1.0, 0.0], [0.0, math.inf]]), "interaction matrix has non-finite entries"),
+    ], ids=["asymmetric", "non-square", "one-dimensional", "empty", "complex", "nan", "inf"])
+    def test_refuses_a_matrix_it_cannot_certify(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            restricted_eigenvalues(w, 1)
 
     def test_certificate_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
@@ -293,8 +287,8 @@ def _reference_graphs() -> dict[str, np.ndarray]:
     zeroed[:, [2, 5]] = 0.0  # exact zero eigenvalues, and supports tied at them
     a = rng.standard_normal((6, 6))
     return {
-        "gram-16x8": build_interaction_graph(ChannelMatrix(rng.standard_normal((16, 8))), ChannelMatrix(rng.standard_normal((16, 8)))).w,
-        "zero-channels": build_interaction_graph(ChannelMatrix(zeroed), ChannelMatrix(rng.standard_normal((16, 7)))).w,
+        "gram-16x8": build_interaction_graph(ChannelMatrix(rng.standard_normal((16, 8))), ChannelMatrix(rng.standard_normal((16, 8)))),
+        "zero-channels": build_interaction_graph(ChannelMatrix(zeroed), ChannelMatrix(rng.standard_normal((16, 7)))),
         "indefinite": a + a.T,
     }
 
@@ -338,13 +332,13 @@ class TestCertificateReference:
         assert np.array_equal(w / scale, REFERENCE_GRAPHS[name])
         for k in range(1, len(w) + 1):
             low, high = _reference_extremes(name, k)
-            cert = restricted_eigenvalues(InteractionGraph(w), k)
+            cert = restricted_eigenvalues(w, k)
             assert_within_lapack_bound(cert, w, low, high, scale)
 
     def test_tiny_rank_one_block(self):
         # An absolute stopping tolerance would take the diagonal, [1e-150, 1e-150], as converged.
         w = np.ones((2, 2)) * 1e-150
-        cert = restricted_eigenvalues(InteractionGraph(w), 2)
+        cert = restricted_eigenvalues(w, 2)
         assert_within_lapack_bound(cert, w, mpmath.mpf(0), 2 * mpmath.mpf(1e-150))
 
     @pytest.mark.parametrize("scale", [1e306, 1e-300])
@@ -354,5 +348,5 @@ class TestCertificateReference:
         for k in (1, 3, 7):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                cert = restricted_eigenvalues(InteractionGraph(w), k)
+                cert = restricted_eigenvalues(w, k)
             assert_within_lapack_bound(cert, w, *mpmath_extremes(w, k))

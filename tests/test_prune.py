@@ -59,7 +59,7 @@ class TestThinkScores:
         q = ChannelMatrix(np.array([(3, 4)], dtype=float).T)
         k = ChannelMatrix(np.array([(1, 0, 0)], dtype=float).T)
         outer = np.outer(q.data[:, 0], k.data[:, 0])
-        assert Problem(q, k).graph.w[0, 0] == pytest.approx(float(np.linalg.norm(outer)) ** 2, rel=1e-12)
+        assert Problem(q, k).w[0, 0] == pytest.approx(float(np.linalg.norm(outer)) ** 2, rel=1e-12)
         assert Problem(q, k).select(Selector.THINK, 1.0).error_sq == pytest.approx(25.0, rel=1e-12)
 
     def test_sign_flip_invariance(self):
@@ -134,9 +134,9 @@ class TestMiesSelect:
     def test_first_prune_is_min_self_importance(self):
         for seed in range(10):
             q, k = normal_pair(seed)
-            g = build_interaction_graph(q, k)
+            w = build_interaction_graph(q, k)
             sel = Problem(q, k).select(Selector.MIES, 0.5)
-            assert sel.order[0] == int(np.argmin(np.diag(g.w)))
+            assert sel.order[0] == int(np.argmin(np.diag(w)))
 
     def test_first_step_agrees_with_think(self):
         # Both start from W's diagonal, so think's lowest score is the first greedy pick.
@@ -159,7 +159,7 @@ class TestMiesSelect:
     def greedy_steps(problem, n_steps):
         """(candidates, scores) before each of the first n_steps steps of the greedy `problem` runs."""
         steps: list[tuple[np.ndarray, np.ndarray]] = []
-        list(islice(prune._greedy(problem.graph.w, problem.candidates, steps), n_steps))
+        list(islice(prune._greedy(problem.w, problem.candidates, steps), n_steps))
         return steps
 
     def test_per_step_scores_equal_quadratic_form(self):
@@ -169,7 +169,7 @@ class TestMiesSelect:
             pruned_so_far: list[int] = []
             for step, (cands, scores) in enumerate(self.greedy_steps(problem, sel.n_prune)):
                 for c, s in zip(cands, scores):
-                    f = quadratic_form(problem.graph, IndexSet(tuple(pruned_so_far) + (int(c),)))
+                    f = quadratic_form(problem.w, IndexSet(tuple(pruned_so_far) + (int(c),)))
                     assert abs(s - f) <= 1e-9 * max(1.0, abs(f))
                 pruned_so_far.append(sel.order[step])
 
@@ -178,7 +178,7 @@ class TestMiesSelect:
         problem = Problem(*normal_pair(4, d=10))
         sel = problem.select(Selector.MIES, 0.5)
         for step, (_, scores) in enumerate(self.greedy_steps(problem, sel.n_prune)):
-            f = quadratic_form(problem.graph, IndexSet(sel.order[: step + 1]))
+            f = quadratic_form(problem.w, IndexSet(sel.order[: step + 1]))
             assert abs(scores.min() - f) <= 1e-9 * max(1.0, abs(f))
 
     def test_beats_think_on_most_seeds(self):
@@ -264,7 +264,7 @@ class TestOracleSelect:
         # differences from the evaluator cannot flip the comparison.
         for seed in range(15):
             q, k = normal_pair(seed, d=10)
-            g = build_interaction_graph(q, k)
+            w = build_interaction_graph(q, k)
             exact = Problem(q, k).select(Selector.ORACLE, 0.5)
             assert exact.error_sq == reconstruction_error_sq(q, k, exact.pruned)
             for other in (
@@ -272,13 +272,12 @@ class TestOracleSelect:
                 Problem(q, k).select(Selector.THINK, 0.5),
                 Problem(q, k).select(Selector.RANDOM, 0.5, seed=seed),
             ):
-                assert quadratic_form(g, exact.pruned) <= quadratic_form(g, other.pruned)
+                assert quadratic_form(w, exact.pruned) <= quadratic_form(w, other.pruned)
 
     def test_every_sum_overflowing_keeps_the_budget(self):
         # Every gathered sum is +inf: the first subset is the lexicographic minimum.
-        with np.errstate(over="ignore", invalid="ignore"):  # the fold's gathered sums overflow
-            problem = Problem(ChannelMatrix(np.full((1, 6), 1e154)), ChannelMatrix(np.ones((1, 6))))
-            sel = problem.select(Selector.ORACLE, 0.5)
+        problem = Problem(ChannelMatrix(np.full((1, 6), 1e154)), ChannelMatrix(np.ones((1, 6))))
+        sel = problem.select(Selector.ORACLE, 0.5)
         assert sel.n_prune == 3
         assert sel.pruned.indices == (0, 1, 2)
         assert sel.error_sq == math.inf
@@ -294,10 +293,17 @@ class TestOracleSelect:
         q = ChannelMatrix(np.array([[*huge, *small]]))
         d = q.cols
         expected = min(combinations(range(3, d), d // 2), key=lambda s: sum(small[i - 3] for i in s) ** 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sel = Problem(q, ChannelMatrix(np.ones((1, d)))).select(Selector.ORACLE, 0.5)
+        sel = Problem(q, ChannelMatrix(np.ones((1, d)))).select(Selector.ORACLE, 0.5)
         assert sel.pruned.indices == expected
         assert sel.error_sq == sum(small[i - 3] for i in expected) ** 2 == 0
+
+    @pytest.mark.parametrize("lam, pruned", [(0.5, (0,)), (1.0, (0, 1))])
+    def test_a_finite_w_whose_sums_overflow_warns_nothing(self, lam, pruned):
+        # W is 6e307 everywhere, so sum |W| overflows (an infinite slack), and at 1.0 so does the one set's sum.
+        q = ChannelMatrix(np.full((2, 2), math.sqrt(3e307)))
+        sel = Problem(q, ChannelMatrix(np.ones((1, 2)))).select(Selector.ORACLE, lam)
+        assert sel.pruned.indices == pruned
+        assert math.isfinite(sel.error_sq) == (lam == 0.5)
 
     def test_the_greedy_incumbent_runs_only_when_the_walk_bounds(self):
         # The C(10, 5) = 252 sets fit the lexicographic table, so the walk reads it, does not bound,
@@ -370,10 +376,10 @@ class TestOracleSelect:
         # 62 x 62 at a time; one stack of them all would be 59 MiB.
         rng = np.random.default_rng(0)
         q, k = (ChannelMatrix(rng.standard_normal((8, 64))) for _ in range(2))
-        g = build_interaction_graph(q, k)
+        w = build_interaction_graph(q, k)
         tracemalloc.start()
         try:
-            cert = restricted_eigenvalues(g, 62)
+            cert = restricted_eigenvalues(w, 62)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -587,7 +593,7 @@ class TestValueChannels:
         # With W_O = I the channels' contributions are orthogonal, so the greedy is the independent score.
         a, v = self.attention_and_values(np.random.default_rng(1))
         problem = Problem(ChannelMatrix(a @ v), ChannelMatrix(np.eye(64)))
-        assert np.all(problem.graph.w[~np.eye(64, dtype=bool)] == 0.0)
+        assert np.all(problem.w[~np.eye(64, dtype=bool)] == 0.0)
         mies, think = (problem.select(selector, 0.5) for selector in (Selector.MIES, Selector.THINK))
         assert mies.pruned == think.pruned
 
